@@ -1,20 +1,39 @@
-"""The rectangular determinant and its three evaluation algorithms.
+"""The rectangular determinant: one row-sweep kernel, raw elimination, and
+the three defining routes kept as oracles.
 
 For a tall matrix X (n rows, k columns, n >= k) the determinant is the signed
 sum over all injections sigma of [k] into [n] of
-sgn(sigma) * x[sigma(1),1] * ... * x[sigma(k),k].  It can equivalently be
-computed as an alternating sum of maximal square minors, or by Laplace
-expansion along any column; all three routes are implemented and must agree.
+sgn(sigma) * x[sigma(1),1] * ... * x[sigma(k),k].  It equals the alternating
+sum of maximal square minors and the Laplace expansion along any column.
+Those three defining routes (`det_definition`, `det_minorsum`, `det_laplace`)
+work on scalars and stay as independent test oracles and `--algo` choices.
+
+The hot path is `det`.  It converts X to raw integers once (`raw_rows`:
+residues over GF(p), column-cleared integers over QQ) and runs whichever of
+two routes needs fewer steps, counted exactly from (n, k) before any work:
+
+* the row sweep (`sweep`), O(n k 2^k), for tall shapes: rows 1..n are placed
+  in order, with one signed partial sum per set of used columns;
+* fraction-free (Bareiss) elimination for square and near-square shapes, on
+  det[X | 1] when n = k + 1 (Laplace along the ones column gives exactly the
+  alternating minor sum), otherwise on each maximal minor.
+
+The sweep's moves for a shape are a cached plan (`sweep_plan`) shared by every
+coefficient type: integers here, det(A + tB) packed into one integer in
+`lambdapoly`, sparse polynomials in `sympoly`, and the exhaustive tables in
+`preserver`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, perm
+from math import comb, lcm, perm, prod
 
 from . import combinatorics as comb_mod
 from .errors import IndexOutOfRange, ResourceGuard, ShapeError, ShapeMismatch, FieldMismatch
-from .fields import Scalar
+from .fields import FieldSpec, Scalar
 from .matrix import RectMatrix, submatrix_keep
 
 DEFAULT_OP_BUDGET = 10_000_000
@@ -28,7 +47,170 @@ def _require_tall(X: RectMatrix):
 def _guard(cost: int, budget: int | None):
     limit = DEFAULT_OP_BUDGET if budget is None else budget
     if cost > limit:
-        raise ResourceGuard(f"estimated {cost} elementary products exceeds budget {limit}")
+        raise ResourceGuard(f"{cost} elementary steps exceed budget {limit}")
+
+
+# -- raw values ------------------------------------------------------------------
+
+
+def raw_rows(*mats: RectMatrix) -> tuple[list[list[list[int]]], int]:
+    """Integer rows of same-shape matrices over one field, and the scale s
+    such that the determinant of the integer rows is s times the true one.
+
+    Over GF(p) the rows are the residues and s = 1.  Over QQ column j of
+    every matrix is multiplied by the lcm of the denominators in column j of
+    all of them, and s is the product of those lcms: the determinant is
+    multilinear in the columns, so it scales by exactly s.
+    """
+    k = mats[0].k
+    if mats[0].field.kind == "prime":
+        return [[[e.value for e in M.entries[i * k:(i + 1) * k]] for i in range(M.n)]
+                for M in mats], 1
+    scales = [1] * k
+    for M in mats:
+        for idx, e in enumerate(M.entries):
+            d = e.value.denominator
+            if d != 1:
+                scales[idx % k] = lcm(scales[idx % k], d)
+    out = []
+    for M in mats:
+        fr = [e.value for e in M.entries]
+        out.append([[fr[i * k + j].numerator * (scales[j] // fr[i * k + j].denominator)
+                     for j in range(k)] for i in range(M.n)])
+    return out, prod(scales)
+
+
+def from_raw(field: FieldSpec, value: int, scale: int) -> Scalar:
+    """The scalar value / scale (mod p over GF(p)), as left by `raw_rows`."""
+    if field.kind == "prime":
+        return Scalar(value % field.p, field)
+    return Scalar(Fraction(value, scale), field)
+
+
+# -- the row sweep ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def sweep_count(n: int, k: int) -> int:
+    """Exact number of moves in `sweep_plan(n, k)`, from the shape alone."""
+    return sum(comb(k, u) * (k - u)
+               for r in range(1, n + 1)
+               for u in range(max(0, k - 1 - (n - r)), min(r, k)))
+
+
+@lru_cache(maxsize=32)
+def sweep_plan(n: int, k: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """Per row r = 1..n, the moves (src, dst, col, neg) of the row sweep.
+
+    A move places row r in column col after the columns in the bit mask src
+    were used by earlier rows; it adds (-1)**neg * x[r, col] times the value
+    at src to the value at dst = src | 1 << col.  The sign counts the used
+    columns right of col (the inversions of the injection) plus
+    r - #used - 1 (the rows skipped so far, i.e. the image-set sign).  Only
+    masks from which the remaining rows can still fill every column move.
+    Moves run from fuller masks down, so one value array updated in place
+    still reads every source before this row writes to it.
+    """
+    plan = []
+    for r in range(1, n + 1):
+        moves = []
+        for used in range(min(r, k) - 1, max(0, k - 1 - (n - r)) - 1, -1):
+            for cols in combinations(range(k), used):
+                src = sum(1 << c for c in cols)
+                for col in range(k):
+                    if not src >> col & 1:
+                        neg = (bin(src >> col).count("1") + r - used - 1) & 1
+                        moves.append((src, src | 1 << col, col, neg))
+        plan.append(tuple(moves))
+    return tuple(plan)
+
+
+def sweep(rows, k: int, budget: int | None = None) -> int:
+    """Rectangular determinant of an integer matrix (a sequence of n rows of
+    k ints) by the row sweep, exactly; refuses past the budget before the
+    plan is built."""
+    n = len(rows)
+    _guard(sweep_count(n, k), budget)
+    val = [0] * (1 << k)
+    val[0] = 1
+    for row, moves in zip(rows, sweep_plan(n, k)):
+        for src, dst, col, neg in moves:
+            v = val[src]
+            if v:
+                x = row[col]
+                if x:
+                    if neg:
+                        val[dst] -= v * x
+                    else:
+                        val[dst] += v * x
+    return val[-1]
+
+
+# -- elimination -----------------------------------------------------------------
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix (rows are modified)."""
+    size = len(m)
+    sign, prev = 1, 1
+    for c in range(size):
+        piv = next((i for i in range(c, size) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        top = m[c]
+        pc = top[c]
+        for i in range(c + 1, size):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, size):
+                row[j] = (row[j] * pc - f * top[j]) // prev
+        prev = pc
+    return sign * m[-1][-1]
+
+
+def elim_count(n: int, k: int) -> int:
+    """Exact multiply steps of the elimination route, (m**3 + 2m)/3 for each
+    m x m elimination: one on X when n = k, one on X with a column of ones
+    appended when n = k + 1, else one on every maximal minor."""
+    if n <= k + 1:
+        return (n ** 3 + 2 * n) // 3
+    return comb(n, k) * ((k ** 3 + 2 * k) // 3)
+
+
+def _eliminate(rows, n: int, k: int) -> int:
+    if n <= k + 1:
+        return _bareiss([list(r) + [1] * (n - k) for r in rows])
+    total = 0
+    for sel in combinations(range(1, n + 1), k):
+        minor = _bareiss([list(rows[i - 1]) for i in sel])
+        total += minor if comb_mod.sgn_of_subset(sel) > 0 else -minor
+    return total
+
+
+@lru_cache(maxsize=256)
+def _cheaper(n: int, k: int) -> tuple[str, int]:
+    sweep_steps, elim_steps = sweep_count(n, k), elim_count(n, k)
+    return ("elim", elim_steps) if elim_steps < sweep_steps else ("sweep", sweep_steps)
+
+
+def route(n: int, k: int, budget: int | None = None) -> str:
+    """The route `det` takes on an n x k input, "sweep" or "elim", whichever
+    takes fewer steps; raises ResourceGuard when that count exceeds the
+    budget."""
+    name, steps = _cheaper(n, k)
+    _guard(steps, budget)
+    return name
+
+
+def det_int(rows, k: int, budget: int | None = None) -> int:
+    """Exact rectangular determinant of an integer matrix given by its rows."""
+    n = len(rows)
+    if route(n, k, budget) == "sweep":
+        return sweep(rows, k, budget)
+    return _eliminate(rows, n, k)
 
 
 def det_definition(X: RectMatrix, budget: int | None = None) -> Scalar:
@@ -141,18 +323,16 @@ def det_minorsum(X: RectMatrix, budget: int | None = None) -> Scalar:
 
 
 def det(X: RectMatrix, budget: int | None = None) -> Scalar:
-    """Dispatcher: picks the cheaper of the minor-sum and injection routes.
+    """Dispatcher: the cheaper of the row sweep and raw elimination.
 
-    The choice is by operation-count estimate only; every backend returns the
-    same value on the same input.
+    The route is picked, and the budget checked, from the exact step counts
+    of the shape before anything is converted; every route returns the same
+    value on the same input.
     """
     _require_tall(X)
-    n, k = X.n, X.k
-    cost_minor = comb(n, k) * k ** 3
-    cost_def = perm(n, k) * k
-    if cost_minor <= cost_def:
-        return det_minorsum(X, budget)
-    return det_definition(X, budget)
+    route(X.n, X.k, budget)  # refuse before converting anything
+    (rows,), scale = raw_rows(X)
+    return from_raw(X.field, det_int(rows, X.k, budget), scale)
 
 
 def det_product_rhs(X: RectMatrix, Y: RectMatrix, budget: int | None = None) -> Scalar:

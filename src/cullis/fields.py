@@ -16,7 +16,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test (exact far beyond 64-bit inputs)."""
+    """Miller-Rabin test with the twelve prime bases 2..37.
+
+    The answer is proven exact only for n < 318665857834031151167461
+    (about 3.18e23; Sorenson and Webster, 2015).  Above that bound, for
+    instance for the Mersenne prime 2**127 - 1, it is a strong probable-prime
+    test: no composite is known to pass it, but a pass is not a proof.
+    """
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -17,9 +17,10 @@ loudly if neither sign reproduces the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+from math import perm
 
-from .determinant import det
+from .determinant import det, det_int, from_raw, raw_rows, sweep
 from .errors import CalibrationError, FieldMismatch, ShapeError, ShapeMismatch
 from .fields import FieldSpec, Scalar, gf
 from .matrix import RectMatrix, hjoin
@@ -55,54 +56,71 @@ class LambdaPoly:
 
 
 def lambda_coeffs(A: RectMatrix, B: RectMatrix) -> LambdaPoly:
-    """Formal coefficients of det(A + t*B) in t."""
+    """Formal coefficients of det(A + t*B) in t, from one row sweep.
+
+    Each entry a + t*b is packed into the integer a + b * 2**w.  Packing is a
+    ring map from integer polynomials in t, so the integer sweep computes the
+    packed det(A + t*B); w leaves room for every coefficient with its sign,
+    which are read back as signed base-2**w digits.
+    """
     if A.field != B.field:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
     if (A.n, A.k) != (B.n, B.k):
         raise ShapeMismatch(f"{A.n}x{A.k} vs {B.n}x{B.k}")
     if A.k > A.n:
         raise ShapeError(f"{A.n}x{A.k}: need at least as many rows as columns")
-    k = A.k
-    acols = A.columns()
-    bcols = B.columns()
+    n, k = A.n, A.k
+    (arows, brows), scale = raw_rows(A, B)
+    top = max(1, max(abs(x) for rows in (arows, brows) for row in rows for x in row))
+    # |coefficient| <= (#injections) * (#column subsets) * top**k
+    w = ((perm(n, k) << k) * top ** k).bit_length() + 1
+    packed = sweep([[a + (b << w) for a, b in zip(ra, rb)] for ra, rb in zip(arows, brows)], k)
     coeffs = []
-    for d in range(k + 1):
-        acc = A.field.zero
-        for S in combinations(range(k), d):
-            chosen = set(S)
-            cols = [bcols[j] if j in chosen else acols[j] for j in range(k)]
-            acc = acc + det(RectMatrix.from_columns(A.field, cols))
-        coeffs.append(acc)
+    for _ in range(k + 1):
+        c = packed & ((1 << w) - 1)
+        if c >> (w - 1):
+            c -= 1 << w
+        coeffs.append(from_raw(A.field, c, scale))
+        packed = (packed - c) >> w
     return LambdaPoly(tuple(coeffs), A.field)
 
 
-def _det_mixed(field: FieldSpec, n: int, value_cols: dict[int, list[Scalar]],
-               basis_cols: dict[int, int]) -> Scalar:
-    """Determinant of the n-row matrix whose column at position p (0-based)
-    is value_cols[p] or the standard basis vector e_{basis_cols[p]}.
+def _first_completion(cols: list[list[int]], n: int, m: int, p: int | None):
+    """First m-subset R of rows, in lexicographic order, such that the raw
+    columns `cols` restricted to the rows outside R have a nonzero
+    determinant (mod p when p is given); None when there is none.
 
-    Basis columns are stripped first by cofactor expansion, which reduces the
-    work to one small determinant in the value columns.
+    Completing `cols` by m distinct standard basis columns e_t, t in R, at
+    any positions gives, by cofactor expansion along those columns, plus or
+    minus exactly that determinant; repeated basis columns give zero.  The
+    first nonzero completion in lexicographic order of basis assignments is
+    therefore R in increasing order.
     """
-    live_rows = list(range(1, n + 1))
-    live_pos = sorted(value_cols.keys() | basis_cols.keys())
-    sign = 1
-    for p in sorted(basis_cols):
-        t = basis_cols[p]
-        try:
-            ri = live_rows.index(t)
-        except ValueError:
-            return field.zero  # row already consumed by an equal basis column
-        ci = live_pos.index(p)
-        if (ri + ci) & 1:
-            sign = -sign
-        live_rows.pop(ri)
-        live_pos.pop(ci)
-    cols = [[value_cols[p][t - 1] for t in live_rows] for p in live_pos]
-    if not cols:
-        return field.one if sign > 0 else -field.one
-    val = det(RectMatrix.from_columns(field, cols))
-    return val if sign > 0 else -val
+    rows = list(zip(*cols))
+    d = len(cols)
+    for R in combinations(range(n), m):
+        gone = set(R)
+        val = det_int([rows[i] for i in range(n) if i not in gone], d)
+        if val % p if p else val:
+            return R
+    return None
+
+
+def _raw_columns(X: RectMatrix) -> tuple[list[list[int]], int | None]:
+    """X's columns as raw integers (scaled per column over QQ, which keeps
+    every determinant's zero pattern) and the modulus, None over QQ."""
+    (rows,), _ = raw_rows(X)
+    return [list(c) for c in zip(*rows)], X.field.p
+
+
+def max_deg_of_columns(cols: list[list[int]], n: int, p: int | None) -> int:
+    """`max_deg_over_all_A` on raw columns of an n-row matrix."""
+    k = len(cols)
+    for d in range(k, 0, -1):
+        for S in combinations(range(k), d):
+            if _first_completion([cols[j] for j in S], n, k - d, p) is not None:
+                return d
+    return 0
 
 
 def max_deg_over_all_A(B: RectMatrix) -> int:
@@ -114,19 +132,8 @@ def max_deg_over_all_A(B: RectMatrix) -> int:
     """
     if B.k > B.n:
         raise ShapeError(f"{B.n}x{B.k}: need at least as many rows as columns")
-    n, k = B.n, B.k
-    bcols = B.columns()
-    for d in range(k, 0, -1):
-        for S in combinations(range(k), d):
-            free = [j for j in range(k) if j not in S]
-            vals = {j: bcols[j] for j in S}
-            for assign in product(range(1, n + 1), repeat=len(free)):
-                if len(set(assign)) != len(free):
-                    continue  # duplicate basis columns always vanish
-                basis = dict(zip(free, assign))
-                if _det_mixed(B.field, n, vals, basis).value:
-                    return d
-    return 0
+    cols, p = _raw_columns(B)
+    return max_deg_of_columns(cols, B.n, p)
 
 
 def deg_witness(B: RectMatrix, d: int) -> RectMatrix | None:
@@ -137,21 +144,16 @@ def deg_witness(B: RectMatrix, d: int) -> RectMatrix | None:
     if not 2 <= d <= B.k:
         raise ShapeError(f"degree {d} outside 2..{B.k}")
     n, k = B.n, B.k
-    bcols = B.columns()
+    cols, p = _raw_columns(B)
     for S in combinations(range(k), d):
         free = [j for j in range(k) if j not in S]
-        vals = {j: bcols[j] for j in S}
-        for assign in product(range(1, n + 1), repeat=len(free)):
-            if len(set(assign)) != len(free):
-                continue
-            basis = dict(zip(free, assign))
-            if _det_mixed(B.field, n, vals, basis).value:
-                z = B.field.zero
-                o = B.field.one
-                cols = [[z] * n for _ in range(k)]
-                for j, t in basis.items():
-                    cols[j][t - 1] = o
-                return RectMatrix.from_columns(B.field, cols)
+        R = _first_completion([cols[j] for j in S], n, k - d, p)
+        if R is not None:
+            z, o = B.field.zero, B.field.one
+            wcols = [[z] * n for _ in range(k)]
+            for j, t in zip(free, R):
+                wcols[j][t] = o
+            return RectMatrix.from_columns(B.field, wcols)
     return None
 
 
@@ -165,17 +167,8 @@ def all_completions_vanish(X: RectMatrix, k: int) -> bool:
         raise ShapeError(f"expected two columns, got {X.k}")
     if k < 2 or k > X.n:
         raise ShapeError(f"target width {k} outside 2..{X.n}")
-    n = X.n
-    vals = {0: X.column(1), 1: X.column(2)}
-    if k == 2:
-        return not det(X).value
-    free = list(range(2, k))
-    for assign in product(range(1, n + 1), repeat=k - 2):
-        if len(set(assign)) != k - 2:
-            continue
-        if _det_mixed(X.field, n, vals, dict(zip(free, assign))).value:
-            return False
-    return True
+    cols, p = _raw_columns(X)
+    return _first_completion(cols, X.n, k - 2, p) is None
 
 
 # -- completion constructors ---------------------------------------------------

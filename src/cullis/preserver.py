@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import mul
 
 from . import combinatorics as comb_mod
 from . import sympoly
-from .determinant import det, det_square
+from .determinant import det, det_square, sweep
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
@@ -25,7 +26,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import FieldSpec, Scalar
-from .lambdapoly import max_deg_over_all_A
+from .lambdapoly import max_deg_of_columns, max_deg_over_all_A
 from .matrix import (
     RectMatrix,
     basis_matrix,
@@ -165,19 +166,30 @@ def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
 # -- preservation checking -------------------------------------------------------
 
 
-def _exhaustive_tables(T: LinearMapNK, budget: int | None):
-    p = T.field.p
-    nk = T.n * T.k
+def _det_table(n: int, k: int, p: int, budget: int | None = None) -> list[int]:
+    """det(X) mod p for every n x k matrix X over GF(p), indexed by the
+    base-p code of vec(X) (first coordinate most significant), so that entry
+    i belongs to the i-th vector of product(range(p), repeat=nk)."""
+    nk = n * k
     total = p ** nk
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if total > limit:
         raise BudgetExceeded(f"{total} inputs exceeds budget {limit}")
-    dets: dict[tuple[int, ...], int] = {}
-    for v in product(range(p), repeat=nk):
-        X = unvec([T.field.element(x) for x in v], T.n, T.k, T.field)
-        dets[v] = det(X).value
-    rows = [[e.value for e in T.mat.row(i)] for i in range(1, nk + 1)]
-    return dets, rows
+    # vec(X) is column-major, so row i of X is v[i], v[i + n], v[i + 2n], ...
+    return [sweep([v[i::n] for i in range(n)], k) % p
+            for v in product(range(p), repeat=nk)]
+
+
+def _first_violation(rows, table: list[int], p: int, vecs) -> tuple[int, ...] | None:
+    """First v among `vecs` (in product order, so v's code is its position)
+    whose image under the map with raw matrix rows `rows` changes det."""
+    for code, v in enumerate(vecs):
+        y = 0
+        for r in rows:
+            y = y * p + sum(map(mul, r, v)) % p
+        if table[y] != table[code]:
+            return v
+    return None
 
 
 def _is_preserver_exhaustive(T: LinearMapNK, budget: int | None) -> PreserverReport:
@@ -185,12 +197,12 @@ def _is_preserver_exhaustive(T: LinearMapNK, budget: int | None) -> PreserverRep
         raise FieldMismatch("exhaustive checking needs a finite field")
     p = T.field.p
     nk = T.n * T.k
-    dets, rows = _exhaustive_tables(T, budget)
-    for v, dv in dets.items():
-        y = tuple(sum(r[c] * v[c] for c in range(nk) if v[c]) % p for r in rows)
-        if dets[y] != dv:
-            witness = unvec([T.field.element(x) for x in v], T.n, T.k, T.field)
-            return PreserverReport("violates", "exhaustive", witness)
+    table = _det_table(T.n, T.k, p, budget)
+    rows = [[e.value for e in T.mat.row(i)] for i in range(1, nk + 1)]
+    v = _first_violation(rows, table, p, product(range(p), repeat=nk))
+    if v is not None:
+        witness = unvec([T.field.element(x) for x in v], T.n, T.k, T.field)
+        return PreserverReport("violates", "exhaustive", witness)
     return PreserverReport("preserves", "exhaustive")
 
 
@@ -358,9 +370,9 @@ def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list
         raise BudgetExceeded(f"{total} matrices exceeds budget {limit}")
     out = []
     for flat in product(range(p), repeat=n * k):
-        W = RectMatrix(field, n, k, [field.element(x) for x in flat])
-        if in_radical(W):
-            out.append(W)
+        # flat is row-major, so column j is flat[j], flat[j + k], ...
+        if max_deg_of_columns([flat[j::k] for j in range(k)], n, p) == 0:
+            out.append(RectMatrix(field, n, k, [field.element(x) for x in flat]))
     return out
 
 
@@ -462,22 +474,13 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
     if space > limit:
         raise BudgetExceeded(f"{space} maps exceeds budget {limit}")
 
-    dets: dict[tuple[int, ...], int] = {}
-    for v in product(range(p), repeat=nk):
-        X = unvec([field.element(x) for x in v], n, k, field)
-        dets[v] = det(X).value
-    vecs = list(dets.keys())
+    table = _det_table(n, k, p, budget)
+    vecs = list(product(range(p), repeat=nk))
 
     found = []
     for flat in product(range(p), repeat=nk * nk):
         rows = [flat[r * nk : (r + 1) * nk] for r in range(nk)]
-        ok = True
-        for v in vecs:
-            y = tuple(sum(r[c] * v[c] for c in range(nk) if v[c]) % p for r in rows)
-            if dets[y] != dets[v]:
-                ok = False
-                break
-        if ok:
+        if _first_violation(rows, table, p, vecs) is None:
             mat = RectMatrix.from_rows(field, [[field.element(x) for x in r] for r in rows])
             found.append(LinearMapNK(n, k, mat))
     return Census(len(found), tuple(found))

@@ -10,9 +10,11 @@ wrapper objects; the public preserver API still speaks in scalars.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
+from math import lcm
 
 from . import combinatorics as comb_mod
+from .determinant import sweep_plan
 from .errors import BudgetExceeded
 from .fields import FieldSpec
 
@@ -20,21 +22,6 @@ DEFAULT_TERM_GUARD = 200_000_000
 
 Monomial = tuple[tuple[int, int], ...]
 Poly = dict[Monomial, object]
-
-
-def _mono_times_var(mono: Monomial, var: int) -> Monomial:
-    out = []
-    placed = False
-    for v, e in mono:
-        if v == var:
-            out.append((v, e + 1))
-            placed = True
-        else:
-            out.append((v, e))
-    if not placed:
-        out.append((var, 1))
-        out.sort()
-    return tuple(out)
 
 
 def det_poly_identity(n: int, k: int, field: FieldSpec) -> Poly:
@@ -55,70 +42,64 @@ def det_poly_identity(n: int, k: int, field: FieldSpec) -> Poly:
 def det_poly_of_map(mat_rows: list[list], n: int, k: int, field: FieldSpec,
                     guard: int | None = None) -> Poly:
     """det(T(X)) as a polynomial in X's entries, where T acts on the
-    column-major flattening by the given (nk)x(nk) raw coefficient rows."""
+    column-major flattening by the given (nk)x(nk) raw coefficient rows.
+
+    One row sweep over `sweep_plan(n, k)` whose values are sparse integer
+    polynomials.  Inside the sweep a monomial is packed into one integer, the
+    exponent of variable v in bits [v*b, (v+1)*b) with 2**b > k, so that
+    multiplying by a variable is an integer addition.  Over QQ the block of
+    map rows giving column j of T(X) is cleared by the lcm of its
+    denominators, and the result divided by the product of those lcms.
+    """
     prime = field.kind == "prime"
     p = field.p
     limit = DEFAULT_TERM_GUARD if guard is None else guard
+    b = k.bit_length()
+    scale = 1
+    # forms[i][j]: entry (i, j) of T(X) as (packed variable, coefficient) pairs
+    forms = [[None] * k for _ in range(n)]
+    for j in range(k):
+        block = mat_rows[j * n:(j + 1) * n]
+        clear = 1 if prime else lcm(*(c.denominator for row in block for c in row))
+        scale *= clear
+        for i, row in enumerate(block):
+            forms[i][j] = [(1 << (v * b), c if prime else c.numerator * (clear // c.denominator))
+                           for v, c in enumerate(row) if c]
+
     cost = 0
+    val: list[dict | None] = [None] * (1 << k)
+    val[0] = {0: 1}
+    for row, moves in zip(forms, sweep_plan(n, k)):
+        written = set()
+        for src, dst, col, neg in moves:
+            sub, form = val[src], row[col]
+            if not sub or not form:
+                continue
+            cost += len(sub) * len(form)
+            if cost > limit:
+                raise BudgetExceeded(f"symbolic expansion beyond {limit} products")
+            acc = val[dst]
+            if acc is None:
+                acc = val[dst] = {}
+            written.add(dst)
+            for mono, cf in sub.items():
+                if neg:
+                    cf = -cf
+                for var, a in form:
+                    key = mono + var
+                    acc[key] = acc.get(key, 0) + cf * a
+        for m in written:
+            val[m] = ({mo: c % p for mo, c in val[m].items() if c % p} if prime
+                      else {mo: c for mo, c in val[m].items() if c})
 
-    # linear form of entry (i, j) of T(X): nonzero picks from row (j-1)n+i-1
-    forms: dict[tuple[int, int], list[tuple[int, object]]] = {}
-    for j in range(1, k + 1):
-        for i in range(1, n + 1):
-            row = mat_rows[(j - 1) * n + (i - 1)]
-            forms[(i, j)] = [(v, c) for v, c in enumerate(row) if c]
-
-    one = 1 if prime else Fraction(1)
+    emask = (1 << b) - 1
     total: Poly = {}
-    for rows_sel in combinations(range(1, n + 1), k):
-        sgn_c = comb_mod.sgn_of_subset(rows_sel)
-        L = [[forms[(r, j)] for j in range(1, k + 1)] for r in rows_sel]
-        # subset dynamic programming over which columns the first r rows used
-        level: dict[int, Poly] = {0: {(): one}}
-        for r in range(1, k + 1):
-            nxt: dict[int, Poly] = {}
-            for mask, sub in level.items():
-                if not sub:
-                    continue
-                bits_before = 0
-                for t in range(k):
-                    bit = 1 << t
-                    if mask & bit:
-                        bits_before += 1
-                        continue
-                    form = L[r - 1][t]
-                    if not form:
-                        continue
-                    # row r placed at column t: cofactor sign over the used set
-                    neg = (r - 1 + bits_before) & 1
-                    acc = nxt.setdefault(mask | bit, {})
-                    cost += len(sub) * len(form)
-                    if cost > limit:
-                        raise BudgetExceeded(f"symbolic expansion beyond {limit} products")
-                    for mono, cf in sub.items():
-                        for var, a in form:
-                            cc = cf * a
-                            if neg:
-                                cc = -cc
-                            key = _mono_times_var(mono, var)
-                            prev = acc.get(key)
-                            acc[key] = cc if prev is None else prev + cc
-            if prime:
-                level = {m: {mo: c % p for mo, c in poly.items() if c % p}
-                         for m, poly in nxt.items()}
-            else:
-                level = {m: {mo: c for mo, c in poly.items() if c}
-                         for m, poly in nxt.items()}
-        minor = level.get((1 << k) - 1, {})
-        for mono, cf in minor.items():
-            if sgn_c < 0:
-                cf = -cf
-            prev = total.get(mono)
-            cf = cf if prev is None else prev + cf
-            if prime:
-                cf %= p
-            if cf:
-                total[mono] = cf
-            elif prev is not None:
-                del total[mono]
+    for key, cf in (val[-1] or {}).items():
+        mono, v = [], 0
+        while key:
+            if key & emask:
+                mono.append((v, key & emask))
+            key >>= b
+            v += 1
+        total[tuple(mono)] = cf if prime else Fraction(cf, scale)
     return total

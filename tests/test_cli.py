@@ -93,6 +93,15 @@ def test_cli_det_budget_exit(tmp_path):
     assert proc.stdout == ""
 
 
+def test_cli_det_budget_counts_the_chosen_route(tmp_path):
+    # a 12x6 input takes the row sweep, 1344 steps
+    path = write_matrix(tmp_path, "m.json", random_matrix(gf(10007), 12, 6, random.Random(5)))
+    refused = run_cli("det", "--input", path, "--budget", "1000")
+    assert refused.returncode == 3
+    assert refused.stdout == ""
+    assert run_cli("det", "--input", path, "--budget", "1344").returncode == 0
+
+
 def test_cli_budget_env_override(tmp_path):
     import os
 

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from cullis import LinearMapNK, RATIONALS, det, gf, random_matrix, vec
+import pytest
+
+from cullis import BudgetExceeded, LinearMapNK, RATIONALS, det, gf, random_matrix, vec
 from cullis.sympoly import det_poly_identity, det_poly_of_map
 
 
@@ -17,8 +19,8 @@ def eval_poly(poly, point, field):
 
 
 def test_identity_map_expansion_matches_plain_determinant():
-    for field in (gf(5), RATIONALS):
-        for (n, k) in [(3, 2), (4, 2), (4, 3)]:
+    for field in (gf(2), gf(5), RATIONALS):
+        for (n, k) in [(1, 1), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 3)]:
             T = LinearMapNK.identity_map(field, n, k)
             rows = [[e.value for e in T.mat.row(i)] for i in range(1, n * k + 1)]
             assert det_poly_of_map(rows, n, k, field) == det_poly_identity(n, k, field)
@@ -32,9 +34,10 @@ def test_identity_polynomial_term_count():
 
 def test_map_expansion_agrees_with_pointwise_evaluation():
     rng = random.Random(33)
-    for field in (gf(7), RATIONALS):
-        for _ in range(6):
-            n, k = 4, 2
+    shapes = {gf(7): [(4, 2)] * 6, RATIONALS: [(4, 2)] * 6 + [(3, 2), (4, 3)],
+              gf(5): [(5, 3)], gf(10007): [(4, 3)]}
+    for field, field_shapes in shapes.items():
+        for n, k in field_shapes:
             T = LinearMapNK(n, k, random_matrix(field, n * k, n * k, rng))
             rows = [[e.value for e in T.mat.row(i)] for i in range(1, n * k + 1)]
             poly = det_poly_of_map(rows, n, k, field)
@@ -50,3 +53,11 @@ def test_cancellation_prunes_zero_coefficients():
     tripled = LinearMapNK.identity_map(F, 3, 2).mat.scale(3)
     rows = [[e.value for e in tripled.row(i)] for i in range(1, 7)]
     assert det_poly_of_map(rows, 3, 2, F) == {}
+
+
+def test_expansion_guard_refuses():
+    F = gf(5)
+    T = LinearMapNK(4, 3, random_matrix(F, 12, 12, random.Random(9)))
+    rows = [[e.value for e in T.mat.row(i)] for i in range(1, 13)]
+    with pytest.raises(BudgetExceeded):
+        det_poly_of_map(rows, 4, 3, F, guard=1000)
