@@ -10,13 +10,13 @@ work on scalars and stay as independent test oracles and `--algo` choices.
 
 The hot path is `det`.  It converts X to raw integers once (`raw_rows`:
 residues over GF(p), column-cleared integers over QQ) and runs whichever of
-two routes needs fewer steps, counted exactly from (n, k) before any work:
+two routes needs fewer multiplications, counted from (n, k) before any work:
 
 * the row sweep (`sweep`), O(n k 2^k), for tall shapes: rows 1..n are placed
   in order, with one signed partial sum per set of used columns;
-* fraction-free (Bareiss) elimination for square and near-square shapes, on
-  det[X | 1] when n = k + 1 (Laplace along the ones column gives exactly the
-  alternating minor sum), otherwise on each maximal minor.
+* fraction-free (Bareiss) elimination, only for n = k and n = k + 1: on X,
+  or on det[X | 1] (Laplace along the ones column gives exactly the
+  alternating minor sum).  Every shape with n >= k + 2 takes the sweep.
 
 The sweep's moves for a shape are a cached plan (`sweep_plan`) shared by every
 coefficient type: integers here, det(A + tB) packed into one integer in
@@ -171,35 +171,25 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def elim_count(n: int, k: int) -> int:
-    """Exact multiply steps of the elimination route, (m**3 + 2m)/3 for each
-    m x m elimination: one on X when n = k, one on X with a column of ones
-    appended when n = k + 1, else one on every maximal minor."""
-    if n <= k + 1:
-        return (n ** 3 + 2 * n) // 3
-    return comb(n, k) * ((k ** 3 + 2 * k) // 3)
-
-
-def _eliminate(rows, n: int, k: int) -> int:
-    if n <= k + 1:
-        return _bareiss([list(r) + [1] * (n - k) for r in rows])
-    total = 0
-    for sel in combinations(range(1, n + 1), k):
-        minor = _bareiss([list(rows[i - 1]) for i in sel])
-        total += minor if comb_mod.sgn_of_subset(sel) > 0 else -minor
-    return total
+def elim_count(n: int) -> int:
+    """Multiplications `_bareiss` makes on an n x n matrix with no zero
+    pivot, two per updated entry: 2 * (1**2 + ... + (n-1)**2)."""
+    return (n - 1) * n * (2 * n - 1) // 3
 
 
 @lru_cache(maxsize=256)
 def _cheaper(n: int, k: int) -> tuple[str, int]:
-    sweep_steps, elim_steps = sweep_count(n, k), elim_count(n, k)
-    return ("elim", elim_steps) if elim_steps < sweep_steps else ("sweep", sweep_steps)
+    sweep_steps = sweep_count(n, k)
+    if n <= k + 1 and elim_count(n) < sweep_steps:
+        return "elim", elim_count(n)
+    return "sweep", sweep_steps
 
 
 def route(n: int, k: int, budget: int | None = None) -> str:
     """The route `det` takes on an n x k input, "sweep" or "elim", whichever
-    takes fewer steps; raises ResourceGuard when that count exceeds the
-    budget."""
+    takes fewer multiplications (one per sweep move, `elim_count` for
+    elimination, which only n <= k + 1 can take); raises ResourceGuard when
+    that count exceeds the budget."""
     name, steps = _cheaper(n, k)
     _guard(steps, budget)
     return name
@@ -210,7 +200,7 @@ def det_int(rows, k: int, budget: int | None = None) -> int:
     n = len(rows)
     if route(n, k, budget) == "sweep":
         return sweep(rows, k, budget)
-    return _eliminate(rows, n, k)
+    return _bareiss([list(r) + [1] * (n - k) for r in rows])
 
 
 def det_definition(X: RectMatrix, budget: int | None = None) -> Scalar:

@@ -368,6 +368,8 @@ def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if total > limit:
         raise BudgetExceeded(f"{total} matrices exceeds budget {limit}")
+    if k > n:
+        raise ShapeError(f"{n}x{k}: need at least as many rows as columns")
     out = []
     for flat in product(range(p), repeat=n * k):
         # flat is row-major, so column j is flat[j], flat[j + k], ...

@@ -14,7 +14,7 @@ from itertools import permutations
 from math import lcm
 
 from . import combinatorics as comb_mod
-from .determinant import sweep_plan
+from .determinant import sweep_count, sweep_plan
 from .errors import BudgetExceeded
 from .fields import FieldSpec
 
@@ -54,6 +54,8 @@ def det_poly_of_map(mat_rows: list[list], n: int, k: int, field: FieldSpec,
     prime = field.kind == "prime"
     p = field.p
     limit = DEFAULT_TERM_GUARD if guard is None else guard
+    if sweep_count(n, k) > limit:  # a plan with more moves than allowed products is not built
+        raise BudgetExceeded(f"{n}x{k} sweep plan beyond {limit} products")
     b = k.bit_length()
     scale = 1
     # forms[i][j]: entry (i, j) of T(X) as (packed variable, coefficient) pairs

@@ -138,6 +138,9 @@ def test_cli_preserver_workflow(tmp_path):
     proc = run_cli("preserver", "radical", "--n", "4", "--k", "1", "--p", "3")
     assert json.loads(proc.stdout) == {"size": 27, "contains_ones": True}
 
+    proc = run_cli("preserver", "radical", "--n", "2", "--k", "3", "--p", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+
     proc = run_cli("preserver", "make-k2", "--n", "4", "--p", "3")
     assert proc.returncode == 0
     k2_path = tmp_path / "k2.json"

@@ -26,7 +26,7 @@ from cullis import (
     unvec,
 )
 from cullis.determinant import (
-    _eliminate,
+    _bareiss,
     elim_count,
     route,
     sweep,
@@ -79,12 +79,38 @@ def test_det_equals_every_defining_route_and_the_oracle(X):
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
        st.randoms(use_true_random=False))
 def test_sweep_and_elimination_agree_on_integers(shape, rng):
-    # both routes are exact over the integers, whichever the dispatcher picks
+    # both routes are exact over the integers, whichever the dispatcher picks;
+    # elimination runs on X, or on [X | 1] when X has one extra row
     n, k = shape
     rows = [[rng.randrange(-20, 21) for _ in range(k)] for _ in range(n)]
     want = oracle_det(rows)
     assert sweep(rows, k) == want
-    assert _eliminate(rows, n, k) == want
+    if n <= k + 1:
+        assert _bareiss([r + [1] * (n - k) for r in rows]) == want
+
+
+class Counted(int):
+    """An int that counts the multiplications made with it."""
+    muls = 0
+
+    def __mul__(self, other):
+        Counted.muls += 1
+        return Counted(int(self) * int(other))
+
+    def __sub__(self, other):
+        return Counted(int(self) - int(other))
+
+    def __floordiv__(self, other):
+        return Counted(int(self) // int(other))
+
+
+def test_elim_count_is_the_multiplications_of_elimination():
+    rng = random.Random(8)
+    for size in range(1, 11):
+        m = [[Counted(rng.randrange(1, 10**6)) for _ in range(size)] for _ in range(size)]
+        Counted.muls = 0
+        assert _bareiss(m) != 0
+        assert Counted.muls == elim_count(size)
 
 
 def test_plan_size_is_the_counted_size():
@@ -99,7 +125,9 @@ def test_dispatcher_picks_elimination_near_square_and_the_sweep_when_tall():
     assert route(12, 6) == "sweep"
     assert route(11, 5) == "sweep"
     assert route(6, 4) == "sweep"
-    assert (sweep_count(12, 6), elim_count(8, 8), elim_count(10, 9)) == (1344, 176, 340)
+    assert (sweep_count(12, 6), elim_count(8), elim_count(10)) == (1344, 280, 570)
+    # elimination is only for n <= k + 1, however wide the shape
+    assert route(13, 11) == "sweep" and route(14, 12) == "sweep"
 
 
 def test_det_budget_is_the_chosen_routes_exact_count():
@@ -111,8 +139,8 @@ def test_det_budget_is_the_chosen_routes_exact_count():
     assert det(tall, budget=1344) == det_minorsum(tall)
     square = random_matrix(F, 8, 8, rng)
     with pytest.raises(ResourceGuard):
-        det(square, budget=175)
-    assert det(square, budget=176) == det_minorsum(square)
+        det(square, budget=279)
+    assert det(square, budget=280) == det_minorsum(square)
 
 
 def test_refused_det_builds_no_plan():

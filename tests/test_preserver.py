@@ -294,6 +294,8 @@ def test_radical_enumerations():
     assert any(w == ones(gf(3), 3, 2) for w in members)
     with pytest.raises(BudgetExceeded):
         radical_enumerate(4, 2, 5, budget=100)
+    with pytest.raises(ShapeError):
+        radical_enumerate(2, 3, 2)
 
 
 # -- factorisation ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cullis import BudgetExceeded, LinearMapNK, RATIONALS, det, gf, random_matrix, vec
+from cullis.determinant import sweep_count, sweep_plan
 from cullis.sympoly import det_poly_identity, det_poly_of_map
 
 
@@ -61,3 +62,9 @@ def test_expansion_guard_refuses():
     rows = [[e.value for e in T.mat.row(i)] for i in range(1, 13)]
     with pytest.raises(BudgetExceeded):
         det_poly_of_map(rows, 4, 3, F, guard=1000)
+    # a shape whose plan has more moves than the guard is refused unbuilt
+    big = [[0] * 130 for _ in range(130)]
+    before = sweep_plan.cache_info().misses
+    with pytest.raises(BudgetExceeded):
+        det_poly_of_map(big, 13, 10, F, guard=sweep_count(13, 10) - 1)
+    assert sweep_plan.cache_info().misses == before
