@@ -65,7 +65,7 @@ def _cmd_det(args) -> int:
 def _cmd_lambda(args) -> int:
     A = jsonio.matrix_from_dict(_read_json(args.a))
     B = jsonio.matrix_from_dict(_read_json(args.b))
-    poly = lambda_coeffs(A, B)
+    poly = lambda_coeffs(A, B, _budget(args))
     _emit({"coeffs": [jsonio.scalar_to_str(c) for c in poly.coeffs],
            "degree": poly.degree()})
     return 0

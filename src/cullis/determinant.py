@@ -8,15 +8,20 @@ sum of maximal square minors and the Laplace expansion along any column.
 Those three defining routes (`det_definition`, `det_minorsum`, `det_laplace`)
 work on scalars and stay as independent test oracles and `--algo` choices.
 
-The hot path is `det`.  It converts X to raw integers once (`raw_rows`:
-residues over GF(p), column-cleared integers over QQ) and runs whichever of
-two routes needs fewer multiplications, counted from (n, k) before any work:
+The hot path is `det`.  It converts X to raw integers once
+(`matrix.raw_rows`: residues over GF(p), column-cleared integers over QQ) and
+runs whichever of two routes needs fewer multiplications, counted from
+(n, k) before any work:
 
 * the row sweep (`sweep`), O(n k 2^k), for tall shapes: rows 1..n are placed
   in order, with one signed partial sum per set of used columns;
-* fraction-free (Bareiss) elimination, only for n = k and n = k + 1: on X,
+* `matrix.eliminate`, the fraction-free (Bareiss) elimination that `rank`
+  also runs, exact on the integers and only for n = k and n = k + 1: on X,
   or on det[X | 1] (Laplace along the ones column gives exactly the
   alternating minor sum).  Every shape with n >= k + 2 takes the sweep.
+  `det` is also the square determinant for the rest of the package;
+  `det_square`, elimination on scalars, only serves the `det_minorsum`
+  oracle.
 
 The sweep's moves for a shape are a cached plan (`sweep_plan`) shared by every
 coefficient type: integers here, det(A + tB) packed into one integer in
@@ -26,15 +31,14 @@ coefficient type: integers here, det(A + tB) packed into one integer in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, lcm, perm, prod
+from math import comb, perm
 
 from . import combinatorics as comb_mod
 from .errors import IndexOutOfRange, ResourceGuard, ShapeError, ShapeMismatch, FieldMismatch
-from .fields import FieldSpec, Scalar
-from .matrix import RectMatrix, submatrix_keep
+from .fields import Scalar
+from .matrix import RectMatrix, eliminate, from_raw, raw_rows, submatrix_keep
 
 DEFAULT_OP_BUDGET = 10_000_000
 
@@ -48,43 +52,6 @@ def _guard(cost: int, budget: int | None):
     limit = DEFAULT_OP_BUDGET if budget is None else budget
     if cost > limit:
         raise ResourceGuard(f"{cost} elementary steps exceed budget {limit}")
-
-
-# -- raw values ------------------------------------------------------------------
-
-
-def raw_rows(*mats: RectMatrix) -> tuple[list[list[list[int]]], int]:
-    """Integer rows of same-shape matrices over one field, and the scale s
-    such that the determinant of the integer rows is s times the true one.
-
-    Over GF(p) the rows are the residues and s = 1.  Over QQ column j of
-    every matrix is multiplied by the lcm of the denominators in column j of
-    all of them, and s is the product of those lcms: the determinant is
-    multilinear in the columns, so it scales by exactly s.
-    """
-    k = mats[0].k
-    if mats[0].field.kind == "prime":
-        return [[[e.value for e in M.entries[i * k:(i + 1) * k]] for i in range(M.n)]
-                for M in mats], 1
-    scales = [1] * k
-    for M in mats:
-        for idx, e in enumerate(M.entries):
-            d = e.value.denominator
-            if d != 1:
-                scales[idx % k] = lcm(scales[idx % k], d)
-    out = []
-    for M in mats:
-        fr = [e.value for e in M.entries]
-        out.append([[fr[i * k + j].numerator * (scales[j] // fr[i * k + j].denominator)
-                     for j in range(k)] for i in range(M.n)])
-    return out, prod(scales)
-
-
-def from_raw(field: FieldSpec, value: int, scale: int) -> Scalar:
-    """The scalar value / scale (mod p over GF(p)), as left by `raw_rows`."""
-    if field.kind == "prime":
-        return Scalar(value % field.p, field)
-    return Scalar(Fraction(value, scale), field)
 
 
 # -- the row sweep ---------------------------------------------------------------
@@ -111,17 +78,16 @@ def sweep_plan(n: int, k: int) -> tuple[tuple[tuple[int, int, int, int], ...], .
     Moves run from fuller masks down, so one value array updated in place
     still reads every source before this row writes to it.
     """
+    pop = [mask.bit_count() for mask in range(1 << k)]
+    # (#used, src, col, parity of the used columns right of col), fuller masks first
+    moves = sorted(((pop[src], src, col, pop[src >> col] & 1)
+                    for src in range(1 << k) for col in range(k) if not src >> col & 1),
+                   key=lambda move: -move[0])
     plan = []
     for r in range(1, n + 1):
-        moves = []
-        for used in range(min(r, k) - 1, max(0, k - 1 - (n - r)) - 1, -1):
-            for cols in combinations(range(k), used):
-                src = sum(1 << c for c in cols)
-                for col in range(k):
-                    if not src >> col & 1:
-                        neg = (bin(src >> col).count("1") + r - used - 1) & 1
-                        moves.append((src, src | 1 << col, col, neg))
-        plan.append(tuple(moves))
+        lo, hi = max(0, k - 1 - (n - r)), min(r, k) - 1
+        plan.append(tuple((src, src | 1 << col, col, (par + r - used - 1) & 1)
+                          for used, src, col, par in moves if lo <= used <= hi))
     return tuple(plan)
 
 
@@ -151,24 +117,8 @@ def sweep(rows, k: int, budget: int | None = None) -> int:
 
 def _bareiss(m: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (rows are modified)."""
-    size = len(m)
-    sign, prev = 1, 1
-    for c in range(size):
-        piv = next((i for i in range(c, size) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        top = m[c]
-        pc = top[c]
-        for i in range(c + 1, size):
-            row = m[i]
-            f = row[c]
-            for j in range(c + 1, size):
-                row[j] = (row[j] * pc - f * top[j]) // prev
-        prev = pc
-    return sign * m[-1][-1]
+    r, d = eliminate(m)
+    return d if r == len(m) else 0
 
 
 def elim_count(n: int) -> int:
@@ -268,14 +218,11 @@ def det_laplace(X: RectMatrix, j: int = 1, budget: int | None = None) -> Scalar:
 
 
 def det_square(rows: list[list[Scalar]]) -> Scalar:
-    """Ordinary determinant of a square scalar array by Gaussian elimination."""
+    """Ordinary determinant of a square scalar array by Gaussian elimination,
+    for the `det_minorsum` oracle only (`det` serves every other caller)."""
     m = [list(r) for r in rows]
     size = len(m)
     field = m[0][0].field
-    if size == 1:
-        return m[0][0]
-    if size == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     sign = 1
     for c in range(size):
         piv = next((i for i in range(c, size) if m[i][c].value), None)
@@ -338,7 +285,7 @@ def det_product_rhs(X: RectMatrix, Y: RectMatrix, budget: int | None = None) -> 
     total = X.field.zero
     all_rows = range(1, n + 1)
     for d in combinations(range(1, k + 1), l):
-        yd = det_square([[Y.entry(i, j) for j in range(1, l + 1)] for i in d])
+        yd = det(submatrix_keep(Y, d, range(1, l + 1)))
         if not yd.value:
             continue
         xd = det(submatrix_keep(X, all_rows, d), budget)

@@ -98,7 +98,10 @@ class FieldSpec:
                 raise TypeError(f"cannot coerce {value!r} into {self}")
             return Scalar(value % self.p, self)
         if isinstance(value, (int, str)):
-            value = Fraction(value)
+            try:
+                value = Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"{value!r} has a zero denominator") from None
         if not isinstance(value, Fraction):
             raise TypeError(f"cannot coerce {value!r} into {self}")
         return Scalar(value, self)

@@ -1,7 +1,9 @@
 """JSON wire formats for matrices and linear maps.
 
 Scalars always travel as strings (decimal residues, or "num/den" fractions)
-so that values of any size round-trip exactly.  Matrices are row-major:
+so that values of any size round-trip exactly; JSON integers are read too,
+but floats, booleans and zero denominators are refused.  Matrices are
+row-major:
 
     {"n": 3, "k": 2, "field": {"type": "gfp", "p": 5}, "entries": [["1","2"], ...]}
 
@@ -22,11 +24,19 @@ def field_to_dict(field: FieldSpec) -> dict:
     return {"type": "rational"}
 
 
+def _checked(v, what: str):
+    """v itself when it is a JSON integer or string; floats and booleans are
+    refused rather than truncated or read as 0 and 1."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"{what} must be an integer or a string, got {v!r}")
+    return v
+
+
 def field_from_dict(d) -> FieldSpec:
     if not isinstance(d, dict) or "type" not in d:
         raise ValueError(f"bad field descriptor {d!r}")
     if d["type"] == "gfp":
-        return gf(int(d["p"]))
+        return gf(int(_checked(d["p"], "p")))
     if d["type"] == "rational":
         return RATIONALS
     raise ValueError(f"unknown field type {d['type']!r}")
@@ -45,23 +55,28 @@ def matrix_to_dict(X: RectMatrix) -> dict:
     }
 
 
-def matrix_from_dict(d) -> RectMatrix:
+def _read(d, key: str, what: str, size) -> tuple[int, int, RectMatrix]:
+    """n, k and the matrix under `key` of a matrix or map document, whose
+    row count and row length are size(n, k)."""
     if not isinstance(d, dict):
-        raise ValueError("matrix document must be a JSON object")
+        raise ValueError(f"{what} document must be a JSON object")
     try:
-        n, k = int(d["n"]), int(d["k"])
+        n, k = int(_checked(d["n"], "n")), int(_checked(d["k"], "k"))
         field = field_from_dict(d["field"])
-        entries = d["entries"]
+        body = d[key]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix document: {exc}") from exc
-    if not isinstance(entries, list) or len(entries) != n:
-        raise ValueError(f"expected {n} entry rows")
-    rows = []
-    for row in entries:
-        if not isinstance(row, list) or len(row) != k:
-            raise ValueError(f"expected rows of {k} entries")
-        rows.append([field.element(v if isinstance(v, str) else int(v)) for v in row])
-    return RectMatrix.from_rows(field, rows)
+        raise ValueError(f"malformed {what} document: {exc}") from exc
+    rows, width = size(n, k)
+    if not isinstance(body, list) or len(body) != rows:
+        raise ValueError(f"expected {rows} {what} rows")
+    if any(not isinstance(row, list) or len(row) != width for row in body):
+        raise ValueError(f"expected {what} rows of {width} entries")
+    return n, k, RectMatrix.from_rows(
+        field, [[field.element(_checked(v, "entry")) for v in row] for row in body])
+
+
+def matrix_from_dict(d) -> RectMatrix:
+    return _read(d, "entries", "matrix", lambda n, k: (n, k))[2]
 
 
 def map_to_dict(T: LinearMapNK) -> dict:
@@ -75,23 +90,8 @@ def map_to_dict(T: LinearMapNK) -> dict:
 
 
 def map_from_dict(d) -> LinearMapNK:
-    if not isinstance(d, dict):
-        raise ValueError("map document must be a JSON object")
-    try:
-        n, k = int(d["n"]), int(d["k"])
-        field = field_from_dict(d["field"])
-        mat = d["mat"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed map document: {exc}") from exc
-    nk = n * k
-    if not isinstance(mat, list) or len(mat) != nk:
-        raise ValueError(f"expected {nk} map rows")
-    rows = []
-    for row in mat:
-        if not isinstance(row, list) or len(row) != nk:
-            raise ValueError(f"expected map rows of {nk} entries")
-        rows.append([field.element(v if isinstance(v, str) else int(v)) for v in row])
-    return LinearMapNK(n, k, RectMatrix.from_rows(field, rows))
+    n, k, mat = _read(d, "mat", "map", lambda n, k: (n * k, n * k))
+    return LinearMapNK(n, k, mat)
 
 
 def coerce_map_to_prime(T: LinearMapNK, p: int) -> LinearMapNK:

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import perm
 
-from .determinant import det, det_int, from_raw, raw_rows, sweep
+from .determinant import det, det_int, sweep
 from .errors import CalibrationError, FieldMismatch, ShapeError, ShapeMismatch
 from .fields import FieldSpec, Scalar, gf
-from .matrix import RectMatrix, hjoin
+from .matrix import RectMatrix, from_raw, hjoin, raw_rows
 
 CALIBRATION_PRIME = 10007
 # splitmix64 stream seed; fixed so calibration inputs are identical everywhere
@@ -55,13 +55,14 @@ class LambdaPoly:
         return self.evaluate(lam)
 
 
-def lambda_coeffs(A: RectMatrix, B: RectMatrix) -> LambdaPoly:
+def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> LambdaPoly:
     """Formal coefficients of det(A + t*B) in t, from one row sweep.
 
     Each entry a + t*b is packed into the integer a + b * 2**w.  Packing is a
     ring map from integer polynomials in t, so the integer sweep computes the
     packed det(A + t*B); w leaves room for every coefficient with its sign,
-    which are read back as signed base-2**w digits.
+    which are read back as signed base-2**w digits.  The budget bounds the
+    sweep's moves, as for `det`.
     """
     if A.field != B.field:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
@@ -74,7 +75,8 @@ def lambda_coeffs(A: RectMatrix, B: RectMatrix) -> LambdaPoly:
     top = max(1, max(abs(x) for rows in (arows, brows) for row in rows for x in row))
     # |coefficient| <= (#injections) * (#column subsets) * top**k
     w = ((perm(n, k) << k) * top ** k).bit_length() + 1
-    packed = sweep([[a + (b << w) for a, b in zip(ra, rb)] for ra, rb in zip(arows, brows)], k)
+    packed = sweep([[a + (b << w) for a, b in zip(ra, rb)] for ra, rb in zip(arows, brows)],
+                   k, budget)
     coeffs = []
     for _ in range(k + 1):
         c = packed & ((1 << w) - 1)

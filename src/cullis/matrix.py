@@ -1,14 +1,23 @@
-"""Immutable rectangular matrices and the submatrix calculus they support.
+"""Immutable rectangular matrices, the submatrix calculus they support, and
+the one elimination on raw integers.
 
 All public indices are 1-based.  Row and column selections follow the
 keep/drop convention: `submatrix_keep` retains the listed indices in
 increasing order, `submatrix_drop` strikes them out.  `vec` stacks a matrix
 column-major, so the unit matrix with a one in row i, column j maps to
 position (j-1)*n + i of the flat vector.
+
+`raw_rows` turns matrices into plain integer rows once (residues over GF(p),
+column-cleared integers over QQ) and `from_raw` turns a raw result back into
+a scalar.  `eliminate` is fraction-free (Bareiss) elimination on such rows,
+exact over the integers (the determinant `det` takes near the square, and
+the rank over QQ) and reduced mod p for the rank over GF(p).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -277,70 +286,78 @@ def unvec(v: Sequence[Scalar], n: int, k: int, field: FieldSpec) -> RectMatrix:
     return RectMatrix(field, n, k, ent)
 
 
-# -- rank ------------------------------------------------------------------------
+# -- raw values and elimination ---------------------------------------------------
 
 
-def rank(A: RectMatrix) -> int:
-    """Rank over A's field: modular elimination for GF(p), fraction-free
-    (Bareiss) elimination on cleared denominators for the rationals."""
-    if A.field.kind == "prime":
-        rows = [[e.value for e in A.row(i)] for i in range(1, A.n + 1)]
-        return _rank_mod(rows, A.field.p)
-    rows = []
-    for i in range(1, A.n + 1):
-        fr = [e.value for e in A.row(i)]
-        lcm = 1
-        for f in fr:
-            d = f.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        rows.append([int(f * lcm) for f in fr])
-    return _rank_bareiss(rows)
+def raw_rows(*mats: RectMatrix) -> tuple[list[list[list[int]]], int]:
+    """Integer rows of same-shape matrices over one field, and the scale s
+    such that the determinant of the integer rows is s times the true one.
+
+    Over GF(p) the rows are the residues and s = 1.  Over QQ column j of
+    every matrix is multiplied by the lcm of the denominators in column j of
+    all of them, and s is the product of those lcms: the determinant is
+    multilinear in the columns, so it scales by exactly s, and the rank does
+    not change.
+    """
+    k = mats[0].k
+    if mats[0].field.kind == "prime":
+        return [[[e.value for e in M.entries[i * k:(i + 1) * k]] for i in range(M.n)]
+                for M in mats], 1
+    scales = [1] * k
+    for M in mats:
+        for idx, e in enumerate(M.entries):
+            d = e.value.denominator
+            if d != 1:
+                scales[idx % k] = lcm(scales[idx % k], d)
+    out = []
+    for M in mats:
+        fr = [e.value for e in M.entries]
+        out.append([[fr[i * k + j].numerator * (scales[j] // fr[i * k + j].denominator)
+                     for j in range(k)] for i in range(M.n)])
+    return out, prod(scales)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def from_raw(field: FieldSpec, value: int, scale: int) -> Scalar:
+    """The scalar value / scale (mod p over GF(p)), as left by `raw_rows`."""
+    if field.kind == "prime":
+        return Scalar(value % field.p, field)
+    return Scalar(Fraction(value, scale), field)
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    m = [r[:] for r in rows]
+def eliminate(m: list[list[int]], p: int | None = None) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of the integer rows m, in place,
+    skipping columns without a pivot.  Returns the rank and the signed last
+    pivot, which is the determinant of a square m of full rank.  Given a
+    prime p the rows must be residues; each step is then reduced mod p with
+    no exact division, which keeps the rank but not the determinant."""
     nr, nc = len(m), len(m[0])
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        for i in range(r + 1, nr):
-            f = m[i][c] * inv % p
-            if f:
-                for j in range(c, nc):
-                    m[i][j] = (m[i][j] - f * m[r][j]) % p
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    m = [r[:] for r in rows]
-    nr, nc = len(m), len(m[0])
-    prev = 1
-    r = 0
+    sign, prev, r = 1, 1, 0
     for c in range(nc):
         piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        pc = top[c]
         for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+            row = m[i]
+            f = row[c]
+            if p is None:
+                for j in range(c + 1, nc):
+                    row[j] = (row[j] * pc - f * top[j]) // prev
+            elif f:
+                for j in range(c + 1, nc):
+                    row[j] = (row[j] * pc - f * top[j]) % p
+        prev = pc
         r += 1
         if r == nr:
             break
-    return r
+    return r, sign * prev
+
+
+def rank(A: RectMatrix) -> int:
+    """Rank over A's field, by `eliminate` on `raw_rows` (mod p over GF(p))."""
+    (rows,), _ = raw_rows(A)
+    return eliminate(rows, A.field.p)[0]

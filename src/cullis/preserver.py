@@ -6,6 +6,11 @@ enumeration uniform.  Preservation can be decided three ways with an explicit
 soundness hierarchy: exhaustively over small finite spaces, symbolically by
 comparing coefficient maps of det(T(X)) and det(X), or by random sampling
 (which can only ever refute, never certify).
+
+On that flattening the two-sided map X -> A X B is the Kronecker product
+B^T (x) A.  `make_two_sided` writes it entry by entry and `factor_two_sided`
+reads A and B back from its blocks, accepting them only if they rebuild the
+map; invertibility is a rank test by `matrix.eliminate`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from operator import mul
 
 from . import combinatorics as comb_mod
 from . import sympoly
-from .determinant import det, det_square, sweep
+from .determinant import det, sweep
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
@@ -66,13 +71,9 @@ class LinearMapNK:
     @classmethod
     def from_function(cls, field: FieldSpec, n: int, k: int, fn) -> "LinearMapNK":
         """Build the matrix of a linear function from its unit-matrix images."""
-        cols = []
-        for j in range(1, k + 1):
-            for i in range(1, n + 1):
-                cols.append(vec(fn(basis_matrix(field, n, k, i, j))))
-        nk = n * k
-        rows = [[cols[c][r] for c in range(nk)] for r in range(nk)]
-        return cls(n, k, RectMatrix.from_rows(field, rows))
+        return cls(n, k, RectMatrix.from_columns(field, [
+            vec(fn(basis_matrix(field, n, k, i, j)))
+            for j in range(1, k + 1) for i in range(1, n + 1)]))
 
     def apply(self, X: RectMatrix) -> RectMatrix:
         if (X.n, X.k) != (self.n, self.k):
@@ -135,26 +136,35 @@ class PreserverReport:
         return self.verdict == "preserves"
 
 
-def make_two_sided(A: RectMatrix, B: RectMatrix) -> LinearMapNK:
-    """The map X -> A @ X @ B for square A (n x n) and B (k x k)."""
+def _check_factors(A: RectMatrix, B: RectMatrix) -> tuple[int, int]:
     if A.n != A.k or B.n != B.k:
         raise ShapeMismatch("both factors must be square")
     if A.field != B.field:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
-    return LinearMapNK.from_function(A.field, A.n, B.n, lambda X: A @ X @ B)
+    return A.n, B.n
+
+
+def make_two_sided(A: RectMatrix, B: RectMatrix) -> LinearMapNK:
+    """The map X -> A @ X @ B for square A (n x n) and B (k x k).
+
+    Its matrix is the Kronecker product B^T (x) A, since
+    vec(A X B) = (B^T (x) A) vec(X): row (j, i), column (l, m), i.e.
+    row j*n + i and column l*n + m, holds B[l, j] * A[i, m].
+    """
+    n, k = _check_factors(A, B)
+    a, b = A.entries, B.entries
+    ent = [b[l * k + j] * a[i * n + m]
+           for j in range(k) for i in range(n) for l in range(k) for m in range(n)]
+    return LinearMapNK(n, k, RectMatrix(A.field, n * k, n * k, ent))
 
 
 def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
     """True when det(columns d of A) * det(B) equals the sign of d for every
     column k-subset d; equivalent to X -> A @ X @ B preserving det."""
-    if A.n != A.k or B.n != B.k:
-        raise ShapeMismatch("both factors must be square")
-    if A.field != B.field:
-        raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
-    n, k = A.n, B.n
+    n, k = _check_factors(A, B)
     if k > n:
         raise ShapeError(f"inner size {k} exceeds outer size {n}")
-    det_b = det_square([[B.entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
+    det_b = det(B)
     all_rows = range(1, n + 1)
     for d in combinations(range(1, n + 1), k):
         lhs = det(submatrix_keep(A, all_rows, d)) * det_b
@@ -382,75 +392,30 @@ def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list
 
 
 def factor_two_sided(T: LinearMapNK) -> tuple[RectMatrix, RectMatrix] | None:
-    """Recover (A, B) with T(X) = A @ X @ B from the unit-matrix images, or
-    None when the images do not form a consistent rank-one grid.
+    """Recover (A, B) with T(X) = A @ X @ B, or None when T is no such map.
 
-    A is normalised so the first nonzero entry of its first nonzero column
-    is 1; the verified contract is action equality on every unit matrix.
+    T's matrix is B^T (x) A exactly when it is one (`make_two_sided`), so its
+    n x n block (j, l) is B[l, j] * A.  The block holding the first nonzero
+    entry gives A, and that entry's position in every block gives B.  A is
+    normalised so the first nonzero entry of its first nonzero column is 1;
+    the pair is returned only if it rebuilds T.
     """
     n, k, field = T.n, T.k, T.field
-    one = field.one
-    M = [[T.apply(basis_matrix(field, n, k, i, j)) for j in range(1, k + 1)]
-         for i in range(1, n + 1)]
-
-    base = None
-    for i in range(n):
-        for j in range(k):
-            if not M[i][j].is_zero():
-                base = (i, j)
-                break
-        if base:
-            break
-    if base is None:
+    nk = n * k
+    ent = T.mat.entries
+    first = next((idx for idx, e in enumerate(ent) if e.value), None)
+    if first is None:
         return zeros(field, n, n), identity(field, k)
-
-    i0, j0 = base
-    M0 = M[i0][j0]
-    r0, c0 = next(
-        (r, c) for r in range(1, n + 1) for c in range(1, k + 1) if M0.entry(r, c).value
-    )
-    u = M0.column(c0)
-    pivot_inv = u[r0 - 1].inverse()
-    v = [M0.entry(r0, c) * pivot_inv for c in range(1, k + 1)]
-
-    a_cols: list[list[Scalar] | None] = [None] * n
-    b_rows: list[list[Scalar] | None] = [None] * k
-    a_cols[i0] = u
-    b_rows[j0] = v
-    v_c0_inv = v[c0 - 1].inverse()
-    for j in range(k):
-        if j == j0:
-            continue
-        # row r0 of M[i0][j] determines b_j against the fixed u
-        b_rows[j] = [M[i0][j].entry(r0, c) * pivot_inv for c in range(1, k + 1)]
-    for i in range(n):
-        if i == i0:
-            continue
-        a_cols[i] = [M[i][j0].entry(r, c0) * v_c0_inv for r in range(1, n + 1)]
-
-    for i in range(n):
-        for j in range(k):
-            got = M[i][j]
-            for r in range(n):
-                ar = a_cols[i][r]
-                for c in range(k):
-                    if got.entry(r + 1, c + 1) != ar * b_rows[j][c]:
-                        return None
-
-    A = RectMatrix.from_columns(field, a_cols)
-    B = RectMatrix.from_rows(field, b_rows)
-    alpha = None
-    for j in range(1, n + 1):
-        col = A.column(j)
-        nz = next((x for x in col if x.value), None)
-        if nz is not None:
-            alpha = nz
-            break
-    if alpha is not None and alpha != one:
-        inv = alpha.inverse()
-        A = A.scale(inv)
-        B = B.scale(alpha)
-    return A, B
+    row, col = divmod(first, nk)
+    (j0, i0), (l0, m0) = divmod(row, n), divmod(col, n)
+    A = RectMatrix(field, n, n, [ent[(j0 * n + i) * nk + l0 * n + m]
+                                 for i in range(n) for m in range(n)])
+    inv = ent[first].inverse()
+    B = RectMatrix(field, k, k, [ent[(j * n + i0) * nk + l * n + m0] * inv
+                                 for l in range(k) for j in range(k)])
+    alpha = next(x for c in A.columns() for x in c if x.value)
+    A, B = A.scale(alpha.inverse()), B.scale(alpha)
+    return (A, B) if make_two_sided(A, B) == T else None
 
 
 # -- enumeration ---------------------------------------------------------------------

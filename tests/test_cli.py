@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -224,3 +225,59 @@ def test_fault_injection_exit_code(monkeypatch, capsys):
     assert code == 1
     payload = json.loads(captured.out)
     assert payload["all_pass"] is False
+
+
+# -- input boundary: malformed scalars exit 2 without a traceback -----------------
+
+
+def bad_doc(field, entry):
+    return '{"n": 2, "k": 1, "field": %s, "entries": [[%s], ["1"]]}' % (field, entry)
+
+
+def assert_refused(doc):
+    proc = run_cli("det", "--input", "-", stdin=doc)
+    assert proc.returncode == 2, doc
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_zero_denominator_exits_2():
+    for entry in ('"1/0"', '"0/0"', '"-3/0"'):
+        assert_refused(bad_doc('{"type": "rational"}', entry))
+
+
+def test_cli_floats_exit_2():
+    # neither truncated (1.5 -> 1) nor used as a modulus (5.9 -> GF(5))
+    assert_refused(bad_doc('{"type": "rational"}', "1.5"))
+    assert_refused(bad_doc('{"type": "gfp", "p": 7}', "2.0"))
+    assert_refused(bad_doc('{"type": "gfp", "p": 5.9}', '"1"'))
+    assert_refused('{"n": 2.0, "k": 1, "field": {"type": "rational"}, "entries": [["1"], ["1"]]}')
+
+
+def test_cli_booleans_exit_2():
+    assert_refused(bad_doc('{"type": "gfp", "p": 5}', "true"))
+    assert_refused(bad_doc('{"type": "rational"}', "false"))
+    assert_refused(bad_doc('{"type": "gfp", "p": true}', '"1"'))
+
+
+def test_cli_lambda_budget_env(tmp_path):
+    import os
+
+    rng = random.Random(6)
+    pa = write_matrix(tmp_path, "a.json", random_matrix(gf(7), 8, 5, rng))
+    pb = write_matrix(tmp_path, "b.json", random_matrix(gf(7), 8, 5, rng))
+    env = dict(os.environ, CULLIS_BUDGET="5")
+    for cmd in (["det", "--input", pa], ["lambda", "--a", pa, "--b", pb]):
+        proc = subprocess.run([sys.executable, "-m", "cullis", *cmd],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 3, cmd
+        assert proc.stdout == ""
+    assert run_cli("lambda", "--a", pa, "--b", pb).returncode == 0
+
+
+def test_cli_verify_paper_golden_digest():
+    # pins the whole default table for seed 0, byte for byte
+    proc = run_cli("verify-paper", "--seed", "0")
+    assert proc.returncode == 0
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "3d0452905060f1fbf48a4c89becd65c6b9f5f4d02943d20618b4d389f3a6f422"

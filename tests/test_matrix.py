@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -116,9 +117,14 @@ def test_rank_random_vs_minor_oracle():
         n, k = rng.randrange(1, 5), rng.randrange(1, 5)
         rows = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(n)]
         assert rank(mat(rows)) == oracle_rank(rows)
-        assert rank(mat(rows, field=gf(5))) == oracle_rank(
-            [[v % 5 for v in r] for r in rows], p=5
-        )
+        # the modular branch of the elimination, small, tiny and huge moduli
+        for p in (5, 2, 2**127 - 1):
+            assert rank(mat(rows, field=gf(p))) == oracle_rank(
+                [[v % p for v in r] for r in rows], p=p
+            )
+        # fractional entries: the denominators are cleared per column
+        fracs = [[Fraction(v, rng.choice((1, 2, 3, -4, 6))) for v in r] for r in rows]
+        assert rank(mat(fracs)) == oracle_rank(fracs)
 
 
 def test_vec_unvec():

@@ -315,6 +315,38 @@ def test_factor_roundtrip_random():
             for j in range(1, 3):
                 E = basis_matrix(F, 4, 2, i, j)
                 assert A @ E @ B == T.apply(E)
+    # the Kronecker layout B^T (x) A against the unit-image construction
+    for F in (gf(2), gf(7), Q):
+        for n, k in ((1, 1), (3, 1), (3, 2), (4, 3), (5, 2)):
+            A0, B0 = random_matrix(F, n, n, rng), random_matrix(F, k, k, rng)
+            T = make_two_sided(A0, B0)
+            assert T == LinearMapNK.from_function(F, n, k, lambda X: A0 @ X @ B0)
+            fact = factor_two_sided(T)
+            assert fact is not None and make_two_sided(*fact) == T
+
+
+def test_factor_returns_none_on_random_non_product_maps():
+    # T is X -> A @ X @ B exactly when its n x n blocks, flattened into the
+    # rows of one k^2 x n^2 matrix, have rank at most one (Van Loan and
+    # Pitsianis); random maps and sums of two products have rank two or more
+    rng = random.Random(21)
+    refused = 0
+    for F in (gf(2), gf(3), gf(7), Q):
+        for n, k in ((2, 2), (3, 2), (4, 2), (3, 3)):
+            nk = n * k
+            for t in range(8):
+                if t % 2:
+                    T = LinearMapNK(n, k, random_matrix(F, nk, nk, rng))
+                else:
+                    T = LinearMapNK(n, k, sum(
+                        (make_two_sided(random_matrix(F, n, n, rng), random_matrix(F, k, k, rng)).mat
+                         for _ in range(2)), zeros(F, nk, nk)))
+                blocks = RectMatrix.from_rows(F, [
+                    [T.mat.entry(j * n + i + 1, l * n + m + 1) for i in range(n) for m in range(n)]
+                    for j in range(k) for l in range(k)])
+                assert (factor_two_sided(T) is None) == (rank(blocks) > 1)
+                refused += rank(blocks) > 1
+    assert refused > 100
 
 
 def test_factor_normalisation_and_identity():
