@@ -73,10 +73,6 @@ class Injection:
         return cls(n, images)
 
 
-def sgn_set(c: KSubset) -> int:
-    return c.sign
-
-
 def sgn_injection(sigma: Injection) -> int:
     return perm_sign_of(sigma.images) * sgn_of_subset(sorted(sigma.images))
 

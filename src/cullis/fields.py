@@ -77,10 +77,6 @@ class FieldSpec:
     def __repr__(self):
         return f"GF({self.p})" if self.kind == "prime" else "QQ"
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.kind == "prime"
-
     def element(self, value) -> "Scalar":
         """Coerce an int, Fraction, decimal/fraction string, or Scalar."""
         if isinstance(value, Scalar):
@@ -216,8 +212,3 @@ class Scalar:
 
     def __repr__(self):
         return f"{self.value} in {self.field!r}"
-
-
-def scalar_inv(a: Scalar) -> Scalar:
-    """Multiplicative inverse; raises ZeroInverse on 0."""
-    return a.inverse()

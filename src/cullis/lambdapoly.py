@@ -9,9 +9,10 @@ exactly by sweeping standard basis vectors through the free column slots.
 Also houses the three completion constructors: fixed patterns B such that
 det(X|B) collapses, for every X with two columns, to a prescribed combination
 of 2x2 determinants.  Their last-column signs are not derivable from a closed
-formula here; each constructor calibrates the sign once against the target
-expression on deterministic pseudo-random inputs over GF(10007) and fails
-loudly if neither sign reproduces the identity.
+formula here.  Both sides of each identity are bilinear and alternating in
+the two columns of X, so each constructor fixes the sign once, exactly, on
+the basis pairs X = (e_a | e_b) over the integers, and raises
+CalibrationError if no sign reproduces the identity on every pair.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import perm
 
-from .determinant import det, det_int, sweep
+from .determinant import det_int, sweep
 from .errors import CalibrationError, FieldMismatch, ShapeError, ShapeMismatch
-from .fields import FieldSpec, Scalar, gf
-from .matrix import RectMatrix, from_raw, hjoin, raw_rows
-
-CALIBRATION_PRIME = 10007
-# splitmix64 stream seed; fixed so calibration inputs are identical everywhere
-CALIBRATION_SEED = 0x5EED_0F_C01115
+from .fields import RATIONALS, FieldSpec, Scalar
+from .matrix import RectMatrix, from_raw, raw_rows
 
 
 @dataclass(frozen=True)
@@ -50,9 +47,6 @@ class LambdaPoly:
         for c in reversed(self.coeffs):
             acc = acc * lam + c
         return acc
-
-    def __call__(self, lam) -> Scalar:
-        return self.evaluate(lam)
 
 
 def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> LambdaPoly:
@@ -77,14 +71,20 @@ def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> La
     w = ((perm(n, k) << k) * top ** k).bit_length() + 1
     packed = sweep([[a + (b << w) for a, b in zip(ra, rb)] for ra, rb in zip(arows, brows)],
                    k, budget)
-    coeffs = []
-    for _ in range(k + 1):
+    return LambdaPoly(tuple(from_raw(A.field, c, scale) for c in _digits(packed, w, k + 1)),
+                      A.field)
+
+
+def _digits(packed: int, w: int, count: int) -> list[int]:
+    """The first `count` signed base-2**w digits of packed, lowest first."""
+    out = []
+    for _ in range(count):
         c = packed & ((1 << w) - 1)
         if c >> (w - 1):
             c -= 1 << w
-        coeffs.append(from_raw(A.field, c, scale))
+        out.append(c)
         packed = (packed - c) >> w
-    return LambdaPoly(tuple(coeffs), A.field)
+    return out
 
 
 def _first_completion(cols: list[list[int]], n: int, m: int, p: int | None):
@@ -176,17 +176,21 @@ def all_completions_vanish(X: RectMatrix, k: int) -> bool:
 # -- completion constructors ---------------------------------------------------
 
 
-def _det2(u: list[Scalar], v: list[Scalar]) -> Scalar:
+def _det2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _rows2(X: RectMatrix) -> list[list[Scalar]]:
+def _rows2(X) -> list:
+    """The rows of a two-column X given as a RectMatrix, or X itself when it
+    is already a list of rows (calibration passes rows of plain integers)."""
+    if not isinstance(X, RectMatrix):
+        return X
     if X.k != 2:
         raise ShapeError(f"expected two columns, got {X.k}")
     return X.rows()
 
 
-def diffdiff_rhs(X: RectMatrix, l: int) -> Scalar:
+def diffdiff_rhs(X, l: int) -> Scalar:
     """det2 of (row1 - row2) against (row l - row l+1)."""
     r = _rows2(X)
     u = [r[0][0] - r[1][0], r[0][1] - r[1][1]]
@@ -194,45 +198,23 @@ def diffdiff_rhs(X: RectMatrix, l: int) -> Scalar:
     return _det2(u, v)
 
 
-def diffsum_rhs(X: RectMatrix, k: int) -> Scalar:
+def diffsum_rhs(X, k: int) -> Scalar:
     """Alternating sum over l = 3..n-k+3 of det2 of (row1 - row2) against row l."""
     r = _rows2(X)
     u = [r[0][0] - r[1][0], r[0][1] - r[1][1]]
-    acc = X.field.zero
-    for l in range(3, X.n - k + 4):
-        term = _det2(u, r[l - 1])
-        acc = acc + term if l % 2 == 0 else acc - term
-    return acc
+    return sum((-1) ** l * _det2(u, r[l - 1]) for l in range(3, len(r) - k + 4))
 
 
-def plainsum_rhs(X: RectMatrix, k: int) -> Scalar:
+def plainsum_rhs(X, k: int) -> Scalar:
     """The truncated two-column determinant expansion on rows 1..n-k+2:
     det2(r1, r2) plus signed cross terms against and among rows 3..n-k+2."""
     r = _rows2(X)
-    m = X.n - k + 2
-    acc = _det2(r[0], r[1])
+    m = len(r) - k + 2
     u = [r[0][0] - r[1][0], r[0][1] - r[1][1]]
-    for l in range(3, m + 1):
-        term = _det2(u, r[l - 1])
-        acc = acc + term if l % 2 == 0 else acc - term
-    for l in range(3, m + 1):
-        for mm in range(l + 1, m + 1):
-            term = _det2(r[l - 1], r[mm - 1])
-            acc = acc + term if (l + mm) % 2 == 1 else acc - term
-    return acc
-
-
-def _splitmix(counter: int) -> int:
-    z = (CALIBRATION_SEED + counter * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
-
-
-def _calibration_x(field: FieldSpec, n: int, attempt: int) -> RectMatrix:
-    base = attempt * 4096
-    ent = [field.element(_splitmix(base + t) % CALIBRATION_PRIME) for t in range(2 * n)]
-    return RectMatrix(field, n, 2, ent)
+    return (_det2(r[0], r[1])
+            + sum((-1) ** l * _det2(u, r[l - 1]) for l in range(3, m + 1))
+            - sum((-1) ** (l + mm) * _det2(r[l - 1], r[mm - 1])
+                  for l in range(3, m + 1) for mm in range(l + 1, m + 1)))
 
 
 def _diffdiff_pattern(field: FieldSpec, n: int, k: int, l: int) -> RectMatrix:
@@ -266,39 +248,41 @@ def _plainsum_pattern(field: FieldSpec, n: int, k: int) -> RectMatrix:
 _SIGN_CACHE: dict[tuple, int] = {}
 
 
-def _calibrate_sign(key: tuple, pattern_fn, rhs_fn, n: int) -> int:
-    """Determine the last-column sign making det(X|B) match rhs_fn for all X.
+def _pair_dets(pattern: RectMatrix) -> list[int]:
+    """det(e_a | e_b | pattern) over the integers for the rows a < b in
+    lexicographic order, from one row sweep: with x_a = 2**(w*a) and
+    y_b = 2**(w*n*b) in the two new columns, it is the signed base-2**w
+    digit a + n*b, the coefficient of x_a*y_b."""
+    (rows,), _ = raw_rows(pattern)
+    n, k = pattern.n, pattern.k + 2
+    top = max(1, max(abs(x) for row in rows for x in row))
+    w = (perm(n, k) * top ** k).bit_length() + 1
+    digits = _digits(sweep([[1 << w * i, 1 << w * n * i] + row for i, row in enumerate(rows)], k),
+                     w, n * n)
+    return [digits[a + n * b] for a, b in combinations(range(n), 2)]
 
-    One informative deterministic input fixes the sign; three further inputs
-    cross-check it.  Raises CalibrationError when no sign works.
+
+def _completion(key: tuple, pattern_fn, rhs_fn, field: FieldSpec) -> RectMatrix:
+    """pattern_fn(field) with its last column times the sign making det(X|B)
+    equal rhs_fn(X) for every X.
+
+    Both sides are bilinear and alternating in the columns of X with integer
+    coefficients, so they agree everywhere exactly when they agree on each
+    X = (e_a | e_b), a < b, over the integers.  The first pair with a nonzero
+    target fixes the sign, cached per key, and every pair checks it;
+    CalibrationError if no sign works.
     """
     eps = _SIGN_CACHE.get(key)
-    if eps is not None:
-        return eps
-    F = gf(CALIBRATION_PRIME)
-    A = pattern_fn(F)
-    for attempt in range(64):
-        X = _calibration_x(F, n, attempt)
-        r = rhs_fn(X)
-        if not r.value:
-            continue
-        lhs = det(hjoin(X, A))
-        if lhs == r:
-            eps = 1
-        elif lhs == -r:
-            eps = -1
-        else:
+    if eps is None:
+        A = pattern_fn(RATIONALS)
+        pairs = list(zip(_pair_dets(A), (rhs_fn([[int(i == a), int(i == b)] for i in range(A.n)])
+                                         for a, b in combinations(range(A.n), 2))))
+        eps = next((1 if lhs == r else -1 for lhs, r in pairs if r), 0)
+        if not eps or any(eps * lhs != r for lhs, r in pairs):
             raise CalibrationError(f"{key}: no last-column sign matches the target identity")
-        break
-    else:
-        raise CalibrationError(f"{key}: calibration stream never produced a nonzero target")
-    B = A.with_scaled_column(A.k, eps)
-    for check in range(attempt + 1, attempt + 4):
-        X = _calibration_x(F, n, check)
-        if det(hjoin(X, B)) != rhs_fn(X):
-            raise CalibrationError(f"{key}: calibrated sign failed cross-check")
-    _SIGN_CACHE[key] = eps
-    return eps
+        _SIGN_CACHE[key] = eps
+    B = pattern_fn(field)
+    return B.with_scaled_column(B.k, eps)
 
 
 def make_b_diffdiff(n: int, k: int, l: int, field: FieldSpec) -> RectMatrix:
@@ -308,13 +292,8 @@ def make_b_diffdiff(n: int, k: int, l: int, field: FieldSpec) -> RectMatrix:
         raise ShapeError(f"need n >= k >= 4, got n={n}, k={k}")
     if not (2 < l < n):
         raise ShapeError(f"need 2 < l < n, got l={l}")
-    eps = _calibrate_sign(
-        ("diffdiff", n, k, l),
-        lambda F: _diffdiff_pattern(F, n, k, l),
-        lambda X: diffdiff_rhs(X, l),
-        n,
-    )
-    return _diffdiff_pattern(field, n, k, l).with_scaled_column(k - 2, eps)
+    return _completion(("diffdiff", n, k, l), lambda F: _diffdiff_pattern(F, n, k, l),
+                       lambda X: diffdiff_rhs(X, l), field)
 
 
 def make_b_diffsum(n: int, k: int, field: FieldSpec) -> RectMatrix:
@@ -322,13 +301,8 @@ def make_b_diffsum(n: int, k: int, field: FieldSpec) -> RectMatrix:
     diffsum_rhs(X, k)."""
     if not (n >= k >= 3):
         raise ShapeError(f"need n >= k >= 3, got n={n}, k={k}")
-    eps = _calibrate_sign(
-        ("diffsum", n, k),
-        lambda F: _diffsum_pattern(F, n, k),
-        lambda X: diffsum_rhs(X, k),
-        n,
-    )
-    return _diffsum_pattern(field, n, k).with_scaled_column(k - 2, eps)
+    return _completion(("diffsum", n, k), lambda F: _diffsum_pattern(F, n, k),
+                       lambda X: diffsum_rhs(X, k), field)
 
 
 def make_b_plainsum(n: int, k: int, field: FieldSpec) -> RectMatrix | None:
@@ -339,10 +313,5 @@ def make_b_plainsum(n: int, k: int, field: FieldSpec) -> RectMatrix | None:
         raise ShapeError(f"need n >= k >= 2, got n={n}, k={k}")
     if k == 2:
         return None
-    eps = _calibrate_sign(
-        ("plainsum", n, k),
-        lambda F: _plainsum_pattern(F, n, k),
-        lambda X: plainsum_rhs(X, k),
-        n,
-    )
-    return _plainsum_pattern(field, n, k).with_scaled_column(k - 2, eps)
+    return _completion(("plainsum", n, k), lambda F: _plainsum_pattern(F, n, k),
+                       lambda X: plainsum_rhs(X, k), field)

@@ -3,9 +3,9 @@
 A map is stored as its (nk) x (nk) matrix acting on the column-major
 flattening, which keeps composition, invertibility checks and exhaustive
 enumeration uniform.  Preservation can be decided three ways with an explicit
-soundness hierarchy: exhaustively over small finite spaces, symbolically by
-comparing coefficient maps of det(T(X)) and det(X), or by random sampling
-(which can only ever refute, never certify).
+soundness hierarchy: exhaustively over small finite spaces, symbolically and
+exactly over any field from the polynomial det(T(X)) - det(X), or by random
+sampling (which can only ever refute, never certify).
 
 On that flattening the two-sided map X -> A X B is the Kronecker product
 B^T (x) A.  `make_two_sided` writes it entry by entry and `factor_two_sided`
@@ -80,18 +80,13 @@ class LinearMapNK:
             raise ShapeMismatch(f"{X.n}x{X.k} input for {self.n}x{self.k} map")
         if X.field != self.field:
             raise FieldMismatch(f"{X.field!r} vs {self.field!r}")
-        v = vec(X)
+        v = [e.value for e in vec(X)]
         ent = self.mat.entries
-        nk = self.n * self.k
-        out = []
-        for r in range(nk):
-            acc = self.field.zero
-            base = r * nk
-            for c in range(nk):
-                m = ent[base + c]
-                if m.value and v[c].value:
-                    acc = acc + m * v[c]
-            out.append(acc)
+        nk = len(v)
+        # raw row times vec(X); zero products are skipped (maps are mostly
+        # sparse, and products of Fractions are costly)
+        out = [sum(e.value * x for e, x in zip(ent[r * nk:(r + 1) * nk], v) if e.value and x)
+               for r in range(nk)]
         return unvec(out, self.n, self.k, self.field)
 
     def compose(self, other: "LinearMapNK") -> "LinearMapNK":
@@ -115,10 +110,6 @@ class LinearMapNK:
 
     def __repr__(self):
         return f"LinearMapNK({self.n}x{self.k} over {self.field!r})"
-
-
-def apply(T: LinearMapNK, X: RectMatrix) -> RectMatrix:
-    return T.apply(X)
 
 
 @dataclass(frozen=True)
@@ -225,20 +216,19 @@ def _random_violation(T: LinearMapNK, samples: int, seed: int) -> RectMatrix | N
     return None
 
 
-def _is_preserver_symbolic(T: LinearMapNK, budget: int | None, seed: int) -> PreserverReport:
+def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverReport:
+    """Expand D = det(T(X)) - det(X) and fold it (`sympoly.fold`): T
+    preserves exactly when D folds to nothing, and otherwise the witness is
+    read off D by `sympoly.nonzero_point`."""
     mat_rows = [[e.value for e in T.mat.row(i)] for i in range(1, T.n * T.k + 1)]
-    lhs = sympoly.det_poly_of_map(mat_rows, T.n, T.k, T.field, budget)
-    rhs = sympoly.det_poly_identity(T.n, T.k, T.field)
-    if lhs == rhs:
+    diff = sympoly.det_poly_of_map(mat_rows, T.n, T.k, T.field, budget)
+    for mono, c in sympoly.det_poly_identity(T.n, T.k, T.field).items():
+        diff[mono] = diff.get(mono, 0) - c
+    point = sympoly.nonzero_point(sympoly.fold(diff, T.field), T.n * T.k, T.field)
+    if point is None:
         return PreserverReport("preserves", "symbolic")
-    witness = _random_violation(T, 500, seed)
-    if witness is not None:
-        return PreserverReport("violates", "symbolic", witness)
-    # coefficient maps differ yet no witness sampled; over a field larger than
-    # the column count that cannot happen, otherwise settle pointwise
-    if T.field.kind == "prime" and T.field.p <= T.k:
-        return _is_preserver_exhaustive(T, budget)
-    raise AssertionError("formally distinct polynomials with no evaluation witness")
+    witness = unvec([T.field.element(x) for x in point], T.n, T.k, T.field)
+    return PreserverReport("violates", "symbolic", witness)
 
 
 def is_preserver(
@@ -250,16 +240,19 @@ def is_preserver(
 ) -> PreserverReport:
     """Decide whether det(T(X)) = det(X) for all X.
 
-    `exhaustive` sweeps every matrix over a finite field (space permitting),
-    `symbolic` compares formal coefficient maps, `random` samples and can
-    only return `violates` or `inconclusive`.
+    `exhaustive` sweeps every matrix over a finite field (space permitting).
+    `symbolic` expands det(T(X)) - det(X), reduced by x**p = x over GF(p),
+    and is exact over every field, small ones included; a violation carries
+    a witness read off that polynomial, and neither verdict depends on
+    `seed`.  `random` draws `samples` matrices from `seed` and can only
+    return `violates` or `inconclusive`.
     """
     if T.k > T.n:
         raise ShapeError(f"{T.n}x{T.k}: need at least as many rows as columns")
     if method == "exhaustive":
         return _is_preserver_exhaustive(T, budget)
     if method == "symbolic":
-        return _is_preserver_symbolic(T, budget, seed)
+        return _is_preserver_symbolic(T, budget)
     if method == "random":
         witness = _random_violation(T, samples, seed)
         if witness is not None:
@@ -301,16 +294,9 @@ def _corner_sums(X: RectMatrix) -> Scalar:
     """S1 + (-1)**n * S2 with S1, S2 the alternating sums of the inner rows
     of the two columns; the parity twist keeps the rewrite identity exact for
     odd row counts as well."""
-    n = X.n
-    s1 = X.field.zero
-    s2 = X.field.zero
-    for r in range(2, n):
-        v1, v2 = X.entry(r, 1), X.entry(r, 2)
-        if r % 2 == 0:
-            s1, s2 = s1 + v1, s2 + v2
-        else:
-            s1, s2 = s1 - v1, s2 - v2
-    return s1 + s2 if n % 2 == 0 else s1 - s2
+    s1, s2 = (sum(((-1) ** r * X.entry(r, j) for r in range(2, X.n)), X.field.zero)
+              for j in (1, 2))
+    return s1 + s2 if X.n % 2 == 0 else s1 - s2
 
 
 def detn2_partner(X: RectMatrix) -> RectMatrix:
@@ -458,15 +444,5 @@ def check_k1_form(T: LinearMapNK) -> bool:
     alternating sum (-1)**(i-1), which characterises preservation."""
     if T.k != 1:
         raise ShapeError(f"map acts on width {T.k}, expected 1")
-    A = T.mat
-    n = T.n
-    field = T.field
-    for i in range(1, n + 1):
-        acc = field.zero
-        for r in range(1, n + 1):
-            v = A.entry(r, i)
-            acc = acc + v if r % 2 == 1 else acc - v
-        want = field.one if i % 2 == 1 else -field.one
-        if acc != want:
-            return False
-    return True
+    return all(sum((-1) ** r * v for r, v in enumerate(T.mat.column(i))) == (-1) ** (i - 1)
+               for i in range(1, T.n + 1))

@@ -10,6 +10,7 @@ wrapper objects; the public preserver API still speaks in scalars.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import lcm
 
@@ -24,8 +25,10 @@ Monomial = tuple[tuple[int, int], ...]
 Poly = dict[Monomial, object]
 
 
+@lru_cache(maxsize=16)
 def det_poly_identity(n: int, k: int, field: FieldSpec) -> Poly:
-    """det(X) as a polynomial in the nk entry variables of X."""
+    """det(X) as a polynomial in the nk entry variables of X; cached, so
+    callers must not modify it."""
     one = 1 if field.kind == "prime" else Fraction(1)
     p = field.p
     poly: Poly = {}
@@ -105,3 +108,44 @@ def det_poly_of_map(mat_rows: list[list], n: int, k: int, field: FieldSpec,
             v += 1
         total[tuple(mono)] = cf if prime else Fraction(cf, scale)
     return total
+
+
+def fold(poly: Poly, field: FieldSpec) -> Poly:
+    """poly without zero terms, over GF(p) reduced by x**p = x (exponent e
+    becomes 1 + (e - 1) % (p - 1)): empty exactly when poly is zero at every
+    point, small fields included."""
+    p = field.p
+    if p is None:
+        return {mono: c for mono, c in poly.items() if c}
+    out: Poly = {}
+    for mono, c in poly.items():
+        key = tuple((v, 1 + (e - 1) % (p - 1)) for v, e in mono)
+        out[key] = (out.get(key, 0) + c) % p
+    return {mono: c for mono, c in out.items() if c}
+
+
+def nonzero_point(poly: Poly, nvars: int, field: FieldSpec) -> list[int] | None:
+    """Integer coordinates where the folded poly is nonzero; None if empty.
+
+    Variables outside the support of the term with fewest variables are 0,
+    which keeps that term.  The rest are fixed one at a time to the first
+    value in range(d + 1), d the variable's degree, leaving poly nonzero: it
+    has at most d roots (Alon's Combinatorial Nullstellensatz).  For det(T(X))
+    every value is below min(p, k + 1), or k + 1 over QQ.
+    """
+    if not poly:
+        return None
+    support = {v for v, _ in min(poly, key=lambda mono: (len(mono), mono))}
+    poly = {mono: c for mono, c in poly.items() if all(v in support for v, _ in mono)}
+    point = [0] * nvars
+    for v in sorted(support):
+        split = [(tuple(t for t in mono if t[0] != v), dict(mono).get(v, 0), c)
+                 for mono, c in poly.items()]
+        for a in range(max(e for _, e, _ in split) + 1):
+            sub: Poly = {}
+            for rest, e, c in split:
+                sub[rest] = sub.get(rest, 0) + c * a ** e
+            if sub := fold(sub, field):
+                break
+        point[v], poly = a, sub
+    return point

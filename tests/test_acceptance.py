@@ -20,7 +20,6 @@ from cullis import (
     ParityError,
     RATIONALS,
     RectMatrix,
-    apply,
     basis_matrix,
     basis_selector,
     check_k1_form,
@@ -342,7 +341,7 @@ def test_criterion_09_width_two_counterexample():
     ok = ok and factor_two_sided(T) is None
     want = (basis_matrix(F, 4, 2, 1, 1) + basis_matrix(F, 4, 2, 2, 1)
             - basis_matrix(F, 4, 2, 4, 2))
-    ok = ok and apply(T, basis_matrix(F, 4, 2, 2, 1)) == want
+    ok = ok and T.apply(basis_matrix(F, 4, 2, 2, 1)) == want
     rng = random.Random(1009)
     for n in (4, 5, 6):
         for _ in range(100):

@@ -260,6 +260,15 @@ def test_cli_booleans_exit_2():
     assert_refused(bad_doc('{"type": "gfp", "p": true}', '"1"'))
 
 
+def test_cli_deep_nesting_exits_2():
+    deep = "[" * 100_000
+    for cmd in (["det", "--input", "-"], ["preserver", "check", "--map", "-"]):
+        proc = run_cli(*cmd, stdin=deep)
+        assert proc.returncode == 2, cmd
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+
 def test_cli_lambda_budget_env(tmp_path):
     import os
 

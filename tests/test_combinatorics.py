@@ -1,17 +1,17 @@
 import pytest
 
-from cullis import Injection, KSubset, injections, k_subsets, sgn_injection, sgn_set
+from cullis import Injection, KSubset, injections, k_subsets, sgn_injection
 from cullis.errors import IndexOutOfRange
 from oracles import oracle_subset_sign
 
 
 def test_subset_sign_examples():
-    assert sgn_set(KSubset.of(3, [1, 2])) == 1
-    assert sgn_set(KSubset.of(3, [1, 3])) == -1
-    assert sgn_set(KSubset.of(3, [2, 3])) == 1
+    assert KSubset.of(3, [1, 2]).sign == 1
+    assert KSubset.of(3, [1, 3]).sign == -1
+    assert KSubset.of(3, [2, 3]).sign == 1
     # independence of the ambient size
     for n in (3, 5, 9):
-        assert sgn_set(KSubset.of(n, [2, 3])) == 1
+        assert KSubset.of(n, [2, 3]).sign == 1
 
 
 def test_subset_sign_matches_oracle():

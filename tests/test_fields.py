@@ -6,20 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cullis import FieldMismatch, RATIONALS, ZeroInverse, gf, scalar_inv
+from cullis import FieldMismatch, RATIONALS, ZeroInverse, gf
 from cullis.fields import is_prime
 
 
 def test_inverse_examples():
-    assert scalar_inv(gf(5).element(2)) == gf(5).element(3)
-    assert scalar_inv(gf(7).element(1)) == gf(7).element(1)
-    assert scalar_inv(RATIONALS.element("3/4")) == RATIONALS.element("4/3")
-    assert scalar_inv(RATIONALS.element(1)).value == Fraction(1)
+    assert gf(5).element(2).inverse() == gf(5).element(3)
+    assert gf(7).element(1).inverse() == gf(7).element(1)
+    assert RATIONALS.element("3/4").inverse() == RATIONALS.element("4/3")
+    assert RATIONALS.element(1).inverse().value == Fraction(1)
 
 
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroInverse):
-        scalar_inv(gf(3).element(0))
+        gf(3).element(0).inverse()
     with pytest.raises(ZeroInverse):
         RATIONALS.element(0).inverse()
 

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from cullis import (
+    CalibrationError,
     RATIONALS,
     RectMatrix,
     ShapeError,
@@ -22,6 +23,7 @@ from cullis import (
     rank,
     zeros,
 )
+from cullis import lambdapoly
 from cullis.lambdapoly import diffdiff_rhs, diffsum_rhs, plainsum_rhs
 
 Q = RATIONALS
@@ -192,6 +194,14 @@ def test_diffsum_vanishes_on_proportional_rows():
     rows = [[F.random_element(rng), F.random_element(rng)] for _ in range(6)]
     rows[1] = list(rows[0])  # equal first two rows kill every difference term
     assert det(hjoin(RectMatrix.from_rows(F, rows), B)).value == 0
+
+
+def test_wrong_completion_pattern_raises(monkeypatch):
+    # the plain-sum pattern does not reproduce the diff-sum target with either sign
+    monkeypatch.setattr(lambdapoly, "_SIGN_CACHE", {})
+    monkeypatch.setattr(lambdapoly, "_diffsum_pattern", lambdapoly._plainsum_pattern)
+    with pytest.raises(CalibrationError):
+        make_b_diffsum(6, 4, gf(7))
 
 
 def test_plainsum_identity():

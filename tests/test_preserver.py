@@ -11,7 +11,6 @@ from cullis import (
     RATIONALS,
     RectMatrix,
     ShapeError,
-    apply,
     basis_matrix,
     check_k1_form,
     check_sign_condition,
@@ -53,7 +52,7 @@ def test_apply_identity_and_two_sided():
     F = gf(5)
     T = LinearMapNK.identity_map(F, 3, 2)
     X = random_matrix(F, 3, 2, random.Random(0))
-    assert apply(T, X) == X
+    assert T.apply(X) == X
     T2 = make_two_sided(identity(F, 3), identity(F, 2))
     assert T2.apply(X) == X
     assert T2 == T
@@ -136,15 +135,29 @@ def test_is_preserver_methods_and_hierarchy():
 
 
 def test_symbolic_small_field_fallback():
-    # over GF(2) formal coefficients can differ while values agree; the
-    # checker must still settle the question pointwise
+    # over GF(2) formal coefficients can differ while values agree; folding
+    # by x**2 = x must still settle the question exactly, also for k > p
     F = gf(2)
     rng = random.Random(8)
-    for _ in range(20):
-        T = LinearMapNK(2, 2, random_matrix(F, 4, 4, rng))
-        sym = is_preserver(T, "symbolic")
-        exh = is_preserver(T, "exhaustive")
-        assert sym.preserves == exh.preserves
+    for n, k in ((2, 2), (3, 3)):
+        maps = [LinearMapNK(n, k, random_matrix(F, n * k, n * k, rng)) for _ in range(20)]
+        maps.append(make_s_shift(n, k, 2, 1, F))
+        for T in maps:
+            sym = is_preserver(T, "symbolic")
+            exh = is_preserver(T, "exhaustive")
+            assert sym.preserves == exh.preserves
+            if not sym.preserves:
+                assert det(T.apply(sym.witness)) != det(sym.witness)
+
+
+def test_symbolic_report_is_seed_free():
+    for F in (gf(7), Q):
+        doubling = make_two_sided(identity(F, 4).scale(2), identity(F, 2))
+        reports = [is_preserver(doubling, "symbolic", seed=s) for s in range(5)]
+        assert reports[0].verdict == "violates"
+        assert all(r == reports[0] for r in reports)
+        w = reports[0].witness
+        assert det(doubling.apply(w)) != det(w)
 
 
 def test_symbolic_matches_exhaustive_gf3():
@@ -207,7 +220,7 @@ def test_shift_join_commutation():
 def test_corner_swap_basis_image():
     F = gf(3)
     T = make_k2_counterexample(4, F)
-    got = apply(T, basis_matrix(F, 4, 2, 2, 1))
+    got = T.apply(basis_matrix(F, 4, 2, 2, 1))
     want = (
         basis_matrix(F, 4, 2, 1, 1)
         + basis_matrix(F, 4, 2, 2, 1)

@@ -5,7 +5,7 @@ import pytest
 
 from cullis import BudgetExceeded, LinearMapNK, RATIONALS, det, gf, random_matrix, vec
 from cullis.determinant import sweep_count, sweep_plan
-from cullis.sympoly import det_poly_identity, det_poly_of_map
+from cullis.sympoly import det_poly_identity, det_poly_of_map, fold, nonzero_point
 
 
 def eval_poly(poly, point, field):
@@ -68,3 +68,15 @@ def test_expansion_guard_refuses():
     with pytest.raises(BudgetExceeded):
         det_poly_of_map(big, 13, 10, F, guard=sweep_count(13, 10) - 1)
     assert sweep_plan.cache_info().misses == before
+
+
+def test_fold_reduces_by_x_to_the_p():
+    # x0^2 x1 + x0 x1^2 = 2 x0 x1 as a function on GF(2), which is zero
+    assert fold({((0, 2), (1, 1)): 1, ((0, 1), (1, 2)): 1}, gf(2)) == {}
+    assert nonzero_point({}, 2, gf(2)) is None
+    # x0^2 x1 - x0 x1^2 = x0 x1 (x0 - x1) is not zero on GF(3)
+    F = gf(3)
+    poly = fold({((0, 2), (1, 1)): 1, ((0, 1), (1, 2)): -1}, F)
+    assert poly == {((0, 2), (1, 1)): 1, ((0, 1), (1, 2)): 2}
+    x0, x1 = nonzero_point(poly, 2, F)
+    assert (x0 ** 2 * x1 - x0 * x1 ** 2) % 3
