@@ -42,7 +42,7 @@ class RectMatrix:
         if len(entries) != n * k:
             raise LengthMismatch(f"{len(entries)} entries for a {n}x{k} matrix")
         for e in entries:
-            if not isinstance(e, Scalar) or e.field != field:
+            if not isinstance(e, Scalar) or (e.field is not field and e.field != field):
                 raise FieldMismatch(f"entry {e!r} does not belong to {field!r}")
         self_set = object.__setattr__
         self_set(self, "field", field)

@@ -11,6 +11,16 @@ On that flattening the two-sided map X -> A X B is the Kronecker product
 B^T (x) A.  `make_two_sided` writes it entry by entry and `factor_two_sided`
 reads A and B back from its blocks, accepting them only if they rebuild the
 map; invertibility is a rank test by `matrix.eliminate`.
+
+The exhaustive routines index the matrices over GF(p) by the base-p code of
+vec(X), so code i is the i-th vector in product order.  `_det_table` fills
+det mod p one linear form per run of p**n codes (det is linear in the last
+column, the fastest-varying coordinates).  The exhaustive check streams the
+inputs in that order, an odometer adding one column of T to the image per
+step, and answers with the first input whose image changes det.  The census
+fixes T's columns last coordinate first: each new column decides exactly the
+inputs whose first nonzero coordinate it owns, a contiguous run of codes, so
+a partial map is dropped at its first mismatch.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import mul
+from math import perm
+from operator import add
 
 from . import combinatorics as comb_mod
 from . import sympoly
@@ -31,7 +42,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import FieldSpec, Scalar
-from .lambdapoly import max_deg_of_columns, max_deg_over_all_A
+from .lambdapoly import _digits, max_deg_of_columns, max_deg_over_all_A
 from .matrix import (
     RectMatrix,
     basis_matrix,
@@ -170,27 +181,114 @@ def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
 def _det_table(n: int, k: int, p: int, budget: int | None = None) -> list[int]:
     """det(X) mod p for every n x k matrix X over GF(p), indexed by the
     base-p code of vec(X) (first coordinate most significant), so that entry
-    i belongs to the i-th vector of product(range(p), repeat=nk)."""
+    i belongs to the i-th vector of product(range(p), repeat=nk).
+
+    det is linear in the last column, which is the n fastest-varying
+    coordinates of vec(X).  So each run of p**n entries sharing the first
+    k - 1 columns X' is v -> sum c_i v_i mod p with c_i = det(X' | e_i), and
+    one sweep with the packed last column e_i -> 2**(w i) gives every c_i.
+    """
     nk = n * k
     total = p ** nk
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if total > limit:
         raise BudgetExceeded(f"{total} inputs exceeds budget {limit}")
-    # vec(X) is column-major, so row i of X is v[i], v[i + n], v[i + 2n], ...
-    return [sweep([v[i::n] for i in range(n)], k) % p
-            for v in product(range(p), repeat=nk)]
+    w = (perm(n - 1, k - 1) * (p - 1) ** (k - 1)).bit_length() + 1
+    units = [1 << w * i for i in range(n)]
+    table = [0] * total
+    size = p ** n
+    for start, head in zip(range(0, total, size), product(range(p), repeat=nk - n)):
+        # vec(X) is column-major, so row i of X' is head[i], head[i + n], ...
+        packed = sweep([list(head[i::n]) + [units[i]] for i in range(n)], k)
+        block = [0]
+        for c in _digits(packed, w, n):
+            block = [(x + c * d) % p for x in block for d in range(p)]
+        table[start:start + size] = block
+    return table
 
 
-def _first_violation(rows, table: list[int], p: int, vecs) -> tuple[int, ...] | None:
-    """First v among `vecs` (in product order, so v's code is its position)
-    whose image under the map with raw matrix rows `rows` changes det."""
-    for code, v in enumerate(vecs):
-        y = 0
-        for r in rows:
-            y = y * p + sum(map(mul, r, v)) % p
-        if table[y] != table[code]:
-            return v
+def _lift(maps: list[list[int]], p: int) -> list[int]:
+    """For every base-p code z of len(maps) digits, in order, the code of
+    (maps[0][z_0], maps[1][z_1], ...): digit-wise maps of whole codes."""
+    out = [0]
+    for f in maps:
+        out = [x * p + y for x in out for y in f]
+    return out
+
+
+def _width(p: int, cap: int, most: int) -> int:
+    """The largest g <= most with p**g <= cap, and at least 1."""
+    g = 1
+    while g < most and p ** (g + 1) <= cap:
+        g += 1
+    return g
+
+
+def _first_violation(cols: list[list[int]], table: list[int], p: int) -> int | None:
+    """Code of the first input v, in product order, with det(T v) != det(v),
+    where T has raw columns `cols`; None when T preserves det.
+
+    Inputs go in blocks sharing all but the last L coordinates (L >= 1 and
+    p**L <= 1024 where possible).  The images of the tails are computed once; the head of v
+    advances as an odometer, each step adding one column of T to the head's
+    image y.  Image codes are sums over spans of g output coordinates
+    (p**g <= 64): on a span, y + z digit-wise mod p is one lookup in a row
+    built once per digits of y.  Each block is then compared with its slice
+    of the table, so memory is the table plus one block.
+    """
+    nk = len(cols)
+    g, tail = _width(p, 64, nk), _width(p, 1024, nk)
+    spans = [(lo, min(lo + g, nk)) for lo in range(0, nk, g)]
+    rows: dict[tuple, list[int]] = {}
+
+    def shift(digits: tuple[int, ...], codes: list[int], place: int = 1) -> list[int]:
+        """place times the code of digits + z, digit-wise mod p, for every code z."""
+        if p > 64:  # one digit per span, and a row per digit would take p**2 entries
+            a = digits[0]
+            return [(a + z) % p * place for z in codes]
+        row = rows.get((digits, place))
+        if row is None:
+            row = rows[digits, place] = [place * x for x in _lift(
+                [[(a + d) % p for d in range(p)] for a in digits], p)]
+        return list(map(row.__getitem__, codes))
+
+    # per span, the codes of the images of every tail, in product order
+    tails = []
+    for lo, hi in spans:
+        codes = [0]
+        for col in cols[nk - tail:]:
+            parts = [shift(tuple(d * x % p for x in col[lo:hi]), codes) for d in range(p)]
+            codes = [c for images in zip(*parts) for c in images]
+        tails.append(codes)
+
+    size = p ** tail
+    head = [0] * (nk - tail)
+    y = [0] * nk
+    for start in range(0, len(table), size):
+        m = len(head)
+        while start:  # odometer: every digit that turns over adds its column
+            m -= 1
+            head[m] = (head[m] + 1) % p
+            y = [(a + x) % p for a, x in zip(y, cols[m])]
+            if head[m]:
+                break
+        codes = None
+        for (lo, hi), zs in zip(spans, tails):
+            part = shift(tuple(y[lo:hi]), zs, p ** (nk - hi))
+            codes = part if codes is None else list(map(add, codes, part))
+        got = list(map(table.__getitem__, codes))
+        if got != table[start:start + size]:
+            return start + next(j for j, d in enumerate(got) if d != table[start + j])
     return None
+
+
+def _vector(code: int, p: int, length: int) -> list[int]:
+    """The `length` base-p digits of code, most significant first."""
+    out = []
+    for _ in range(length):
+        code, d = divmod(code, p)
+        out.append(d)
+    return out[::-1]
 
 
 def _is_preserver_exhaustive(T: LinearMapNK, budget: int | None) -> PreserverReport:
@@ -199,10 +297,10 @@ def _is_preserver_exhaustive(T: LinearMapNK, budget: int | None) -> PreserverRep
     p = T.field.p
     nk = T.n * T.k
     table = _det_table(T.n, T.k, p, budget)
-    rows = [[e.value for e in T.mat.row(i)] for i in range(1, nk + 1)]
-    v = _first_violation(rows, table, p, product(range(p), repeat=nk))
-    if v is not None:
-        witness = unvec([T.field.element(x) for x in v], T.n, T.k, T.field)
+    cols = [[e.value for e in T.mat.column(m)] for m in range(1, nk + 1)]
+    code = _first_violation(cols, table, p)
+    if code is not None:
+        witness = unvec([T.field.element(x) for x in _vector(code, p, nk)], T.n, T.k, T.field)
         return PreserverReport("violates", "exhaustive", witness)
     return PreserverReport("preserves", "exhaustive")
 
@@ -315,11 +413,6 @@ def detn2_partner(X: RectMatrix) -> RectMatrix:
     return RectMatrix.from_rows(X.field, rows)
 
 
-def verify_detn2_identity(X: RectMatrix) -> bool:
-    """Check det(X) = det(partner of X) on a concrete two-column input."""
-    return det(X) == det(detn2_partner(X))
-
-
 def make_k2_counterexample(n: int, field: FieldSpec) -> LinearMapNK:
     """The two-column determinant preserver that swaps opposite corner cells
     through signed sums; not expressible as X -> A @ X @ B."""
@@ -417,9 +510,19 @@ class Census:
 
 def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> Census:
     """Every linear map over GF(p) passing the exhaustive preservation check,
-    iterated in row-major lexicographic matrix order."""
+    in row-major lexicographic order of their matrices.
+
+    The columns of T are fixed last coordinate first.  Once columns
+    m..nk-1 are fixed, the images of the inputs whose first nonzero
+    coordinate is m, codes p**(nk-1-m) .. p**(nk-m) - 1 in product order,
+    are a * col_m + (an image already known), and a branch is dropped at the
+    first of them whose image changes det.  The budget counts all
+    p**((nk)**2) maps, as a brute force would, and refuses before any work.
+    """
     from .fields import gf
 
+    if k > n:
+        raise ShapeError(f"{n}x{k}: need at least as many rows as columns")
     field = gf(p)
     nk = n * k
     space = p ** (nk * nk)
@@ -428,15 +531,50 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
         raise BudgetExceeded(f"{space} maps exceeds budget {limit}")
 
     table = _det_table(n, k, p, budget)
-    vecs = list(product(range(p), repeat=nk))
+    size = len(table)
+    vectors = list(product(range(p), repeat=nk))
+    scaled = [_lift([[a * d % p for d in range(p)]] * nk, p) for a in range(p)]
+    sums: dict[int, list[int]] = {}
 
+    def plus(x: int) -> list[int]:
+        """code(x + z) for every code z."""
+        r = sums.get(x)
+        if r is None:
+            r = sums[x] = _lift([[(a + d) % p for d in range(p)] for a in vectors[x]], p)
+        return r
+
+    # the first input of each run is a * e_m, whose image a * col_m alone
+    # already rules out most columns
+    fits = {run: [x for x in range(size)
+                  if all(table[scaled[a][x]] == table[a * run] for a in range(1, p))]
+            for run in (p ** j for j in range(nk))}
     found = []
-    for flat in product(range(p), repeat=nk * nk):
-        rows = [flat[r * nk : (r + 1) * nk] for r in range(nk)]
-        if _first_violation(rows, table, p, vecs) is None:
-            mat = RectMatrix.from_rows(field, [[field.element(x) for x in r] for r in rows])
-            found.append(LinearMapNK(n, k, mat))
-    return Census(len(found), tuple(found))
+    cols = [0] * nk
+
+    def extend(m: int, images: list[int]):
+        # images[z]: code of T applied to the input with code z < p**(nk - m)
+        if m == 0:
+            found.append(tuple(vectors[cols[j]][r] for r in range(nk) for j in range(nk)))
+            return
+        m -= 1
+        run = len(images)
+        for x in fits[run]:
+            grown = images
+            for a in range(1, p):
+                new = list(map(plus(scaled[a][x]).__getitem__, images))
+                if list(map(table.__getitem__, new)) != table[a * run:(a + 1) * run]:
+                    break
+                grown = grown + new
+            else:
+                cols[m] = x
+                extend(m, grown)
+
+    extend(nk, [0])
+    found.sort()
+    elements = [field.element(x) for x in range(p)]
+    maps = tuple(LinearMapNK(n, k, RectMatrix(field, nk, nk, [elements[x] for x in flat]))
+                 for flat in found)
+    return Census(len(maps), maps)
 
 
 def check_k1_form(T: LinearMapNK) -> bool:

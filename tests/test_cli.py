@@ -172,6 +172,19 @@ def test_cli_preserver_workflow(tmp_path):
     assert proc.returncode == 3
 
 
+def test_cli_enumerate_shape_and_budget():
+    # more columns than rows is bad usage, refused before the budget is read
+    for budget in ((), ("--budget", "1")):
+        proc = run_cli("preserver", "enumerate", "--n", "1", "--k", "2", "--p", "2", *budget)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+    proc = run_cli("preserver", "enumerate", "--n", "2", "--k", "2", "--p", "3")
+    assert proc.returncode == 3 and proc.stdout == ""
+    proc = run_cli("preserver", "enumerate", "--n", "2", "--k", "2", "--p", "3",
+                   "--budget", str(3 ** 16))
+    assert proc.returncode == 0 and json.loads(proc.stdout) == {"count": 1152}
+
+
 def test_cli_check_violates_carries_witness(tmp_path):
     F = gf(5)
     doubled = LinearMapNK.identity_map(F, 3, 2).mat.scale(2)

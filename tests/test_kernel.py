@@ -228,7 +228,8 @@ def test_deg_witness_is_the_first_in_assignment_order():
 
 
 def test_det_table_is_indexed_by_product_order():
-    for n, k, p in ((2, 1, 3), (3, 2, 2), (2, 2, 3), (3, 1, 5)):
+    # k = 1 is one block; k = 3 fills blocks from forms of two fixed columns
+    for n, k, p in ((2, 1, 3), (3, 2, 2), (2, 2, 3), (3, 1, 5), (4, 1, 3), (3, 3, 2)):
         F = gf(p)
         table = _det_table(n, k, p)
         vecs = list(product(range(p), repeat=n * k))

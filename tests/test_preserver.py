@@ -33,7 +33,7 @@ from cullis import (
     random_matrix,
     rank,
     s_shift_apply,
-    verify_detn2_identity,
+    unvec,
     zeros,
 )
 
@@ -249,9 +249,9 @@ def test_detn2_identity():
     for n in (4, 5, 6):
         for _ in range(25):
             X = random_matrix(gf(7), n, 2, rng)
-            assert verify_detn2_identity(X)
-    assert verify_detn2_identity(zeros(Q, 5, 2))
-    assert verify_detn2_identity(ones(Q, 5, 2))
+            assert det(X) == det(detn2_partner(X))
+    for X in (zeros(Q, 5, 2), ones(Q, 5, 2)):
+        assert det(X) == det(detn2_partner(X))
     partner = detn2_partner(ones(Q, 4, 2))
     assert det(partner).value == 0
 
@@ -407,6 +407,82 @@ def test_census_counts():
     assert enumerate_preservers(3, 1, 2).count == 64
     with pytest.raises(BudgetExceeded):
         enumerate_preservers(2, 2, 3, budget=1000)
+    # more columns than rows is refused before the budget is read
+    for budget in (None, 1):
+        with pytest.raises(ShapeError):
+            enumerate_preservers(1, 2, 2, budget)
+
+
+def det_values(n, k, p):
+    """det(X) for every X over GF(p), in product order of vec(X)."""
+    F = gf(p)
+    return [det(unvec([F.element(x) for x in v], n, k, F)).value
+            for v in product(range(p), repeat=n * k)]
+
+
+def brute_force_census(n, k, p):
+    """Every (nk) x (nk) matrix over GF(p), in row-major order, that keeps
+    det on every input: the loop over all p**((nk)**2) maps."""
+    nk = n * k
+    dets = det_values(n, k, p)
+    vecs = list(product(range(p), repeat=nk))
+    found = []
+    for flat in product(range(p), repeat=nk * nk):
+        rows = [flat[r * nk:(r + 1) * nk] for r in range(nk)]
+        for code, v in enumerate(vecs):
+            image = 0
+            for r in rows:
+                image = image * p + sum(a * x for a, x in zip(r, v)) % p
+            if dets[image] != dets[code]:
+                break
+        else:
+            found.append(flat)
+    return found
+
+
+def test_census_matches_brute_force():
+    for (n, k, p), count in (((2, 1, 2), 4), ((2, 1, 3), 9), ((3, 1, 2), 64),
+                             ((2, 2, 2), 72), ((4, 1, 2), 4096)):
+        census = enumerate_preservers(n, k, p)
+        got = [tuple(e.value for e in T.mat.entries) for T in census.maps]
+        assert got == brute_force_census(n, k, p)
+        assert census.count == len(got) == count
+
+
+def test_census_reaches_2x2_over_gf3():
+    # brute force would check 3**16 (43M) maps; the Frobenius count is
+    # 2 |GL_2(3)|**2 / (3 - 1)**2, every member invertible
+    census = enumerate_preservers(2, 2, 3, budget=3 ** 16)
+    assert census.count == 2 * 48 ** 2 // 2 ** 2 == 1152
+    assert all(T.is_invertible() for T in census.maps)
+
+
+def first_violation_by_search(T):
+    """The first input in product order whose image changes det, or None."""
+    F, n, k = T.field, T.n, T.k
+    dets = det_values(n, k, F.p)
+    for code, v in enumerate(product(range(F.p), repeat=n * k)):
+        X = unvec([F.element(x) for x in v], n, k, F)
+        if det(T.apply(X)).value != dets[code]:
+            return X
+    return None
+
+
+def test_exhaustive_matches_product_order_search():
+    rng = random.Random(23)
+    for n, k, p in ((3, 2, 3), (4, 1, 5), (3, 3, 2)):
+        F = gf(p)
+        maps = [LinearMapNK(n, k, random_matrix(F, n * k, n * k, rng)) for _ in range(30)]
+        maps.append(LinearMapNK.identity_map(F, n, k))
+        if (n + k) % 2:
+            maps.append(make_singular_preserver(n, k, F))
+        else:
+            maps.append(make_s_shift(n, k, 2, 3, F))
+        for T in maps:
+            rep = is_preserver(T, "exhaustive")
+            want = first_violation_by_search(T)
+            assert rep.preserves == (want is None)
+            assert rep.witness == want
 
 
 def test_census_members_verify_and_satisfy_column_condition():
