@@ -24,7 +24,7 @@ from math import perm
 from .determinant import det_int, sweep
 from .errors import CalibrationError, FieldMismatch, ShapeError, ShapeMismatch
 from .fields import RATIONALS, FieldSpec, Scalar
-from .matrix import RectMatrix, from_raw, raw_rows
+from .matrix import RectMatrix, eliminate, from_raw, raw_rows
 
 
 @dataclass(frozen=True)
@@ -115,27 +115,31 @@ def _raw_columns(X: RectMatrix) -> tuple[list[list[int]], int | None]:
     return [list(c) for c in zip(*rows)], X.field.p
 
 
-def max_deg_of_columns(cols: list[list[int]], n: int, p: int | None) -> int:
-    """`max_deg_over_all_A` on raw columns of an n-row matrix."""
-    k = len(cols)
-    for d in range(k, 0, -1):
-        for S in combinations(range(k), d):
-            if _first_completion([cols[j] for j in S], n, k - d, p) is not None:
-                return d
-    return 0
+def _completion_scan(cols: list[list[int]], n: int, k: int, d: int, p: int | None):
+    """(S, R): S the first d-subset of `cols`, raw columns of an n x k matrix,
+    that some k - d basis columns complete to a nonzero det, and R their first
+    rows (`_first_completion`); None when there is none.  Completable sets
+    are closed under subsets: expand a dropped column of S in the standard
+    basis, and one term is a nonzero completion of the rest."""
+    for S in combinations(range(len(cols)), d):
+        R = _first_completion([cols[j] for j in S], n, k - d, p)
+        if R is not None:
+            return S, R
+    return None
 
 
 def max_deg_over_all_A(B: RectMatrix) -> int:
     """Exact maximum over all A of the formal degree of det(A + t*B).
 
-    Checked from degree k downward; a coefficient vanishes for every A
-    exactly when it vanishes with standard basis vectors in every free
-    column slot.
+    The first d, from rank(B) downward, at which `_completion_scan` finds d
+    columns of B that basis columns complete to a nonzero det; any more
+    columns of B than its rank are dependent.
     """
     if B.k > B.n:
         raise ShapeError(f"{B.n}x{B.k}: need at least as many rows as columns")
     cols, p = _raw_columns(B)
-    return max_deg_of_columns(cols, B.n, p)
+    top = eliminate([c[:] for c in cols], p)[0]
+    return next((d for d in range(top, 0, -1) if _completion_scan(cols, B.n, B.k, d, p)), 0)
 
 
 def deg_witness(B: RectMatrix, d: int) -> RectMatrix | None:
@@ -147,16 +151,16 @@ def deg_witness(B: RectMatrix, d: int) -> RectMatrix | None:
         raise ShapeError(f"degree {d} outside 2..{B.k}")
     n, k = B.n, B.k
     cols, p = _raw_columns(B)
-    for S in combinations(range(k), d):
-        free = [j for j in range(k) if j not in S]
-        R = _first_completion([cols[j] for j in S], n, k - d, p)
-        if R is not None:
-            z, o = B.field.zero, B.field.one
-            wcols = [[z] * n for _ in range(k)]
-            for j, t in zip(free, R):
-                wcols[j][t] = o
-            return RectMatrix.from_columns(B.field, wcols)
-    return None
+    if d > eliminate([c[:] for c in cols], p)[0]:  # d dependent columns of B
+        return None
+    found = _completion_scan(cols, n, k, d, p)
+    if found is None:
+        return None
+    S, R = found
+    wcols = [[B.field.zero] * n for _ in range(k)]
+    for j, t in zip([j for j in range(k) if j not in S], R):
+        wcols[j][t] = B.field.one
+    return RectMatrix.from_columns(B.field, wcols)
 
 
 def all_completions_vanish(X: RectMatrix, k: int) -> bool:

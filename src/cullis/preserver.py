@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import chain, combinations, product
 from math import perm
 from operator import add
 
@@ -42,7 +43,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import FieldSpec, Scalar
-from .lambdapoly import _digits, max_deg_of_columns, max_deg_over_all_A
+from .lambdapoly import _completion_scan, _digits, _raw_columns
 from .matrix import (
     RectMatrix,
     basis_matrix,
@@ -178,33 +179,42 @@ def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
 # -- preservation checking -------------------------------------------------------
 
 
-def _det_table(n: int, k: int, p: int, budget: int | None = None) -> list[int]:
+def _det_table(n: int, k: int, p: int, budget: int | None = None) -> tuple[int, ...]:
     """det(X) mod p for every n x k matrix X over GF(p), indexed by the
     base-p code of vec(X) (first coordinate most significant), so that entry
     i belongs to the i-th vector of product(range(p), repeat=nk).
+
+    The budget counts the p**(nk) entries and is checked on every call; the
+    tables themselves are read-only and the last eight built are kept.
+    """
+    total = p ** (n * k)
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    if total > limit:
+        raise BudgetExceeded(f"{total} inputs exceeds budget {limit}")
+    return _build_det_table(n, k, p)
+
+
+@lru_cache(maxsize=8)
+def _build_det_table(n: int, k: int, p: int) -> tuple[int, ...]:
+    """`_det_table` without the budget check.
 
     det is linear in the last column, which is the n fastest-varying
     coordinates of vec(X).  So each run of p**n entries sharing the first
     k - 1 columns X' is v -> sum c_i v_i mod p with c_i = det(X' | e_i), and
     one sweep with the packed last column e_i -> 2**(w i) gives every c_i.
     """
-    nk = n * k
-    total = p ** nk
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceeded(f"{total} inputs exceeds budget {limit}")
     w = (perm(n - 1, k - 1) * (p - 1) ** (k - 1)).bit_length() + 1
     units = [1 << w * i for i in range(n)]
-    table = [0] * total
-    size = p ** n
-    for start, head in zip(range(0, total, size), product(range(p), repeat=nk - n)):
+
+    def block(head: tuple[int, ...]) -> list[int]:
         # vec(X) is column-major, so row i of X' is head[i], head[i + n], ...
         packed = sweep([list(head[i::n]) + [units[i]] for i in range(n)], k)
-        block = [0]
+        out = [0]
         for c in _digits(packed, w, n):
-            block = [(x + c * d) % p for x in block for d in range(p)]
-        table[start:start + size] = block
-    return table
+            out = [(x + c * d) % p for x in out for d in range(p)]
+        return out
+
+    return tuple(chain.from_iterable(map(block, product(range(p), repeat=n * k - n))))
 
 
 def _lift(maps: list[list[int]], p: int) -> list[int]:
@@ -224,7 +234,7 @@ def _width(p: int, cap: int, most: int) -> int:
     return g
 
 
-def _first_violation(cols: list[list[int]], table: list[int], p: int) -> int | None:
+def _first_violation(cols: list[list[int]], table: tuple[int, ...], p: int) -> int | None:
     """Code of the first input v, in product order, with det(T v) != det(v),
     where T has raw columns `cols`; None when T preserves det.
 
@@ -276,7 +286,7 @@ def _first_violation(cols: list[list[int]], table: list[int], p: int) -> int | N
         for (lo, hi), zs in zip(spans, tails):
             part = shift(tuple(y[lo:hi]), zs, p ** (nk - hi))
             codes = part if codes is None else list(map(add, codes, part))
-        got = list(map(table.__getitem__, codes))
+        got = tuple(map(table.__getitem__, codes))
         if got != table[start:start + size]:
             return start + next(j for j, d in enumerate(got) if d != table[start + j])
     return None
@@ -441,15 +451,18 @@ def make_singular_preserver(n: int, k: int, field: FieldSpec) -> LinearMapNK:
 
 
 def in_radical(W: RectMatrix) -> bool:
-    """True when det(V + t*W) = det(V) holds identically in t for every V."""
+    """True when det(V + t*W) = det(V) identically in t for every V: no column
+    of W is completable, completable sets being closed under subsets (`_completion_scan`)."""
     if W.k > W.n:
         raise ShapeError(f"{W.n}x{W.k}: need at least as many rows as columns")
-    return max_deg_over_all_A(W) == 0
+    cols, p = _raw_columns(W)
+    return _completion_scan(cols, W.n, W.k, 1, p) is None
 
 
 def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list[RectMatrix]:
     """All matrices over GF(p) lying in the radical of the determinant,
-    enumerated in row-major lexicographic order."""
+    enumerated in row-major lexicographic order: the k-th power of the
+    columns that pass `in_radical`.  The budget still counts p**(nk)."""
     from .fields import gf
 
     field = gf(p)
@@ -459,12 +472,9 @@ def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list
         raise BudgetExceeded(f"{total} matrices exceeds budget {limit}")
     if k > n:
         raise ShapeError(f"{n}x{k}: need at least as many rows as columns")
-    out = []
-    for flat in product(range(p), repeat=n * k):
-        # flat is row-major, so column j is flat[j], flat[j + k], ...
-        if max_deg_of_columns([flat[j::k] for j in range(k)], n, p) == 0:
-            out.append(RectMatrix(field, n, k, [field.element(x) for x in flat]))
-    return out
+    good = [c for c in product(range(p), repeat=n) if _completion_scan([c], n, k, 1, p) is None]
+    flats = sorted(tuple(x for row in zip(*cs) for x in row) for cs in product(good, repeat=k))
+    return [RectMatrix(field, n, k, [field.element(x) for x in flat]) for flat in flats]
 
 
 # -- factorisation ------------------------------------------------------------------
@@ -562,7 +572,7 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
             grown = images
             for a in range(1, p):
                 new = list(map(plus(scaled[a][x]).__getitem__, images))
-                if list(map(table.__getitem__, new)) != table[a * run:(a + 1) * run]:
+                if tuple(map(table.__getitem__, new)) != table[a * run:(a + 1) * run]:
                     break
                 grown = grown + new
             else:

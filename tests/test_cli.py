@@ -142,6 +142,9 @@ def test_cli_preserver_workflow(tmp_path):
     proc = run_cli("preserver", "radical", "--n", "2", "--k", "3", "--p", "2")
     assert proc.returncode == 2 and proc.stdout == ""
 
+    proc = run_cli("preserver", "radical", "--n", "4", "--k", "3", "--p", "5")
+    assert proc.returncode == 3 and proc.stdout == ""
+
     proc = run_cli("preserver", "make-k2", "--n", "4", "--p", "3")
     assert proc.returncode == 0
     k2_path = tmp_path / "k2.json"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cullis import (
     BudgetExceeded,
+    LinearMapNK,
     RATIONALS,
     RectMatrix,
     ResourceGuard,
@@ -20,7 +21,9 @@ from cullis import (
     det_definition,
     det_laplace,
     det_minorsum,
+    enumerate_preservers,
     gf,
+    is_preserver,
     lambda_coeffs,
     random_matrix,
     unvec,
@@ -33,7 +36,7 @@ from cullis.determinant import (
     sweep_count,
     sweep_plan,
 )
-from cullis.preserver import _det_table
+from cullis.preserver import _build_det_table, _det_table
 from oracles import oracle_det
 
 Q = RATIONALS
@@ -238,3 +241,15 @@ def test_det_table_is_indexed_by_product_order():
             assert table[code] == det(unvec([F.element(x) for x in v], n, k, F)).value
     with pytest.raises(BudgetExceeded):
         _det_table(4, 2, 5, budget=100)
+
+
+def test_det_table_is_shared_and_still_budgeted():
+    table = _det_table(2, 1, 3)
+    assert isinstance(table, tuple) and _det_table(2, 1, 3, budget=9) is table
+    hits = _build_det_table.cache_info().hits
+    assert enumerate_preservers(2, 1, 3).count == 9
+    assert is_preserver(LinearMapNK.identity_map(gf(3), 2, 1), "exhaustive").preserves
+    assert _build_det_table.cache_info().hits == hits + 2
+    # a kept table is still refused over budget
+    with pytest.raises(BudgetExceeded):
+        _det_table(2, 1, 3, budget=8)

@@ -120,6 +120,26 @@ def test_width_three_exception_matrix():
     assert max_deg_over_all_A(low_degree_rank_two_matrix(gf(5), 6)) == 1
 
 
+def test_degree_scans_start_at_rank(monkeypatch):
+    scanned = []
+    scan = lambdapoly._completion_scan
+
+    def spy(cols, n, k, d, p):
+        scanned.append(d)
+        return scan(cols, n, k, d, p)
+
+    monkeypatch.setattr(lambdapoly, "_completion_scan", spy)
+    F = gf(5)
+    rng = random.Random(25)
+    B = rank_le1(F, 7, 5, rng)
+    while B.is_zero():
+        B = rank_le1(F, 7, 5, rng)
+    assert max_deg_over_all_A(B) == 1 and scanned == [1]
+    assert max_deg_over_all_A(zeros(F, 4, 3)) == 0 and scanned == [1]
+    assert all(deg_witness(B, d) is None for d in range(2, 6)) and scanned == [1]
+    assert deg_witness(low_degree_rank_two_matrix(F, 6), 2) is None and scanned == [1, 2]
+
+
 def test_deg_witness():
     F = gf(5)
     rng = random.Random(24)

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -36,6 +36,7 @@ from cullis import (
     unvec,
     zeros,
 )
+from oracles import oracle_det
 
 Q = RATIONALS
 
@@ -309,6 +310,65 @@ def test_radical_enumerations():
         radical_enumerate(4, 2, 5, budget=100)
     with pytest.raises(ShapeError):
         radical_enumerate(2, 3, 2)
+    # the budget is read before the shape
+    with pytest.raises(BudgetExceeded):
+        radical_enumerate(2, 3, 2, budget=1)
+
+
+def brute_force_radical(n, k, p):
+    """Every n x k matrix W over GF(p), in row-major order, in the radical:
+    the loop over all p**(nk) matrices.  The coefficients of det(V + t*W)
+    are sums over column sets S of W of terms with disjoint monomials in V,
+    each multilinear and alternating in V's other columns, so W is in the
+    radical when no nonempty S, with distinct basis columns in the other
+    slots, has a nonzero det (by the package-free `oracle_det`)."""
+    found = []
+    for flat in product(range(p), repeat=n * k):
+        cols = [flat[j::k] for j in range(k)]
+        completions = ([cols[j] for j in S] + [[int(r == t) for r in range(n)] for t in R]
+                       for d in range(1, k + 1) for S in combinations(range(k), d)
+                       for R in permutations(range(n), k - d))
+        if not any(oracle_det([list(row) for row in zip(*chosen)], p) for chosen in completions):
+            found.append(flat)
+    return found
+
+
+def test_radical_matches_brute_force():
+    for n, k, p in ((3, 2, 3), (4, 2, 3), (3, 1, 5), (4, 1, 3), (3, 3, 2), (4, 3, 2),
+                    (5, 2, 2), (2, 2, 5)):
+        got = [tuple(e.value for e in W.entries) for W in radical_enumerate(n, k, p)]
+        assert got == brute_force_radical(n, k, p), (n, k, p)
+
+
+def test_radical_closed_form_sizes():
+    # too large for the brute force: p**(n-1) for k = 1, p**k for k >= 2
+    # with n + k odd, and only zero for n + k even
+    for (n, k, p), size in (((5, 3, 3), 1), ((6, 3, 3), 27), ((6, 4, 2), 1), ((7, 4, 2), 16),
+                            ((5, 1, 7), 7 ** 4)):
+        members = radical_enumerate(n, k, p, budget=p ** (n * k))
+        assert len(members) == size, (n, k, p)
+        assert members[0].is_zero()
+        assert ((n + k) % 2 == 1) == any(w == ones(gf(p), n, k) for w in members)
+
+
+def test_in_radical_is_degree_zero():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(400):
+        F = rng.choice([gf(2), gf(3), gf(5), Q])
+        n = rng.randrange(1, 7)
+        k = rng.randrange(1, min(n, 4) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            W = random_matrix(F, n, k, rng)
+        elif kind == 1:
+            W = RectMatrix.from_columns(F, [[F.random_element(rng)] * n for _ in range(k)])
+        else:
+            W = ones(F, n, k).with_scaled_column(1 + rng.randrange(k), F.random_element(rng))
+        member = in_radical(W)
+        assert member == (max_deg_over_all_A(W) == 0)
+        seen.add(member)
+    assert seen == {False, True}
 
 
 # -- factorisation ----------------------------------------------------------------------
@@ -470,7 +530,7 @@ def first_violation_by_search(T):
 
 def test_exhaustive_matches_product_order_search():
     rng = random.Random(23)
-    for n, k, p in ((3, 2, 3), (4, 1, 5), (3, 3, 2)):
+    for n, k, p in ((3, 2, 3), (4, 1, 5), (3, 3, 2), (2, 1, 67)):
         F = gf(p)
         maps = [LinearMapNK(n, k, random_matrix(F, n * k, n * k, rng)) for _ in range(30)]
         maps.append(LinearMapNK.identity_map(F, n, k))
