@@ -28,7 +28,6 @@ from .preserver import (
     make_two_sided,
     radical_enumerate,
 )
-from .verify import run_verification
 
 
 def _budget(args) -> int | None:
@@ -138,6 +137,8 @@ def _parse_shapes(text: str):
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification  # the table loads only for this command
+
     shapes = _parse_shapes(args.shapes) if args.shapes else None
     primes = tuple(int(p) for p in args.p.split(",")) if args.p else None
     report = run_verification(shapes=shapes, primes=primes, seed=args.seed)

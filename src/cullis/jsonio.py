@@ -71,8 +71,7 @@ def _read(d, key: str, what: str, size) -> tuple[int, int, RectMatrix]:
         raise ValueError(f"expected {rows} {what} rows")
     if any(not isinstance(row, list) or len(row) != width for row in body):
         raise ValueError(f"expected {what} rows of {width} entries")
-    return n, k, RectMatrix.from_rows(
-        field, [[field.element(_checked(v, "entry")) for v in row] for row in body])
+    return n, k, RectMatrix.from_rows(field, [[_checked(v, "entry") for v in row] for row in body])
 
 
 def matrix_from_dict(d) -> RectMatrix:

@@ -276,7 +276,7 @@ def vec(X: RectMatrix) -> tuple[Scalar, ...]:
     )
 
 
-def unvec(v: Sequence[Scalar], n: int, k: int, field: FieldSpec) -> RectMatrix:
+def unvec(v: Sequence, n: int, k: int, field: FieldSpec) -> RectMatrix:
     if len(v) != n * k:
         raise LengthMismatch(f"vector of length {len(v)} for shape {n}x{k}")
     ent = [None] * (n * k)

@@ -310,7 +310,7 @@ def _is_preserver_exhaustive(T: LinearMapNK, budget: int | None) -> PreserverRep
     cols = [[e.value for e in T.mat.column(m)] for m in range(1, nk + 1)]
     code = _first_violation(cols, table, p)
     if code is not None:
-        witness = unvec([T.field.element(x) for x in _vector(code, p, nk)], T.n, T.k, T.field)
+        witness = unvec(_vector(code, p, nk), T.n, T.k, T.field)
         return PreserverReport("violates", "exhaustive", witness)
     return PreserverReport("preserves", "exhaustive")
 
@@ -335,7 +335,7 @@ def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverRepor
     point = sympoly.nonzero_point(sympoly.fold(diff, T.field), T.n * T.k, T.field)
     if point is None:
         return PreserverReport("preserves", "symbolic")
-    witness = unvec([T.field.element(x) for x in point], T.n, T.k, T.field)
+    witness = unvec(point, T.n, T.k, T.field)
     return PreserverReport("violates", "symbolic", witness)
 
 
@@ -470,8 +470,8 @@ def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if total > limit:
         raise BudgetExceeded(f"{total} matrices exceeds budget {limit}")
-    if k > n:
-        raise ShapeError(f"{n}x{k}: need at least as many rows as columns")
+    if not 1 <= k <= n:
+        raise ShapeError(f"{n}x{k}: need n >= k >= 1")
     good = [c for c in product(range(p), repeat=n) if _completion_scan([c], n, k, 1, p) is None]
     flats = sorted(tuple(x for row in zip(*cs) for x in row) for cs in product(good, repeat=k))
     return [RectMatrix(field, n, k, [field.element(x) for x in flat]) for flat in flats]
@@ -531,8 +531,8 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
     """
     from .fields import gf
 
-    if k > n:
-        raise ShapeError(f"{n}x{k}: need at least as many rows as columns")
+    if not 1 <= k <= n:
+        raise ShapeError(f"{n}x{k}: need n >= k >= 1")
     field = gf(p)
     nk = n * k
     space = p ** (nk * nk)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import lcm
 
-from . import combinatorics as comb_mod
 from .determinant import sweep_count, sweep_plan
 from .errors import BudgetExceeded
 from .fields import FieldSpec
@@ -27,19 +25,11 @@ Poly = dict[Monomial, object]
 
 @lru_cache(maxsize=16)
 def det_poly_identity(n: int, k: int, field: FieldSpec) -> Poly:
-    """det(X) as a polynomial in the nk entry variables of X; cached, so
-    callers must not modify it."""
+    """det(X) as a polynomial in the nk entry variables of X: `det_poly_of_map`
+    of the identity map; cached, so callers must not modify it."""
     one = 1 if field.kind == "prime" else Fraction(1)
-    p = field.p
-    poly: Poly = {}
-    for images in permutations(range(1, n + 1), k):
-        s = comb_mod.perm_sign_of(images) * comb_mod.sgn_of_subset(sorted(images))
-        mono = tuple(sorted(((i - 1) + j * n, 1) for j, i in enumerate(images)))
-        coeff = one if s > 0 else -one
-        if field.kind == "prime":
-            coeff %= p
-        poly[mono] = coeff
-    return poly
+    nk = n * k
+    return det_poly_of_map([[one * (r == c) for c in range(nk)] for r in range(nk)], n, k, field)
 
 
 def det_poly_of_map(mat_rows: list[list], n: int, k: int, field: FieldSpec,

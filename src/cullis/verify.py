@@ -96,6 +96,18 @@ def _unimodular(field, k, rng):
             return B.with_scaled_column(1, d.inverse())
 
 
+def _cases(shapes, primes, rng, draws, keep=lambda n, k: True):
+    """(F, n, k, X) for `draws` random n x k matrices X over each GF(p), for
+    every kept shape and modulus in order.  X is drawn only when the next
+    case is asked for, so a check's own draws in between come from rng in
+    the order it makes them."""
+    for (n, k), p in product(shapes, primes):
+        if keep(n, k):
+            F = gf(p)
+            for _ in range(draws):
+                yield F, n, k, random_matrix(F, n, k, rng)
+
+
 def _sign_pairs(field, n, k, rng):
     """A few (A, B) pairs satisfying the two-sided sign condition."""
     pairs = [(identity(field, n), identity(field, k)),
@@ -149,80 +161,62 @@ def _chk_basis_sign(shapes, primes, rng):
 
 @_check("column-multilinearity", shapes=((4, 2), (5, 3)), primes=(5, 7))
 def _chk_multilinear(shapes, primes, rng):
-    for (n, k), p in product(shapes, primes):
-        F = gf(p)
-        for _ in range(10):
-            X = random_matrix(F, n, k, rng)
-            u = [F.random_element(rng) for _ in range(n)]
-            v = [F.random_element(rng) for _ in range(n)]
-            a, b = F.random_element(rng), F.random_element(rng)
-            j = 1 + rng.randrange(k)
-            cols = X.columns()
-            cu, cv, cm = list(cols), list(cols), list(cols)
-            cu[j - 1], cv[j - 1] = u, v
-            cm[j - 1] = [a * x + b * y for x, y in zip(u, v)]
-            lhs = det(RectMatrix.from_columns(F, cm))
-            rhs = a * det(RectMatrix.from_columns(F, cu)) + b * det(RectMatrix.from_columns(F, cv))
-            if lhs != rhs:
-                return _w("multilinearity fails", matrix=X, column=j)
+    for F, n, k, X in _cases(shapes, primes, rng, 10):
+        u = [F.random_element(rng) for _ in range(n)]
+        v = [F.random_element(rng) for _ in range(n)]
+        a, b = F.random_element(rng), F.random_element(rng)
+        j = 1 + rng.randrange(k)
+        cols = X.columns()
+        cu, cv, cm = list(cols), list(cols), list(cols)
+        cu[j - 1], cv[j - 1] = u, v
+        cm[j - 1] = [a * x + b * y for x, y in zip(u, v)]
+        lhs = det(RectMatrix.from_columns(F, cm))
+        rhs = a * det(RectMatrix.from_columns(F, cu)) + b * det(RectMatrix.from_columns(F, cv))
+        if lhs != rhs:
+            return _w("multilinearity fails", matrix=X, column=j)
     return None
 
 
 @_check("column-swap-antisymmetry", shapes=((4, 2), (5, 3)), primes=(5, 7))
 def _chk_swap(shapes, primes, rng):
-    for (n, k), p in product(shapes, primes):
-        if k < 2:
-            continue
-        F = gf(p)
-        for _ in range(10):
-            X = random_matrix(F, n, k, rng)
-            j1 = 1 + rng.randrange(k)
-            j2 = 1 + rng.randrange(k)
-            if j1 == j2:
-                j2 = 1 + (j1 % k)
-            cols = X.columns()
-            cols[j1 - 1], cols[j2 - 1] = cols[j2 - 1], cols[j1 - 1]
-            if det(RectMatrix.from_columns(F, cols)) != -det(X):
-                return _w("swap does not negate", matrix=X)
+    for F, n, k, X in _cases(shapes, primes, rng, 10, lambda n, k: k >= 2):
+        j1 = 1 + rng.randrange(k)
+        j2 = 1 + rng.randrange(k)
+        if j1 == j2:
+            j2 = 1 + (j1 % k)
+        cols = X.columns()
+        cols[j1 - 1], cols[j2 - 1] = cols[j2 - 1], cols[j1 - 1]
+        if det(RectMatrix.from_columns(F, cols)) != -det(X):
+            return _w("swap does not negate", matrix=X)
     return None
 
 
 @_check("duplicate-column-vanishing", shapes=((4, 2), (5, 3)), primes=(5, 7))
 def _chk_duplicate(shapes, primes, rng):
-    for (n, k), p in product(shapes, primes):
-        if k < 2:
-            continue
-        F = gf(p)
-        for _ in range(10):
-            X = random_matrix(F, n, k, rng)
-            j1 = rng.randrange(k)
-            j2 = (j1 + 1 + rng.randrange(k - 1)) % k
-            cols = X.columns()
-            cols[j1] = cols[j2]
-            if det(RectMatrix.from_columns(F, cols)).value:
-                return _w("duplicate columns do not vanish", matrix=X)
+    for F, n, k, X in _cases(shapes, primes, rng, 10, lambda n, k: k >= 2):
+        j1 = rng.randrange(k)
+        j2 = (j1 + 1 + rng.randrange(k - 1)) % k
+        cols = X.columns()
+        cols[j1] = cols[j2]
+        if det(RectMatrix.from_columns(F, cols)).value:
+            return _w("duplicate columns do not vanish", matrix=X)
     return None
 
 
 @_check("linear-combination-invariance", shapes=((4, 2), (5, 3)), primes=(5, 7))
 def _chk_combination(shapes, primes, rng):
-    for (n, k), p in product(shapes, primes):
-        if k < 2:
-            continue
-        F = gf(p)
-        for _ in range(10):
-            X = random_matrix(F, n, k, rng)
-            j = 1 + rng.randrange(k)
-            cols = X.columns()
-            target = list(cols[j - 1])
-            for jj in range(k):
-                if jj == j - 1:
-                    continue
-                c = F.random_element(rng)
-                target = [t + c * x for t, x in zip(target, cols[jj])]
-            cols[j - 1] = target
-            if det(RectMatrix.from_columns(F, cols)) != det(X):
-                return _w("column operation changed the value", matrix=X)
+    for F, n, k, X in _cases(shapes, primes, rng, 10, lambda n, k: k >= 2):
+        j = 1 + rng.randrange(k)
+        cols = X.columns()
+        target = list(cols[j - 1])
+        for jj in range(k):
+            if jj == j - 1:
+                continue
+            c = F.random_element(rng)
+            target = [t + c * x for t, x in zip(target, cols[jj])]
+        cols[j - 1] = target
+        if det(RectMatrix.from_columns(F, cols)) != det(X):
+            return _w("column operation changed the value", matrix=X)
     return None
 
 
@@ -257,36 +251,25 @@ def _chk_rightmul(shapes, primes, rng):
 
 @_check("semicyclic-shift-invariance", shapes=((4, 2), (5, 3), (6, 2)), primes=(5, 7))
 def _chk_semicyclic(shapes, primes, rng):
-    for (n, k), p in product(shapes, primes):
-        if (n + k) % 2:
-            continue
-        F = gf(p)
-        for _ in range(4):
-            X = random_matrix(F, n, k, rng)
-            base = det(X)
-            for i in range(1, n + 1):
-                v = det(semicyclic_shift(X, i))
-                if ((n - i) * k) % 2:
-                    v = -v
-                if v != base:
-                    return _w("shifted value differs", matrix=X, row=i)
+    for F, n, k, X in _cases(shapes, primes, rng, 4, lambda n, k: (n + k) % 2 == 0):
+        base = det(X)
+        for i in range(1, n + 1):
+            v = det(semicyclic_shift(X, i))
+            if ((n - i) * k) % 2:
+                v = -v
+            if v != base:
+                return _w("shifted value differs", matrix=X, row=i)
     return None
 
 
 @_check("ones-column-parity", shapes=((3, 1), (4, 1), (4, 2), (5, 2), (5, 3)),
         primes=(5, 7))
 def _chk_ones_column(shapes, primes, rng):
-    for (n, k), p in product(shapes, primes):
-        if n <= k:
-            continue
-        F = gf(p)
-        col = ones(F, n, 1)
-        for _ in range(8):
-            X = random_matrix(F, n, k, rng)
-            joined = det(hjoin(X, col))
-            want = det(X) if (n + k) % 2 else F.zero
-            if joined != want:
-                return _w("ones column parity fails", matrix=X)
+    for F, n, k, X in _cases(shapes, primes, rng, 8, lambda n, k: n > k):
+        joined = det(hjoin(X, ones(F, n, 1)))
+        want = det(X) if (n + k) % 2 else F.zero
+        if joined != want:
+            return _w("ones column parity fails", matrix=X)
     return None
 
 
@@ -627,7 +610,8 @@ def run_verification(shapes=None, primes=None, seed: int = 0) -> dict:
     """Run the registered checks, filtered by shape and modulus.
 
     Returns {"seed", "results": {id: {"status": ...}}, "all_pass"}; a check
-    whose declared shapes or moduli are disjoint from the filter is omitted.
+    whose declared shapes or moduli are disjoint from the filter is omitted,
+    and a filter that leaves no check raises ValueError.
     """
     results = {}
     for ident, check_shapes, check_primes, fn in _REGISTRY:
@@ -647,6 +631,8 @@ def run_verification(shapes=None, primes=None, seed: int = 0) -> dict:
             results[ident] = {"status": "pass"}
         else:
             results[ident] = {"status": "fail", "witness": witness}
+    if not results:
+        raise ValueError(f"no check matches the filter shapes={shapes}, primes={primes}")
     return {
         "seed": seed,
         "results": results,

@@ -188,6 +188,15 @@ def test_cli_enumerate_shape_and_budget():
     assert proc.returncode == 0 and json.loads(proc.stdout) == {"count": 1152}
 
 
+def test_cli_shape_needs_a_column():
+    # k < 1 is a shape error, not a message leaked from math.perm or itertools
+    for cmd in (["enumerate", "--n", "0", "--k", "0"], ["enumerate", "--n", "2", "--k", "0"],
+                ["radical", "--n", "2", "--k", "0"]):
+        proc = run_cli("preserver", *cmd, "--p", "2")
+        assert proc.returncode == 2 and proc.stdout == "", cmd
+        assert "need n >= k >= 1" in proc.stderr, cmd
+
+
 def test_cli_check_violates_carries_witness(tmp_path):
     F = gf(5)
     doubled = LinearMapNK.identity_map(F, 3, 2).mat.scale(2)
@@ -210,6 +219,19 @@ def test_cli_verify_paper_deterministic():
     report = json.loads(first.stdout)
     assert report["all_pass"] is True
     assert all(r["status"] == "pass" for r in report["results"].values())
+
+
+def test_cli_verify_paper_filter_selecting_nothing_exits_2():
+    # no check declares modulus 4 or 11: an empty table is not a pass
+    for p in ("4", "11"):
+        proc = run_cli("verify-paper", "--p", p)
+        assert proc.returncode == 2 and proc.stdout == "", p
+        assert "no check matches" in proc.stderr
+
+
+def test_verify_table_loads_only_for_verify_paper():
+    code = "import cullis, cullis.cli, sys; sys.exit('cullis.verify' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_cli_stdout_is_json_on_failure_paths(tmp_path):
@@ -306,3 +328,21 @@ def test_cli_verify_paper_golden_digest():
     assert proc.returncode == 0
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest == "3d0452905060f1fbf48a4c89becd65c6b9f5f4d02943d20618b4d389f3a6f422"
+
+
+def test_failing_report_digest(monkeypatch):
+    # every row of the seed-0 table passes, so its digest cannot see the order
+    # in which checks draw; this pins a report whose witnesses are those draws
+    import cullis.verify as verify
+
+    real = verify.det
+
+    def off_by_one(X, *args, **kwargs):
+        d = real(X, *args, **kwargs)
+        return d + X.field.one if (X.n, X.k) == (5, 3) else d
+
+    monkeypatch.setattr(verify, "det", off_by_one)
+    report = verify.run_verification(seed=0)
+    assert sum(r["status"] == "fail" for r in report["results"].values()) == 10
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "ffb4de00efb1c18b81cbf27a396865ddb7b472be46380202ddc59b1ac6c8f276"

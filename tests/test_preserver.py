@@ -315,6 +315,19 @@ def test_radical_enumerations():
         radical_enumerate(2, 3, 2, budget=1)
 
 
+def test_zero_width_is_a_shape_error():
+    # the census checks the shape before its budget, the radical after it
+    for n in (0, 2):
+        with pytest.raises(ShapeError):
+            enumerate_preservers(n, 0, 2)
+    with pytest.raises(ShapeError):
+        enumerate_preservers(2, 0, 2, budget=0)
+    with pytest.raises(ShapeError):
+        radical_enumerate(2, 0, 2)
+    with pytest.raises(BudgetExceeded):
+        radical_enumerate(2, 0, 2, budget=0)
+
+
 def brute_force_radical(n, k, p):
     """Every n x k matrix W over GF(p), in row-major order, in the radical:
     the loop over all p**(nk) matrices.  The coefficients of det(V + t*W)
