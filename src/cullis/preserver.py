@@ -8,9 +8,13 @@ exactly over any field from the polynomial det(T(X)) - det(X), or by random
 sampling (which can only ever refute, never certify).
 
 On that flattening the two-sided map X -> A X B is the Kronecker product
-B^T (x) A.  `make_two_sided` writes it entry by entry and `factor_two_sided`
-reads A and B back from its blocks, accepting them only if they rebuild the
-map; invertibility is a rank test by `matrix.eliminate`.
+B^T (x) A.  `make_two_sided` writes it entry by entry; `_kronecker` decides
+on raw values whether a matrix is one, by the rank-one test on its blocks,
+and gives integer factors.  `factor_two_sided` reads A and B off them, and
+the symbolic check of such a map reads D off the minors of A: with
+w_d = det(B) det(A[:, d]) - sgn(d) (`_sign_weights`), Cauchy-Binet gives
+D = det(AXB) - det(X) = sum_d w_d det(X_d), the same polynomial the row
+sweep expands.  Invertibility is a rank test by `matrix.eliminate`.
 
 The exhaustive routines index the matrices over GF(p) by the base-p code of
 vec(X), so code i is the i-th vector in product order.  `_det_table` fills
@@ -28,13 +32,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
-from math import perm
+from fractions import Fraction
+from itertools import chain, combinations, product, repeat
+from math import lcm, perm
 from operator import add
 
 from . import combinatorics as comb_mod
-from . import sympoly
-from .determinant import det, sweep
+from .determinant import column_dets, det, det_int, sweep
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
@@ -51,7 +55,6 @@ from .matrix import (
     ones,
     rank,
     random_matrix,
-    submatrix_keep,
     unvec,
     vec,
     zeros,
@@ -105,7 +108,22 @@ class LinearMapNK:
         """self after other."""
         if (self.n, self.k) != (other.n, other.k):
             raise ShapeMismatch("composition of maps on different shapes")
-        return LinearMapNK(self.n, self.k, self.mat @ other.mat)
+        nk, field, p = self.n * self.k, self.field, self.field.p
+        a = [e.value for e in self.mat.entries]
+        b = other.mat.entries
+        # other's rows as (column, value) pairs of its nonzero entries
+        rows = [[(c, e.value) for c, e in enumerate(b[t * nk:(t + 1) * nk]) if e.value]
+                for t in range(nk)]
+        zero = 0 if p else Fraction(0)
+        out = []
+        for r in range(nk):
+            acc = [zero] * nk
+            for t, x in enumerate(a[r * nk:(r + 1) * nk]):
+                if x:
+                    for c, y in rows[t]:
+                        acc[c] += x * y
+            out += [Scalar(v % p, field) for v in acc] if p else [Scalar(v, field) for v in acc]
+        return LinearMapNK(self.n, self.k, RectMatrix(field, nk, nk, out))
 
     def is_invertible(self) -> bool:
         return rank(self.mat) == self.n * self.k
@@ -161,19 +179,86 @@ def make_two_sided(A: RectMatrix, B: RectMatrix) -> LinearMapNK:
     return LinearMapNK(n, k, RectMatrix(A.field, n * k, n * k, ent))
 
 
+def _cleared(values: list, p: int | None) -> tuple[list[int], int]:
+    """Raw values as integers and the factor s they were multiplied by:
+    residues and 1 over GF(p), over QQ s the lcm of the denominators."""
+    if p:
+        return values, 1
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
+
+
+def _rows(flat: list, width: int) -> list[list]:
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+def _sign_weights(a: list[list[int]], b: list[list[int]], q: int, k: int, p: int | None):
+    """w_d = det(b) * det(a[:, d]) / q - sgn(d) for the column k-subsets d of
+    the n x n integer rows a, in lexicographic order, lazily: residues over
+    GF(p), Fractions over QQ (p None).  For X -> A X B with A = a and
+    det(B) = det(b) / q, every w_d is 0 exactly when the map preserves det,
+    and D = sum_d w_d det(X_d)."""
+    db = det_int(b, k)
+    if p:
+        db = db * pow(q, -1, p) % p
+    dets = column_dets(a, k) if db else repeat(0)
+    for d, x in zip(combinations(range(1, len(a) + 1), k), dets):
+        s = comb_mod.sgn_of_subset(d)
+        yield (db * x - s) % p if p else Fraction(db * x, q) - s
+
+
 def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
     """True when det(columns d of A) * det(B) equals the sign of d for every
     column k-subset d; equivalent to X -> A @ X @ B preserving det."""
     n, k = _check_factors(A, B)
     if k > n:
         raise ShapeError(f"inner size {k} exceeds outer size {n}")
-    det_b = det(B)
-    all_rows = range(1, n + 1)
-    for d in combinations(range(1, n + 1), k):
-        lhs = det(submatrix_keep(A, all_rows, d)) * det_b
-        if lhs != A.field.element(comb_mod.sgn_of_subset(d)):
-            return False
-    return True
+    p = A.field.p
+    a, sa = _cleared([e.value for e in A.entries], p)
+    b, sb = _cleared([e.value for e in B.entries], p)
+    return not any(_sign_weights(_rows(a, n), _rows(b, k), (sa * sb) ** k, k, p))
+
+
+def _kronecker(m: list[int], s: int, n: int, k: int, p: int | None):
+    """(a, b, c) with T = (b^T (x) a) / c, for integer rows a (n x n) and
+    b (k x k) and a nonzero integer c, when T's row-major entries, given
+    as the integers m = s * T (`_cleared`), form such a product; None
+    otherwise.
+
+    With f the first nonzero entry, at row (j0, i0) and column (l0, m0),
+    T is a Kronecker product exactly when every entry satisfies
+    T[(j,i),(l,m)] * f = T[(j,i0),(l,m0)] * T[(j0,i),(l0,m)]; then a is the
+    block (j0, l0), b[l][j] = T[(j,i0),(l,m0)] and c = f * s.  The test
+    compares whole rows of m in order, mod p over GF(p), and stops at the
+    first mismatch.
+    """
+    nk = n * k
+    first = next((idx for idx, x in enumerate(m) if x), None)
+    if first is None:
+        return [[0] * n for _ in range(n)], [[int(i == j) for j in range(k)] for i in range(k)], 1
+    row, col = divmod(first, nk)
+    (j0, i0), (l0, m0) = divmod(row, n), divmod(col, n)
+    f = m[first]
+    finv = pow(f, -1, p) if p else None
+    a = [m[at:at + n] for at in range(j0 * n * nk + l0 * n, (j0 + 1) * n * nk, nk)]
+    cols = []
+    for j in range(k):
+        at = j * n * nk
+        bj = m[at + i0 * nk + m0:at + (i0 + 1) * nk:n]  # T[(j, i0), (l, m0)] for every l
+        cols.append(bj)
+        if p:
+            bj = [y * finv % p for y in bj]
+            for arow in a:
+                if m[at:at + nk] != [y * x % p for y in bj for x in arow]:
+                    return None
+                at += nk
+        else:
+            for arow in a:
+                if [x * f for x in m[at:at + nk]] != [y * x for y in bj for x in arow]:
+                    return None
+                at += nk
+    b = [list(r) for r in zip(*cols)]
+    return a, b, f * s
 
 
 # -- preservation checking -------------------------------------------------------
@@ -324,15 +409,29 @@ def _random_violation(T: LinearMapNK, samples: int, seed: int) -> RectMatrix | N
     return None
 
 
+def _symbolic_diff(T: LinearMapNK, budget: int | None) -> dict:
+    """D = det(T(X)) - det(X), folded.  A Kronecker product (`_kronecker`)
+    takes the closed form `sympoly.minor_sum` of its sign weights, whose
+    budget counts its C(n, k) * k! terms; any other map takes the row sweep
+    (`sympoly.det_change`).  Both give the same polynomial."""
+    from . import sympoly  # loaded by the first symbolic check, not by `import cullis`
+
+    n, k, field = T.n, T.k, T.field
+    values = [e.value for e in T.mat.entries]
+    m, s = _cleared(values, field.p)
+    split = _kronecker(m, s, n, k, field.p)
+    if split is None:  # integers (s = 1) are the map's own values, and clear faster
+        return sympoly.det_change(_rows(m if s == 1 else values, n * k), n, k, field, budget)
+    a, b, c = split
+    return sympoly.minor_sum(_sign_weights(a, b, c ** k, k, field.p), n, k, field, budget)
+
+
 def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverReport:
-    """Expand D = det(T(X)) - det(X) and fold it (`sympoly.fold`): T
-    preserves exactly when D folds to nothing, and otherwise the witness is
-    read off D by `sympoly.nonzero_point`."""
-    mat_rows = [[e.value for e in T.mat.row(i)] for i in range(1, T.n * T.k + 1)]
-    diff = sympoly.det_poly_of_map(mat_rows, T.n, T.k, T.field, budget)
-    for mono, c in sympoly.det_poly_identity(T.n, T.k, T.field).items():
-        diff[mono] = diff.get(mono, 0) - c
-    point = sympoly.nonzero_point(sympoly.fold(diff, T.field), T.n * T.k, T.field)
+    """T preserves exactly when D (`_symbolic_diff`) is empty; otherwise the
+    witness is read off D by `sympoly.nonzero_point`."""
+    from . import sympoly
+
+    point = sympoly.nonzero_point(_symbolic_diff(T, budget), T.n * T.k, T.field)
     if point is None:
         return PreserverReport("preserves", "symbolic")
     witness = unvec(point, T.n, T.k, T.field)
@@ -484,27 +583,27 @@ def factor_two_sided(T: LinearMapNK) -> tuple[RectMatrix, RectMatrix] | None:
     """Recover (A, B) with T(X) = A @ X @ B, or None when T is no such map.
 
     T's matrix is B^T (x) A exactly when it is one (`make_two_sided`), so its
-    n x n block (j, l) is B[l, j] * A.  The block holding the first nonzero
-    entry gives A, and that entry's position in every block gives B.  A is
-    normalised so the first nonzero entry of its first nonzero column is 1;
-    the pair is returned only if it rebuilds T.
+    n x n block (j, l) is B[l, j] * A; `_kronecker` tests that and gives
+    integer factors a, b.  A is a scaled so that the first nonzero entry of
+    its first nonzero column is 1, and B the matching multiple of b.
     """
     n, k, field = T.n, T.k, T.field
-    nk = n * k
-    ent = T.mat.entries
-    first = next((idx for idx, e in enumerate(ent) if e.value), None)
-    if first is None:
+    p = field.p
+    split = _kronecker(*_cleared([e.value for e in T.mat.entries], p), n, k, p)
+    if split is None:
+        return None
+    a, b, c = split
+    if not any(map(any, a)):
         return zeros(field, n, n), identity(field, k)
-    row, col = divmod(first, nk)
-    (j0, i0), (l0, m0) = divmod(row, n), divmod(col, n)
-    A = RectMatrix(field, n, n, [ent[(j0 * n + i) * nk + l0 * n + m]
-                                 for i in range(n) for m in range(n)])
-    inv = ent[first].inverse()
-    B = RectMatrix(field, k, k, [ent[(j * n + i0) * nk + l * n + m0] * inv
-                                 for l in range(k) for j in range(k)])
-    alpha = next(x for c in A.columns() for x in c if x.value)
-    A, B = A.scale(alpha.inverse()), B.scale(alpha)
-    return (A, B) if make_two_sided(A, B) == T else None
+    alpha = next(x for col in zip(*a) for x in col if x)
+    if p:  # A = a / alpha and B = b * alpha / c
+        ia, bc = pow(alpha, -1, p), alpha * pow(c, -1, p)
+        A = [Scalar(x * ia % p, field) for row in a for x in row]
+        B = [Scalar(x * bc % p, field) for row in b for x in row]
+    else:
+        A = [Scalar(Fraction(x, alpha), field) for row in a for x in row]
+        B = [Scalar(Fraction(x * alpha, c), field) for row in b for x in row]
+    return RectMatrix(field, n, n, A), RectMatrix(field, k, k, B)
 
 
 # -- enumeration ---------------------------------------------------------------------

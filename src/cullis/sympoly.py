@@ -5,14 +5,20 @@ monomial is a tuple of (variable, exponent) pairs sorted by variable; a
 polynomial is a dict from monomials to nonzero raw coefficients (residues for
 GF(p), Fractions otherwise).  Raw coefficients keep the hot loops free of
 wrapper objects; the public preserver API still speaks in scalars.
+
+`det_change` expands det(T(X)) - det(X) for any map T with one row sweep.
+For a two-sided map X -> A X B the same polynomial is a weighted sum of the
+square minors of X (Cauchy-Binet), which `minor_sum` writes down directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import combinations, permutations
+from math import lcm, perm
 
+from .combinatorics import perm_sign_of
 from .determinant import sweep_count, sweep_plan
 from .errors import BudgetExceeded
 from .fields import FieldSpec
@@ -27,25 +33,28 @@ Poly = dict[Monomial, object]
 def det_poly_identity(n: int, k: int, field: FieldSpec) -> Poly:
     """det(X) as a polynomial in the nk entry variables of X: `det_poly_of_map`
     of the identity map; cached, so callers must not modify it."""
-    one = 1 if field.kind == "prime" else Fraction(1)
+    return _unpacked(_identity_sweep(n, k, field.p), k, field.p, 1)
+
+
+@lru_cache(maxsize=16)
+def _identity_sweep(n: int, k: int, p: int | None) -> dict[int, int]:
+    """`_sweep` of the identity map; cached, so callers must not modify it."""
     nk = n * k
-    return det_poly_of_map([[one * (r == c) for c in range(nk)] for r in range(nk)], n, k, field)
+    return _sweep([[int(r == c) for c in range(nk)] for r in range(nk)], n, k, p, None)[0]
 
 
-def det_poly_of_map(mat_rows: list[list], n: int, k: int, field: FieldSpec,
-                    guard: int | None = None) -> Poly:
-    """det(T(X)) as a polynomial in X's entries, where T acts on the
-    column-major flattening by the given (nk)x(nk) raw coefficient rows.
+def _sweep(mat_rows: list[list], n: int, k: int, p: int | None,
+           guard: int | None) -> tuple[dict[int, int], int]:
+    """(P, s): P is s * det(T(X)) with packed monomials and integer
+    coefficients (residues over GF(p)), for T given by raw coefficient rows.
 
     One row sweep over `sweep_plan(n, k)` whose values are sparse integer
-    polynomials.  Inside the sweep a monomial is packed into one integer, the
-    exponent of variable v in bits [v*b, (v+1)*b) with 2**b > k, so that
-    multiplying by a variable is an integer addition.  Over QQ the block of
-    map rows giving column j of T(X) is cleared by the lcm of its
-    denominators, and the result divided by the product of those lcms.
+    polynomials.  A monomial is packed into one integer, the exponent of
+    variable v in bits [v*b, (v+1)*b) with 2**b > k, so that multiplying by
+    a variable is an integer addition.  Over QQ the block of map rows giving
+    column j of T(X) is cleared by the lcm of its denominators, and s is the
+    product of those lcms; over GF(p), s = 1.
     """
-    prime = field.kind == "prime"
-    p = field.p
     limit = DEFAULT_TERM_GUARD if guard is None else guard
     if sweep_count(n, k) > limit:  # a plan with more moves than allowed products is not built
         raise BudgetExceeded(f"{n}x{k} sweep plan beyond {limit} products")
@@ -55,10 +64,10 @@ def det_poly_of_map(mat_rows: list[list], n: int, k: int, field: FieldSpec,
     forms = [[None] * k for _ in range(n)]
     for j in range(k):
         block = mat_rows[j * n:(j + 1) * n]
-        clear = 1 if prime else lcm(*(c.denominator for row in block for c in row))
+        clear = 1 if p else lcm(*(c.denominator for row in block for c in row))
         scale *= clear
         for i, row in enumerate(block):
-            forms[i][j] = [(1 << (v * b), c if prime else c.numerator * (clear // c.denominator))
+            forms[i][j] = [(1 << (v * b), c if p else c.numerator * (clear // c.denominator))
                            for v, c in enumerate(row) if c]
 
     cost = 0
@@ -84,20 +93,84 @@ def det_poly_of_map(mat_rows: list[list], n: int, k: int, field: FieldSpec,
                     key = mono + var
                     acc[key] = acc.get(key, 0) + cf * a
         for m in written:
-            val[m] = ({mo: c % p for mo, c in val[m].items() if c % p} if prime
+            val[m] = ({mo: c % p for mo, c in val[m].items() if c % p} if p
                       else {mo: c for mo, c in val[m].items() if c})
+    return val[-1] or {}, scale
 
+
+def _unpacked(packed: dict[int, int], k: int, p: int | None, scale: int) -> Poly:
+    """The nonzero terms of packed / scale (`_sweep`), with monomials as tuples."""
+    b = k.bit_length()
     emask = (1 << b) - 1
     total: Poly = {}
-    for key, cf in (val[-1] or {}).items():
+    for key, cf in packed.items():
+        if p:
+            cf %= p
+        if not cf:
+            continue
         mono, v = [], 0
         while key:
             if key & emask:
                 mono.append((v, key & emask))
             key >>= b
             v += 1
-        total[tuple(mono)] = cf if prime else Fraction(cf, scale)
+        total[tuple(mono)] = cf if p else Fraction(cf, scale)
     return total
+
+
+def det_poly_of_map(mat_rows: list[list], n: int, k: int, field: FieldSpec,
+                    guard: int | None = None) -> Poly:
+    """det(T(X)) as a polynomial in X's entries, where T acts on the
+    column-major flattening by the given (nk)x(nk) raw coefficient rows
+    (`_sweep`)."""
+    packed, scale = _sweep(mat_rows, n, k, field.p, guard)
+    return _unpacked(packed, k, field.p, scale)
+
+
+def det_change(mat_rows: list[list], n: int, k: int, field: FieldSpec,
+               guard: int | None = None) -> Poly:
+    """D = det(T(X)) - det(X), folded (`fold`), for the map T given by its
+    raw coefficient rows as in `det_poly_of_map`.  det(X) is taken off in
+    packed form, so terms that cancel are never unpacked."""
+    p = field.p
+    diff, scale = _sweep(mat_rows, n, k, p, guard)
+    for key, c in _identity_sweep(n, k, p).items():
+        diff[key] = diff.get(key, 0) - c * scale
+    poly = _unpacked(diff, k, p, scale)
+    # exponents are at most k, so below p folding only drops zero coefficients
+    return fold(poly, field) if p and p <= k else poly
+
+
+@lru_cache(maxsize=16)
+def _minor_terms(n: int, k: int) -> tuple[tuple[tuple[Monomial, int], ...], ...]:
+    """Per row k-subset d of an n x k matrix X, in lexicographic order, the
+    k! terms of the square minor det(X_d) as (monomial, sign) pairs."""
+    var = [(v, 1) for v in range(n * k)]
+    return tuple(tuple((tuple(var[c * n + r] for c, r in enumerate(images)), perm_sign_of(images))
+                       for images in permutations(d))
+                 for d in combinations(range(n), k))
+
+
+def minor_sum(weights, n: int, k: int, field: FieldSpec, guard: int | None = None) -> Poly:
+    """sum over the row k-subsets d of X, in lexicographic order, of
+    weights[d] * det(X_d), for raw weights (residues over GF(p), Fractions
+    over QQ).  Distinct terms never share a monomial, so the result is
+    already folded.  The guard counts all C(n, k) * k! terms and is checked
+    before the first weight is drawn, so `weights` may be lazy."""
+    limit = DEFAULT_TERM_GUARD if guard is None else guard
+    if perm(n, k) > limit:
+        raise BudgetExceeded(f"{n}x{k} minor sum beyond {limit} terms")
+    weights = list(weights)
+    if not any(weights):
+        return {}
+    p = field.p
+    poly: Poly = {}
+    for w, terms in zip(weights, _minor_terms(n, k)):
+        if w:
+            neg = p - w if p else -w
+            for mono, s in terms:
+                poly[mono] = w if s > 0 else neg
+    return poly
 
 
 def fold(poly: Poly, field: FieldSpec) -> Poly:

@@ -222,15 +222,18 @@ def test_cli_verify_paper_deterministic():
 
 
 def test_cli_verify_paper_filter_selecting_nothing_exits_2():
-    # no check declares modulus 4 or 11: an empty table is not a pass
-    for p in ("4", "11"):
-        proc = run_cli("verify-paper", "--p", p)
-        assert proc.returncode == 2 and proc.stdout == "", p
+    # no check declares modulus 4 or 11, or shape 9x9 (checks that declare no
+    # shapes are left out by a shape filter): an empty table is not a pass
+    for args in (["--p", "4"], ["--p", "11"], ["--shapes", "9x9"]):
+        proc = run_cli("verify-paper", *args)
+        assert proc.returncode == 2 and proc.stdout == "", args
         assert "no check matches" in proc.stderr
 
 
 def test_verify_table_loads_only_for_verify_paper():
-    code = "import cullis, cullis.cli, sys; sys.exit('cullis.verify' in sys.modules)"
+    # so is the polynomial expander, which only symbolic checks need
+    code = ("import cullis, cullis.cli, sys; "
+            "sys.exit('cullis.verify' in sys.modules or 'cullis.sympoly' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

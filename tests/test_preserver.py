@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, permutations, product
+from math import perm
 
 import pytest
 
@@ -36,6 +37,8 @@ from cullis import (
     unvec,
     zeros,
 )
+from cullis import sympoly
+from cullis.preserver import _cleared, _kronecker, _symbolic_diff
 from oracles import oracle_det
 
 Q = RATIONALS
@@ -72,11 +75,15 @@ def test_two_sided_action_matches_products():
 
 def test_composition_is_matrix_product():
     rng = random.Random(2)
-    F = gf(5)
-    T1 = make_two_sided(random_matrix(F, 3, 3, rng), random_matrix(F, 2, 2, rng))
-    T2 = make_two_sided(random_matrix(F, 3, 3, rng), random_matrix(F, 2, 2, rng))
-    X = random_matrix(F, 3, 2, rng)
-    assert T1.compose(T2).apply(X) == T1.apply(T2.apply(X))
+    for F in (gf(5), Q):
+        T1 = make_two_sided(random_matrix(F, 3, 3, rng), random_matrix(F, 2, 2, rng))
+        T2 = make_two_sided(random_matrix(F, 3, 3, rng), random_matrix(F, 2, 2, rng))
+        X = random_matrix(F, 3, 2, rng)
+        assert T1.compose(T2).apply(X) == T1.apply(T2.apply(X))
+        assert T1.compose(T2).mat == T1.mat @ T2.mat
+        S = make_s_shift(3, 1, 2, 1, F)  # sparse factors, zero products skipped
+        R = LinearMapNK(3, 1, random_matrix(F, 3, 3, rng))
+        assert S.compose(R).mat == S.mat @ R.mat and R.compose(S).mat == R.mat @ S.mat
 
 
 def test_sign_condition_examples():
@@ -171,6 +178,93 @@ def test_symbolic_matches_exhaustive_gf3():
     ]
     for T in maps:
         assert is_preserver(T, "symbolic").preserves == is_preserver(T, "exhaustive").preserves
+
+
+def sweep_report(T):
+    """The symbolic verdict and witness from the row sweep alone."""
+    nk = T.n * T.k
+    rows = [[e.value for e in T.mat.row(i)] for i in range(1, nk + 1)]
+    diff = sympoly.det_change(rows, T.n, T.k, T.field)
+    point = sympoly.nonzero_point(diff, nk, T.field)
+    return diff, None if point is None else unvec(point, T.n, T.k, T.field)
+
+
+def is_kronecker(T):
+    values = [e.value for e in T.mat.entries]
+    return _kronecker(*_cleared(values, T.field.p), T.n, T.k, T.field.p) is not None
+
+
+def test_closed_form_is_the_sweep_on_two_sided_maps():
+    # D read off the minors of A is the sweep's folded D, dict for dict, so
+    # verdict and witness agree; GF(2) and GF(3) have p <= k at these shapes
+    rng = random.Random(81)
+    singular = 0
+    for F in (gf(2), gf(3), gf(5), gf(7), Q):
+        for n, k in ((2, 1), (3, 2), (4, 2), (3, 3), (4, 3), (5, 3)):
+            pairs = [(random_matrix(F, n, n, rng), random_matrix(F, k, k, rng)) for _ in range(4)]
+            pairs += [(identity(F, n), unimodular(F, k, rng)),
+                      (random_matrix(F, n, n, rng), zeros(F, k, k).with_scaled_column(1, 0)),
+                      (hjoin(random_matrix(F, n, n - 1, rng), zeros(F, n, 1)),
+                       random_matrix(F, k, k, rng))]
+            maps = [make_two_sided(A, B) for A, B in pairs]
+            maps.append(LinearMapNK(n, k, zeros(F, n * k, n * k)))
+            for T in maps:
+                assert is_kronecker(T)
+                singular += not T.is_invertible()
+                diff, witness = sweep_report(T)
+                assert _symbolic_diff(T, None) == diff
+                rep = is_preserver(T, "symbolic")
+                assert rep.verdict == ("violates" if diff else "preserves")
+                assert rep.witness == witness
+                if witness is not None:
+                    assert det(T.apply(witness)) != det(witness)
+    assert singular >= 3 * 5 * 6
+
+
+def test_maps_that_do_not_factor_take_the_sweep():
+    F = gf(3)
+    corner = make_k2_counterexample(4, F)
+    singular = make_singular_preserver(5, 2, F)  # at k = 1 every map is X -> b A X
+    T = make_two_sided(random_matrix(F, 4, 4, random.Random(82)), identity(F, 2))
+    ent = list(T.mat.entries)
+    ent[9] = ent[9] + F.one
+    changed = LinearMapNK(4, 2, RectMatrix(F, 8, 8, ent))
+    for T in (corner, singular, changed):
+        assert not is_kronecker(T)
+        diff, witness = sweep_report(T)
+        assert _symbolic_diff(T, None) == diff
+        rep = is_preserver(T, "symbolic")
+        assert rep.witness == witness
+        assert rep.preserves == is_preserver(T, "exhaustive").preserves
+    assert is_preserver(corner, "symbolic").preserves
+    assert is_preserver(singular, "symbolic").preserves
+    # over QQ, with fractions: the corner swap after X -> X diag(1/2, 2)
+    half = RectMatrix.from_rows(Q, [["1/2", 0], [0, 2]])
+    T = make_k2_counterexample(4, Q).compose(make_two_sided(identity(Q, 4), half))
+    assert not is_kronecker(T)
+    assert _symbolic_diff(T, None) == sweep_report(T)[0] == {}
+    assert is_preserver(T, "symbolic").preserves
+
+
+def test_two_sided_maps_at_the_papers_shapes():
+    # dense 8x6 over GF(10007) used to run 138 s and raise BudgetExceeded
+    rng = random.Random(83)
+    for F, n, k in ((gf(10007), 8, 6), (Q, 7, 5)):
+        T = make_two_sided(random_matrix(F, n, n, rng), random_matrix(F, k, k, rng))
+        rep = is_preserver(T, "symbolic")
+        assert rep.verdict == "violates"
+        assert det(T.apply(rep.witness)) != det(rep.witness)
+    F = gf(10007)
+    B = unimodular(F, 6, rng).with_scaled_column(1, F.element(3 ** 6).inverse())
+    assert is_preserver(make_two_sided(identity(F, 8).scale(3), B), "symbolic").preserves
+
+
+def test_closed_form_budget_counts_its_terms():
+    # C(n, k) * k! = perm(n, k) terms, refused before any weight is drawn
+    T = make_two_sided(identity(gf(5), 5).scale(2), identity(gf(5), 3))
+    with pytest.raises(BudgetExceeded):
+        is_preserver(T, "symbolic", budget=perm(5, 3) - 1)
+    assert is_preserver(T, "symbolic", budget=perm(5, 3)).verdict == "violates"
 
 
 # -- shift maps ---------------------------------------------------------------------
@@ -414,19 +508,26 @@ def test_factor_roundtrip_random():
 def test_factor_returns_none_on_random_non_product_maps():
     # T is X -> A @ X @ B exactly when its n x n blocks, flattened into the
     # rows of one k^2 x n^2 matrix, have rank at most one (Van Loan and
-    # Pitsianis); random maps and sums of two products have rank two or more
+    # Pitsianis); random maps and sums of two products have rank two or more,
+    # and so has a product with one entry changed, wherever that entry is
     rng = random.Random(21)
     refused = 0
     for F in (gf(2), gf(3), gf(7), Q):
         for n, k in ((2, 2), (3, 2), (4, 2), (3, 3)):
             nk = n * k
+            maps = []
             for t in range(8):
                 if t % 2:
-                    T = LinearMapNK(n, k, random_matrix(F, nk, nk, rng))
+                    maps.append(LinearMapNK(n, k, random_matrix(F, nk, nk, rng)))
                 else:
-                    T = LinearMapNK(n, k, sum(
+                    maps.append(LinearMapNK(n, k, sum(
                         (make_two_sided(random_matrix(F, n, n, rng), random_matrix(F, k, k, rng)).mat
-                         for _ in range(2)), zeros(F, nk, nk)))
+                         for _ in range(2)), zeros(F, nk, nk))))
+            if (n, k) == (3, 2):
+                ent = make_two_sided(random_matrix(F, n, n, rng), random_matrix(F, k, k, rng)).mat.entries
+                maps += [LinearMapNK(n, k, RectMatrix(F, nk, nk, ent[:i] + (ent[i] + F.one,) + ent[i + 1:]))
+                         for i in range(nk * nk)]
+            for T in maps:
                 blocks = RectMatrix.from_rows(F, [
                     [T.mat.entry(j * n + i + 1, l * n + m + 1) for i in range(n) for m in range(n)]
                     for j in range(k) for l in range(k)])

@@ -6,7 +6,7 @@ import pytest
 
 from cullis import BudgetExceeded, LinearMapNK, RATIONALS, det, gf, random_matrix, vec
 from cullis.determinant import sweep_count, sweep_plan
-from cullis.sympoly import det_poly_identity, det_poly_of_map, fold, nonzero_point
+from cullis.sympoly import det_change, det_poly_identity, det_poly_of_map, fold, nonzero_point
 from oracles import oracle_subset_sign
 
 
@@ -57,6 +57,22 @@ def test_map_expansion_agrees_with_pointwise_evaluation():
                 X = random_matrix(field, n, k, rng)
                 point = list(vec(X))
                 assert eval_poly(poly, point, field) == det(T.apply(X))
+
+
+def test_det_change_is_the_folded_difference():
+    # det(X) is taken off in packed form and folding is skipped below p, yet
+    # the result is fold(det(T(X)) - det(X)), also for p <= k
+    rng = random.Random(34)
+    for field in (gf(2), gf(3), gf(5), RATIONALS):
+        for n, k in ((2, 2), (3, 2), (3, 3), (4, 3)):
+            nk = n * k
+            for T in (LinearMapNK(n, k, random_matrix(field, nk, nk, rng)),
+                      LinearMapNK.identity_map(field, n, k)):
+                rows = [[e.value for e in T.mat.row(i)] for i in range(1, nk + 1)]
+                diff = det_poly_of_map(rows, n, k, field)
+                for mono, c in det_poly_identity(n, k, field).items():
+                    diff[mono] = diff.get(mono, 0) - c
+                assert det_change(rows, n, k, field) == fold(diff, field)
 
 
 def test_cancellation_prunes_zero_coefficients():
