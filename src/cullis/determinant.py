@@ -26,8 +26,7 @@ runs whichever of two routes needs fewer multiplications, counted from
 The sweep's moves for a shape are a cached plan (`sweep_plan`) shared by every
 coefficient type: integers here, det(A + tB) packed into one integer in
 `lambdapoly`, sparse polynomials in `sympoly`, and the exhaustive tables in
-`preserver`.  A plan over wider rows gives the determinant of every k-subset
-of columns in one sweep (`column_dets`, the sign weights of two-sided maps).
+`preserver`.
 """
 
 from __future__ import annotations
@@ -42,6 +41,9 @@ from .fields import Scalar
 from .matrix import RectMatrix, eliminate, from_raw, raw_rows, submatrix_keep
 
 DEFAULT_OP_BUDGET = 10_000_000
+# products or terms a symbolic expansion may make: `sympoly`, and the closed
+# form of two-sided maps in `preserver`
+DEFAULT_TERM_GUARD = 200_000_000
 
 
 def _require_tall(X: RectMatrix):
@@ -67,8 +69,7 @@ def sweep_count(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def sweep_plan(n: int, k: int,
-               width: int | None = None) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+def sweep_plan(n: int, k: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
     """Per row r = 1..n, the moves (src, dst, col, neg) of the row sweep.
 
     A move places row r in column col after the columns in the bit mask src
@@ -79,17 +80,11 @@ def sweep_plan(n: int, k: int,
     masks from which the remaining rows can still fill every column move.
     Moves run from fuller masks down, so one value array updated in place
     still reads every source before this row writes to it.
-
-    Rows have k columns, or `width` >= k; then the plan fills k of them, and
-    the value at each mask d of k columns ends as the determinant of those
-    columns (the used columns of a path all lie in d, in the same order).
     """
-    w = k if width is None else width
-    # sources: the masks of fewer than k columns, in increasing order
-    srcs = sorted(sum(1 << c for c in cs) for u in range(k) for cs in combinations(range(w), u))
+    pop = [mask.bit_count() for mask in range(1 << k)]
     # (#used, src, col, parity of the used columns right of col), fuller masks first
-    moves = sorted(((src.bit_count(), src, col, (src >> col).bit_count() & 1)
-                    for src in srcs for col in range(w) if not src >> col & 1),
+    moves = sorted(((pop[src], src, col, pop[src >> col] & 1)
+                    for src in range(1 << k) for col in range(k) if not src >> col & 1),
                    key=lambda move: -move[0])
     plan = []
     for r in range(1, n + 1):
@@ -99,11 +94,15 @@ def sweep_plan(n: int, k: int,
     return tuple(plan)
 
 
-def _run(rows, plan, size: int) -> list[int]:
-    """The value array, of `size` masks, after the row sweep of `plan`."""
-    val = [0] * size
+def sweep(rows, k: int, budget: int | None = None) -> int:
+    """Rectangular determinant of an integer matrix (a sequence of n rows of
+    k ints) by the row sweep, exactly; refuses past the budget before the
+    plan is built."""
+    n = len(rows)
+    _guard(sweep_count(n, k), budget)
+    val = [0] * (1 << k)
     val[0] = 1
-    for row, moves in zip(rows, plan):
+    for row, moves in zip(rows, sweep_plan(n, k)):
         for src, dst, col, neg in moves:
             v = val[src]
             if v:
@@ -113,24 +112,7 @@ def _run(rows, plan, size: int) -> list[int]:
                         val[dst] -= v * x
                     else:
                         val[dst] += v * x
-    return val
-
-
-def sweep(rows, k: int, budget: int | None = None) -> int:
-    """Rectangular determinant of an integer matrix (a sequence of n rows of
-    k ints) by the row sweep, exactly; refuses past the budget before the
-    plan is built."""
-    n = len(rows)
-    _guard(sweep_count(n, k), budget)
-    return _run(rows, sweep_plan(n, k), 1 << k)[-1]
-
-
-def column_dets(rows, k: int) -> list[int]:
-    """det of the columns d of an integer n x w matrix (n >= w >= k), for
-    every k-subset d of its columns in lexicographic order, by one sweep."""
-    w = len(rows[0])
-    val = _run(rows, sweep_plan(len(rows), k, w), 1 << w)
-    return [val[sum(1 << c for c in d)] for d in combinations(range(w), k)]
+    return val[-1]
 
 
 # -- elimination -----------------------------------------------------------------

@@ -33,12 +33,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, product
 from math import lcm, perm
 from operator import add
 
 from . import combinatorics as comb_mod
-from .determinant import column_dets, det, det_int, sweep
+from .determinant import DEFAULT_TERM_GUARD, det, det_int, sweep
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
@@ -194,15 +194,16 @@ def _rows(flat: list, width: int) -> list[list]:
 
 def _sign_weights(a: list[list[int]], b: list[list[int]], q: int, k: int, p: int | None):
     """w_d = det(b) * det(a[:, d]) / q - sgn(d) for the column k-subsets d of
-    the n x n integer rows a, in lexicographic order, lazily: residues over
-    GF(p), Fractions over QQ (p None).  For X -> A X B with A = a and
-    det(B) = det(b) / q, every w_d is 0 exactly when the map preserves det,
-    and D = sum_d w_d det(X_d)."""
+    the n x n integer rows a, in lexicographic order, lazily (one `det_int`
+    of an n x k matrix per subset): residues over GF(p), Fractions over QQ
+    (p None).  For X -> A X B with A = a and det(B) = det(b) / q, every w_d
+    is 0 exactly when the map preserves det, and D = sum_d w_d det(X_d)."""
     db = det_int(b, k)
     if p:
         db = db * pow(q, -1, p) % p
-    dets = column_dets(a, k) if db else repeat(0)
-    for d, x in zip(combinations(range(1, len(a) + 1), k), dets):
+    cols = list(zip(*a))
+    for d in combinations(range(1, len(a) + 1), k):
+        x = det_int(list(zip(*(cols[c - 1] for c in d))), k) if db else 0
         s = comb_mod.sgn_of_subset(d)
         yield (db * x - s) % p if p else Fraction(db * x, q) - s
 
@@ -411,30 +412,38 @@ def _random_violation(T: LinearMapNK, samples: int, seed: int) -> RectMatrix | N
 
 def _symbolic_diff(T: LinearMapNK, budget: int | None) -> dict:
     """D = det(T(X)) - det(X), folded.  A Kronecker product (`_kronecker`)
-    takes the closed form `sympoly.minor_sum` of its sign weights, whose
-    budget counts its C(n, k) * k! terms; any other map takes the row sweep
-    (`sympoly.det_change`).  Both give the same polynomial."""
-    from . import sympoly  # loaded by the first symbolic check, not by `import cullis`
-
+    takes the closed form `sympoly.minor_sum` of its sign weights, after a
+    budget check on its C(n, k) * k! terms; any other map takes the row
+    sweep (`sympoly.det_change`).  Both give the same polynomial, and
+    `sympoly` is loaded only when D has to be expanded."""
     n, k, field = T.n, T.k, T.field
     values = [e.value for e in T.mat.entries]
     m, s = _cleared(values, field.p)
     split = _kronecker(m, s, n, k, field.p)
-    if split is None:  # integers (s = 1) are the map's own values, and clear faster
+    if split is None:
+        from . import sympoly
+        # integers (s = 1) are the map's own values, and clear faster
         return sympoly.det_change(_rows(m if s == 1 else values, n * k), n, k, field, budget)
+    limit = DEFAULT_TERM_GUARD if budget is None else budget
+    if perm(n, k) > limit:
+        raise BudgetExceeded(f"{n}x{k} minor sum beyond {limit} terms")
     a, b, c = split
-    return sympoly.minor_sum(_sign_weights(a, b, c ** k, k, field.p), n, k, field, budget)
+    weights = list(_sign_weights(a, b, c ** k, k, field.p))
+    if not any(weights):
+        return {}
+    from . import sympoly
+    return sympoly.minor_sum(weights, n, k, field)
 
 
 def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverReport:
     """T preserves exactly when D (`_symbolic_diff`) is empty; otherwise the
     witness is read off D by `sympoly.nonzero_point`."""
+    diff = _symbolic_diff(T, budget)
+    if not diff:
+        return PreserverReport("preserves", "symbolic")
     from . import sympoly
 
-    point = sympoly.nonzero_point(_symbolic_diff(T, budget), T.n * T.k, T.field)
-    if point is None:
-        return PreserverReport("preserves", "symbolic")
-    witness = unvec(point, T.n, T.k, T.field)
+    witness = unvec(sympoly.nonzero_point(diff, T.n * T.k, T.field), T.n, T.k, T.field)
     return PreserverReport("violates", "symbolic", witness)
 
 

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import lcm, perm
+from itertools import combinations
+from math import lcm
 
-from .combinatorics import perm_sign_of
-from .determinant import sweep_count, sweep_plan
+from .combinatorics import sgn_of_subset
+from .determinant import DEFAULT_TERM_GUARD, sweep_count, sweep_plan
 from .errors import BudgetExceeded
 from .fields import FieldSpec
 
-DEFAULT_TERM_GUARD = 200_000_000
 
 Monomial = tuple[tuple[int, int], ...]
 Poly = dict[Monomial, object]
@@ -142,34 +141,32 @@ def det_change(mat_rows: list[list], n: int, k: int, field: FieldSpec,
 
 
 @lru_cache(maxsize=16)
-def _minor_terms(n: int, k: int) -> tuple[tuple[tuple[Monomial, int], ...], ...]:
+def _minor_terms(n: int, k: int, field: FieldSpec) -> tuple[tuple[tuple[Monomial, bool], ...], ...]:
     """Per row k-subset d of an n x k matrix X, in lexicographic order, the
-    k! terms of the square minor det(X_d) as (monomial, sign) pairs."""
-    var = [(v, 1) for v in range(n * k)]
-    return tuple(tuple((tuple(var[c * n + r] for c, r in enumerate(images)), perm_sign_of(images))
-                       for images in permutations(d))
-                 for d in combinations(range(n), k))
+    terms of det(X) (`det_poly_identity`) whose variables lie in the rows d,
+    as (monomial, negated) pairs: those are the terms of det(X_d) times
+    sgn(d), and negated marks a term with sign -1 in det(X_d)."""
+    groups = {}
+    for d in combinations(range(1, n + 1), k):
+        groups[sum(1 << r for r in d)] = (sgn_of_subset(d) < 0, [])
+    for mono, c in det_poly_identity(n, k, field).items():
+        flip, terms = groups[sum(2 << v % n for v, _ in mono)]  # variable v is in row v % n + 1
+        terms.append((mono, (c != 1) != flip))
+    return tuple(tuple(terms) for _, terms in groups.values())
 
 
-def minor_sum(weights, n: int, k: int, field: FieldSpec, guard: int | None = None) -> Poly:
+def minor_sum(weights: list, n: int, k: int, field: FieldSpec) -> Poly:
     """sum over the row k-subsets d of X, in lexicographic order, of
     weights[d] * det(X_d), for raw weights (residues over GF(p), Fractions
     over QQ).  Distinct terms never share a monomial, so the result is
-    already folded.  The guard counts all C(n, k) * k! terms and is checked
-    before the first weight is drawn, so `weights` may be lazy."""
-    limit = DEFAULT_TERM_GUARD if guard is None else guard
-    if perm(n, k) > limit:
-        raise BudgetExceeded(f"{n}x{k} minor sum beyond {limit} terms")
-    weights = list(weights)
-    if not any(weights):
-        return {}
+    already folded."""
     p = field.p
     poly: Poly = {}
-    for w, terms in zip(weights, _minor_terms(n, k)):
+    for w, terms in zip(weights, _minor_terms(n, k, field)):
         if w:
             neg = p - w if p else -w
-            for mono, s in terms:
-                poly[mono] = w if s > 0 else neg
+            for mono, negated in terms:
+                poly[mono] = neg if negated else w
     return poly
 
 
@@ -202,6 +199,9 @@ def nonzero_point(poly: Poly, nvars: int, field: FieldSpec) -> list[int] | None:
     poly = {mono: c for mono, c in poly.items() if all(v in support for v, _ in mono)}
     point = [0] * nvars
     for v in sorted(support):
+        if len(poly) == 1:  # it has every variable left, so 0 drops it and 1 keeps it
+            point[v] = 1
+            continue
         split = [(tuple(t for t in mono if t[0] != v), dict(mono).get(v, 0), c)
                  for mono, c in poly.items()]
         for a in range(max(e for _, e, _ in split) + 1):

@@ -113,10 +113,7 @@ def _sweep_preserves(T):
     apart from the sign weights that decide two-sided maps in `is_preserver`."""
     nk = T.n * T.k
     rows = [[e.value for e in T.mat.entries[r * nk:(r + 1) * nk]] for r in range(nk)]
-    diff = sympoly.det_poly_of_map(rows, T.n, T.k, T.field)
-    for mono, c in sympoly.det_poly_identity(T.n, T.k, T.field).items():
-        diff[mono] = diff.get(mono, 0) - c
-    return not sympoly.fold(diff, T.field)
+    return not sympoly.det_change(rows, T.n, T.k, T.field)
 
 
 def _sign_pairs(field, n, k, rng):

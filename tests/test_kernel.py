@@ -30,7 +30,6 @@ from cullis import (
 )
 from cullis.determinant import (
     _bareiss,
-    column_dets,
     elim_count,
     route,
     sweep,
@@ -91,17 +90,6 @@ def test_sweep_and_elimination_agree_on_integers(shape, rng):
     assert sweep(rows, k) == want
     if n <= k + 1:
         assert _bareiss([r + [1] * (n - k) for r in rows]) == want
-
-
-@given(st.integers(1, 5).flatmap(
-           lambda w: st.tuples(st.integers(w, 7), st.just(w), st.integers(1, w))),
-       st.randoms(use_true_random=False))
-def test_column_dets_is_the_sweep_of_every_column_subset(shape, rng):
-    # one wide sweep gives the determinant of every k-subset of columns
-    n, w, k = shape
-    rows = [[rng.choice((0, rng.randrange(-9, 10))) for _ in range(w)] for _ in range(n)]
-    want = [oracle_det([[r[c] for c in d] for r in rows]) for d in combinations(range(w), k)]
-    assert column_dets(rows, k) == want
 
 
 class Counted(int):

@@ -259,6 +259,23 @@ def test_two_sided_maps_at_the_papers_shapes():
     assert is_preserver(make_two_sided(identity(F, 8).scale(3), B), "symbolic").preserves
 
 
+def test_two_sided_maps_of_tall_narrow_shapes():
+    # the weights are C(n, k) determinants of n x k column sets of A: 30 of
+    # them at 30x1, where D has perm(30, 1) = 30 terms
+    F = gf(7)
+    A = random_matrix(F, 30, 30, random.Random(84))
+    T = make_two_sided(A, identity(F, 1).scale(3))
+    assert not check_sign_condition(A, identity(F, 1).scale(3))
+    rep = is_preserver(T, "symbolic")
+    assert rep.verdict == "violates"
+    assert det(T.apply(rep.witness)) != det(rep.witness)
+    assert check_sign_condition(identity(F, 30), identity(F, 1))
+    assert is_preserver(make_two_sided(identity(F, 30), identity(F, 1)), "symbolic").preserves
+    # 12x2 over QQ: 66 weights against the sweep's verdict and witness
+    T = make_two_sided(random_matrix(Q, 12, 12, random.Random(85)), identity(Q, 2))
+    assert is_preserver(T, "symbolic").witness == sweep_report(T)[1]
+
+
 def test_closed_form_budget_counts_its_terms():
     # C(n, k) * k! = perm(n, k) terms, refused before any weight is drawn
     T = make_two_sided(identity(gf(5), 5).scale(2), identity(gf(5), 3))
