@@ -1,144 +1,44 @@
 """Exact rectangular determinants over GF(p) and the rationals, together with
 the linear maps that preserve them: construction, verification, factorisation
-and small-field enumeration."""
+and small-field enumeration.
 
-from .combinatorics import (
-    Injection,
-    KSubset,
-    injections,
-    k_subsets,
-    sgn_injection,
-)
-from .determinant import (
-    det,
-    det_definition,
-    det_laplace,
-    det_minorsum,
-    det_product_rhs,
-    semicyclic_shift,
-)
-from .errors import (
-    BudgetExceeded,
-    CalibrationError,
-    CullisError,
-    EmptyResult,
-    FieldMismatch,
-    IndexOutOfRange,
-    LengthMismatch,
-    ParityError,
-    ResourceGuard,
-    ShapeError,
-    ShapeMismatch,
-    ZeroInverse,
-)
-from .fields import RATIONALS, FieldSpec, Scalar, gf
-from .lambdapoly import (
-    LambdaPoly,
-    all_completions_vanish,
-    deg_witness,
-    lambda_coeffs,
-    make_b_diffdiff,
-    make_b_diffsum,
-    make_b_plainsum,
-    max_deg_over_all_A,
-)
-from .matrix import (
-    RectMatrix,
-    basis_matrix,
-    basis_selector,
-    hjoin,
-    identity,
-    ones,
-    rank,
-    random_matrix,
-    submatrix_drop,
-    submatrix_keep,
-    unvec,
-    vec,
-    zeros,
-)
-from .preserver import (
-    Census,
-    LinearMapNK,
-    PreserverReport,
-    check_k1_form,
-    check_sign_condition,
-    detn2_partner,
-    enumerate_preservers,
-    factor_two_sided,
-    in_radical,
-    is_preserver,
-    make_k2_counterexample,
-    make_s_shift,
-    make_singular_preserver,
-    make_two_sided,
-    radical_enumerate,
-    s_shift_apply,
-)
+Each name in `__all__` is loaded from its home module on first access (PEP 562),
+so `import cullis` loads no submodule and each command pays only for what it runs.
+"""
 
-__all__ = [
-    "BudgetExceeded",
-    "CalibrationError",
-    "Census",
-    "CullisError",
-    "EmptyResult",
-    "FieldMismatch",
-    "FieldSpec",
-    "IndexOutOfRange",
-    "Injection",
-    "KSubset",
-    "LambdaPoly",
-    "LengthMismatch",
-    "LinearMapNK",
-    "ParityError",
-    "PreserverReport",
-    "RATIONALS",
-    "RectMatrix",
-    "ResourceGuard",
-    "Scalar",
-    "ShapeError",
-    "ShapeMismatch",
-    "ZeroInverse",
-    "all_completions_vanish",
-    "basis_matrix",
-    "basis_selector",
-    "check_k1_form",
-    "check_sign_condition",
-    "deg_witness",
-    "det",
-    "det_definition",
-    "det_laplace",
-    "det_minorsum",
-    "det_product_rhs",
-    "detn2_partner",
-    "enumerate_preservers",
-    "factor_two_sided",
-    "gf",
-    "hjoin",
-    "identity",
-    "in_radical",
-    "injections",
-    "is_preserver",
-    "k_subsets",
-    "lambda_coeffs",
-    "make_b_diffdiff",
-    "make_b_diffsum",
-    "make_b_plainsum",
-    "make_k2_counterexample",
-    "make_s_shift",
-    "make_singular_preserver",
-    "make_two_sided",
-    "max_deg_over_all_A",
-    "ones",
-    "radical_enumerate",
-    "random_matrix",
-    "rank",
-    "s_shift_apply",
-    "semicyclic_shift",
-    "sgn_injection",
-    "submatrix_drop",
-    "submatrix_keep",
-    "unvec",
-    "vec",
-    "zeros",
-]
+_HOMES = {
+    "combinatorics": ("Injection", "KSubset", "injections", "k_subsets", "sgn_injection"),
+    "determinant": ("det", "det_definition", "det_laplace", "det_minorsum", "det_product_rhs",
+                    "semicyclic_shift"),
+    "errors": ("BudgetExceeded", "CalibrationError", "CullisError", "EmptyResult",
+               "FieldMismatch", "IndexOutOfRange", "LengthMismatch", "ParityError",
+               "ResourceGuard", "ShapeError", "ShapeMismatch", "ZeroInverse"),
+    "fields": ("RATIONALS", "FieldSpec", "Scalar", "gf"),
+    "lambdapoly": ("LambdaPoly", "all_completions_vanish", "deg_witness", "lambda_coeffs",
+                   "make_b_diffdiff", "make_b_diffsum", "make_b_plainsum", "max_deg_over_all_A"),
+    "matrix": ("RectMatrix", "basis_matrix", "basis_selector", "hjoin", "identity", "ones",
+               "rank", "random_matrix", "submatrix_drop", "submatrix_keep", "unvec", "vec",
+               "zeros"),
+    "preserver": ("Census", "LinearMapNK", "PreserverReport", "check_k1_form",
+                  "check_sign_condition", "detn2_partner", "enumerate_preservers",
+                  "factor_two_sided", "in_radical", "is_preserver", "make_k2_counterexample",
+                  "make_s_shift", "make_singular_preserver", "make_two_sided",
+                  "radical_enumerate", "s_shift_apply"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

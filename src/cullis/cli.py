@@ -13,21 +13,8 @@ import json
 import os
 import sys
 
-from . import jsonio
-from .determinant import det, det_definition, det_laplace, det_minorsum
+# each command imports the modules it runs, so start-up pays for no others
 from .errors import BudgetExceeded, CullisError, ResourceGuard
-from .fields import RATIONALS, gf
-from .lambdapoly import lambda_coeffs
-from .matrix import ones
-from .preserver import (
-    enumerate_preservers,
-    factor_two_sided,
-    is_preserver,
-    make_k2_counterexample,
-    make_s_shift,
-    make_two_sided,
-    radical_enumerate,
-)
 
 
 def _budget(args) -> int | None:
@@ -52,6 +39,9 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_det(args) -> int:
+    from . import jsonio
+    from .determinant import det, det_definition, det_laplace, det_minorsum
+
     X = jsonio.matrix_from_dict(_read_json(args.input))
     budget = _budget(args)
     algo = {
@@ -65,6 +55,9 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
+    from . import jsonio
+    from .lambdapoly import lambda_coeffs
+
     A = jsonio.matrix_from_dict(_read_json(args.a))
     B = jsonio.matrix_from_dict(_read_json(args.b))
     poly = lambda_coeffs(A, B, _budget(args))
@@ -74,10 +67,24 @@ def _cmd_lambda(args) -> int:
 
 
 def _field_from_args(args):
+    from .fields import RATIONALS, gf
+
     return gf(args.p) if args.p is not None else RATIONALS
 
 
 def _cmd_preserver(args) -> int:
+    from . import jsonio
+    from .matrix import ones
+    from .preserver import (
+        enumerate_preservers,
+        factor_two_sided,
+        is_preserver,
+        make_k2_counterexample,
+        make_s_shift,
+        make_two_sided,
+        radical_enumerate,
+    )
+
     budget = _budget(args)
     sub = args.preserver_cmd
     if sub == "check":
@@ -122,7 +129,7 @@ def _cmd_preserver(args) -> int:
         return 0
     if sub == "radical":
         members = radical_enumerate(args.n, args.k, args.p, budget)
-        J = ones(gf(args.p), args.n, args.k)
+        J = ones(_field_from_args(args), args.n, args.k)
         _emit({"size": len(members), "contains_ones": any(w == J for w in members)})
         return 0
     raise CullisError(f"unknown preserver subcommand {sub!r}")
@@ -137,7 +144,7 @@ def _parse_shapes(text: str):
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_verification  # the table loads only for this command
+    from .verify import run_verification
 
     shapes = _parse_shapes(args.shapes) if args.shapes else None
     primes = tuple(int(p) for p in args.p.split(",")) if args.p else None

@@ -8,11 +8,11 @@ the image set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange
+from .record import Record, set_field
 
 
 def sgn_of_subset(elems: Sequence[int]) -> int:
@@ -32,13 +32,15 @@ def perm_sign_of(seq: Sequence[int]) -> int:
     return -1 if inv & 1 else 1
 
 
-@dataclass(frozen=True)
-class KSubset:
+class KSubset(Record):
     """A k-element subset of [n] with its cached sign."""
 
-    n: int
-    elems: tuple[int, ...]
-    sign: int
+    __slots__ = ("n", "elems", "sign")
+
+    def __init__(self, n: int, elems: tuple[int, ...], sign: int):
+        set_field(self, "n", n)
+        set_field(self, "elems", elems)
+        set_field(self, "sign", sign)
 
     @classmethod
     def of(cls, n: int, elems: Sequence[int]) -> "KSubset":
@@ -56,12 +58,14 @@ class KSubset:
         return self.elems[alpha - 1]
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(Record):
     """An injection [k] -> [n], stored as its image tuple."""
 
-    n: int
-    images: tuple[int, ...]
+    __slots__ = ("n", "images")
+
+    def __init__(self, n: int, images: tuple[int, ...]):
+        set_field(self, "n", n)
+        set_field(self, "images", images)
 
     @classmethod
     def of(cls, n: int, images: Sequence[int]) -> "Injection":

@@ -35,7 +35,6 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
 
-from . import combinatorics as comb_mod
 from .errors import IndexOutOfRange, ResourceGuard, ShapeError, ShapeMismatch, FieldMismatch
 from .fields import Scalar
 from .matrix import RectMatrix, eliminate, from_raw, raw_rows, submatrix_keep
@@ -158,6 +157,8 @@ def det_int(rows, k: int, budget: int | None = None) -> int:
 
 def det_definition(X: RectMatrix, budget: int | None = None) -> Scalar:
     """Signed sum over all n!/(n-k)! injections (the defining formula)."""
+    from . import combinatorics as comb_mod  # oracle routes only: `det` never loads it
+
     _require_tall(X)
     n, k = X.n, X.k
     _guard(perm(n, k) * k, budget)
@@ -248,6 +249,8 @@ def det_square(rows: list[list[Scalar]]) -> Scalar:
 
 def det_minorsum(X: RectMatrix, budget: int | None = None) -> Scalar:
     """Alternating sum of maximal k-by-k minors over all row k-subsets."""
+    from . import combinatorics as comb_mod
+
     _require_tall(X)
     n, k = X.n, X.k
     _guard(comb(n, k) * k ** 3, budget)

@@ -12,10 +12,14 @@ Linear maps carry their (nk) x (nk) matrix the same way under "mat".
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import CullisError
 from .fields import FieldSpec, RATIONALS, Scalar, gf
 from .matrix import RectMatrix
-from .preserver import LinearMapNK
+
+if TYPE_CHECKING:  # matrix commands do not load the map module
+    from .preserver import LinearMapNK
 
 
 def field_to_dict(field: FieldSpec) -> dict:
@@ -89,6 +93,8 @@ def map_to_dict(T: LinearMapNK) -> dict:
 
 
 def map_from_dict(d) -> LinearMapNK:
+    from .preserver import LinearMapNK
+
     n, k, mat = _read(d, "mat", "map", lambda n, k: (n * k, n * k))
     return LinearMapNK(n, k, mat)
 
@@ -96,6 +102,8 @@ def map_from_dict(d) -> LinearMapNK:
 def coerce_map_to_prime(T: LinearMapNK, p: int) -> LinearMapNK:
     """Reinterpret a map's entries in GF(p); fractions reduce via modular
     inverse of the denominator."""
+    from .preserver import LinearMapNK
+
     field = gf(p)
 
     def conv(s: Scalar) -> Scalar:

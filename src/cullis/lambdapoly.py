@@ -17,7 +17,6 @@ CalibrationError if no sign reproduces the identity on every pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import perm
 
@@ -25,14 +24,17 @@ from .determinant import det_int, sweep
 from .errors import CalibrationError, FieldMismatch, ShapeError, ShapeMismatch
 from .fields import RATIONALS, FieldSpec, Scalar
 from .matrix import RectMatrix, eliminate, from_raw, raw_rows
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class LambdaPoly:
+class LambdaPoly(Record):
     """Coefficient vector (a_0, ..., a_k) of det(A + t*B), trailing zeros kept."""
 
-    coeffs: tuple[Scalar, ...]
-    field: FieldSpec
+    __slots__ = ("coeffs", "field")
+
+    def __init__(self, coeffs: tuple[Scalar, ...], field: FieldSpec):
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "field", field)
 
     def degree(self) -> int:
         """Largest d with a_d nonzero; 0 for the zero polynomial."""

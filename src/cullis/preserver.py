@@ -30,7 +30,6 @@ a partial map is dropped at its first mismatch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -59,6 +58,7 @@ from .matrix import (
     vec,
     zeros,
 )
+from .record import Record, set_field
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
@@ -142,15 +142,20 @@ class LinearMapNK:
         return f"LinearMapNK({self.n}x{self.k} over {self.field!r})"
 
 
-@dataclass(frozen=True)
-class PreserverReport:
-    """Outcome of a preservation check; `violates` always carries a witness."""
+class PreserverReport(Record):
+    """Outcome of a preservation check; `violates` always carries a witness.
+    The verdict is "preserves", "violates" or "inconclusive", the method
+    "exhaustive", "symbolic" or "random"."""
 
-    verdict: str  # "preserves" | "violates" | "inconclusive"
-    method: str  # "exhaustive" | "symbolic" | "random"
-    witness: RectMatrix | None = None
-    samples: int | None = None
-    seed: int | None = None
+    __slots__ = ("verdict", "method", "witness", "samples", "seed")
+
+    def __init__(self, verdict: str, method: str, witness: RectMatrix | None = None,
+                 samples: int | None = None, seed: int | None = None):
+        set_field(self, "verdict", verdict)
+        set_field(self, "method", method)
+        set_field(self, "witness", witness)
+        set_field(self, "samples", samples)
+        set_field(self, "seed", seed)
 
     @property
     def preserves(self) -> bool:
@@ -502,8 +507,28 @@ def s_shift_apply(X: RectMatrix, i: int, j: int) -> RectMatrix:
 
 def make_s_shift(n: int, k: int, i: int, j: int, field: FieldSpec) -> LinearMapNK:
     """The semi-cyclic shift map as a linear endomorphism; invertible by
-    construction, and determinant preserving whenever n + k is even."""
-    return LinearMapNK.from_function(field, n, k, lambda X: s_shift_apply(X, i, j))
+    construction, and determinant preserving whenever n + k is even.
+
+    `s_shift_apply` as a signed permutation of the unit matrices, written
+    entry by entry.  With 0-based indices, output entry (r, c) is input entry
+    ((r + i - 1) mod n, c'), c' being c after exchanging columns 0 and j - 1,
+    negated once if the row wrapped, once in the new first column when j > 1,
+    and once when n - i is odd.
+    """
+    if not 1 <= i <= n:
+        raise ShapeError(f"row {i} outside 1..{n}")
+    if not 1 <= j <= k:
+        raise ShapeError(f"column {j} outside 1..{k}")
+    nk = n * k
+    signs = (field.one, -field.one)
+    ent = [field.zero] * (nk * nk)
+    for c in range(k):
+        src = j - 1 if c == 0 else 0 if c == j - 1 else c
+        flip = (n - i + (c == 0 and j > 1)) & 1
+        for r in range(n):
+            s = r + i - 1
+            ent[(c * n + r) * nk + src * n + s % n] = signs[flip ^ (s >= n)]
+    return LinearMapNK(n, k, RectMatrix(field, nk, nk, ent))
 
 
 def _corner_sums(X: RectMatrix) -> Scalar:
@@ -618,12 +643,14 @@ def factor_two_sided(T: LinearMapNK) -> tuple[RectMatrix, RectMatrix] | None:
 # -- enumeration ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """Exhaustive census of determinant preservers over a small field."""
 
-    count: int
-    maps: tuple[LinearMapNK, ...]
+    __slots__ = ("count", "maps")
+
+    def __init__(self, count: int, maps: tuple[LinearMapNK, ...]):
+        set_field(self, "count", count)
+        set_field(self, "maps", maps)
 
 
 def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> Census:

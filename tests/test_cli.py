@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cullis import RATIONALS, RectMatrix, basis_matrix, gf, make_s_shift, random_matrix
 from cullis import cli, jsonio
@@ -230,11 +236,38 @@ def test_cli_verify_paper_filter_selecting_nothing_exits_2():
         assert "no check matches" in proc.stderr
 
 
-def test_verify_table_loads_only_for_verify_paper():
-    # so is the polynomial expander, which only symbolic checks need
-    code = ("import cullis, cullis.cli, sys; "
-            "sys.exit('cullis.verify' in sys.modules or 'cullis.sympoly' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+def test_verify_table_loads_only_for_verify_paper(tmp_path):
+    # so is the polynomial expander, which only symbolic checks need; and
+    # `import cullis` loads no submodule, each command only the modules it
+    # runs, and no record loads `dataclasses` (which imports `inspect`)
+    X = write_matrix(tmp_path, "x.json", random_matrix(gf(7), 4, 2, random.Random(3)))
+    code = f"""
+import contextlib, io, sys
+before = set(sys.modules)
+
+def loaded(*names):
+    return [m for m in names if m in sys.modules and m not in before]
+
+import cullis
+assert not [m for m in sys.modules if m.startswith("cullis.")], sorted(sys.modules)
+from cullis import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0
+    extra = loaded("cullis.fields", "cullis.matrix", "cullis.determinant")
+    assert not extra, extra
+    assert cli.main(["det", "--input", {X!r}]) == 0
+    extra = loaded("cullis.preserver", "cullis.lambdapoly", "cullis.sympoly", "cullis.verify",
+                   "dataclasses", "inspect")
+    assert not extra, extra
+    assert cli.main(["lambda", "--a", {X!r}, "--b", {X!r}]) == 0
+    extra = loaded("cullis.preserver", "cullis.sympoly", "cullis.verify")
+    assert not extra, extra
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_stdout_is_json_on_failure_paths(tmp_path):
@@ -349,3 +382,100 @@ def test_failing_report_digest(monkeypatch):
     assert sum(r["status"] == "fail" for r in report["results"].values()) == 10
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == "ffb4de00efb1c18b81cbf27a396865ddb7b472be46380202ddc59b1ac6c8f276"
+
+
+# -- in-process fuzz: every document meets the exit-code contract ------------------
+
+_FIELDS = st.sampled_from([{"type": "rational"}, {"type": "gfp", "p": 2},
+                           {"type": "gfp", "p": 3}, {"type": "gfp", "p": "5"}])
+_BAD_FIELDS = st.sampled_from([{"type": "gfp", "p": 4}, {"type": "gfp", "p": -5},
+                               {"type": "gfp"}, {"type": "complex"}, "QQ"])
+_BAD_ENTRIES = st.one_of(st.sampled_from(["1/0", "x", "", "1.5", "nan", "1/2"]),
+                         st.floats(allow_nan=False), st.booleans(), st.none())
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.floats(allow_nan=False),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["n", "k", "type", "p"]), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def documents(draw, key, size):
+    """JSON text of a matrix ("entries") or map ("mat") document of a small
+    shape: well formed about half the time, else with a bad entry or field,
+    a part dropped or replaced by junk, rows cut short, or the text truncated."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows, width = size(n, k)
+    field = draw(_FIELDS)
+    entry = st.one_of(st.integers(-3, 3), st.integers(-30, 30).map(str),
+                      st.sampled_from(["1/2", "-2/3", " 4 "] if field["type"] == "rational"
+                                      else [" 4 "]))
+    doc = {"n": n, "k": k, "field": field,
+           key: [[draw(entry) for _ in range(width)] for _ in range(rows)]}
+    how = draw(st.sampled_from(["whole"] * 6 + ["entry", "field", "drop", "junk", "short",
+                                                "text"]))
+    part = draw(st.sampled_from(sorted(doc)))
+    if how == "entry":
+        doc[key][draw(st.integers(0, rows - 1))][draw(st.integers(0, width - 1))] = \
+            draw(_BAD_ENTRIES)
+    elif how == "field":
+        doc["field"] = draw(_BAD_FIELDS)
+    elif how == "drop":
+        del doc[part]
+    elif how == "junk":
+        doc[part] = draw(_JUNK)
+    elif how == "short":
+        doc[key] = doc[key][1:] if draw(st.booleans()) else [r[1:] for r in doc[key]]
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text) - 1))] if how == "text" else text
+
+
+_MATRIX = documents("entries", lambda n, k: (n, k))
+_MAP = documents("mat", lambda n, k: (n * k, n * k))
+_BUDGET = st.sampled_from([[], ["--budget", "0"], ["--budget", "10"], ["--budget", "100000"]])
+
+
+def run_in_process(argv, files):
+    """cli.main on argv with the named files written to a fresh directory;
+    returns the exit code and stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def assert_contract(code, out):
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+    else:
+        assert out == ""
+
+
+@settings(max_examples=60)
+@given(doc=_MATRIX, algo=st.sampled_from(["auto", "def", "laplace", "minorsum"]), budget=_BUDGET)
+def test_fuzz_det_documents(doc, algo, budget):
+    assert_contract(*run_in_process(["det", "--input", "x.json", "--algo", algo, *budget],
+                                    {"x.json": doc}))
+
+
+@settings(max_examples=60)
+@given(a=_MATRIX, b=_MATRIX)
+def test_fuzz_lambda_documents(a, b):
+    assert_contract(*run_in_process(["lambda", "--a", "a.json", "--b", "b.json"],
+                                    {"a.json": a, "b.json": b}))
+
+
+@settings(max_examples=60)
+@given(doc=_MAP, method=st.sampled_from(["symbolic", "exhaustive", "random"]),
+       p=st.sampled_from([[], ["--p", "3"], ["--p", "5"], ["--p", "4"], ["--p", "-1"]]),
+       budget=_BUDGET)
+def test_fuzz_preserver_check_documents(doc, method, p, budget):
+    argv = ["preserver", "check", "--map", "t.json", "--method", method, "--samples", "5"]
+    assert_contract(*run_in_process(argv + p + budget, {"t.json": doc}))

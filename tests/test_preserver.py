@@ -303,6 +303,19 @@ def test_shift_map_examples():
             assert got == want
 
 
+def test_shift_map_is_its_unit_matrix_images():
+    # make_s_shift writes the signed permutation entry by entry
+    for F in (gf(5), Q):
+        for n, k in ((3, 1), (4, 2), (5, 3), (6, 4)):
+            for i in range(1, n + 1):
+                for j in range(1, k + 1):
+                    want = LinearMapNK.from_function(F, n, k, lambda X: s_shift_apply(X, i, j))
+                    assert make_s_shift(n, k, i, j, F) == want, (F, n, k, i, j)
+    for i, j in ((0, 1), (4, 1), (1, 0), (1, 3)):
+        with pytest.raises(ShapeError):
+            make_s_shift(3, 2, i, j, Q)
+
+
 def test_shift_maps_preserve_and_invert():
     for (n, k) in [(4, 2), (5, 3), (6, 2)]:
         F = gf(7)
