@@ -10,9 +10,9 @@ _HOMES = {
     "combinatorics": ("Injection", "KSubset", "injections", "k_subsets", "sgn_injection"),
     "determinant": ("det", "det_definition", "det_laplace", "det_minorsum", "det_product_rhs",
                     "semicyclic_shift"),
-    "errors": ("BudgetExceeded", "CalibrationError", "CullisError", "EmptyResult",
-               "FieldMismatch", "IndexOutOfRange", "LengthMismatch", "ParityError",
-               "ResourceGuard", "ShapeError", "ShapeMismatch", "ZeroInverse"),
+    "errors": ("BudgetExceeded", "CullisError", "EmptyResult", "FieldMismatch",
+               "IndexOutOfRange", "LengthMismatch", "ParityError", "ResourceGuard",
+               "ShapeError", "ShapeMismatch", "ZeroInverse"),
     "fields": ("RATIONALS", "FieldSpec", "Scalar", "gf"),
     "lambdapoly": ("LambdaPoly", "all_completions_vanish", "deg_witness", "lambda_coeffs",
                    "make_b_diffdiff", "make_b_diffsum", "make_b_plainsum", "max_deg_over_all_A"),

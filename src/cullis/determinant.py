@@ -50,10 +50,13 @@ def _require_tall(X: RectMatrix):
         raise ShapeError(f"{X.n}x{X.k}: need at least as many rows as columns")
 
 
-def _guard(cost: int, budget: int | None):
-    limit = DEFAULT_OP_BUDGET if budget is None else budget
+def _guard(cost: int, budget: int | None, default: int = DEFAULT_OP_BUDGET,
+           error: type[Exception] = ResourceGuard, what: str = "elementary steps") -> int:
+    """The limit, budget or else default; raises error when cost exceeds it."""
+    limit = default if budget is None else budget
     if cost > limit:
-        raise ResourceGuard(f"{cost} elementary steps exceed budget {limit}")
+        raise error(f"{cost} {what} exceed budget {limit}")
+    return limit
 
 
 # -- the row sweep ---------------------------------------------------------------

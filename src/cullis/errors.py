@@ -43,7 +43,3 @@ class BudgetExceeded(CullisError):
 
 class ParityError(CullisError):
     """The row/column parity does not admit the requested construction."""
-
-
-class CalibrationError(CullisError):
-    """Sign calibration of a constructed completion pattern failed."""

@@ -13,6 +13,9 @@ from fractions import Fraction
 from .errors import FieldMismatch, ZeroInverse
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# largest decimal exponent a rational string may carry: the interpreter's
+# default digit limit for an integer literal
+MAX_EXPONENT = 4300
 
 
 def is_prime(n: int) -> bool:
@@ -94,6 +97,8 @@ class FieldSpec:
                 raise TypeError(f"cannot coerce {value!r} into {self}")
             return Scalar(value % self.p, self)
         if isinstance(value, (int, str)):
+            if isinstance(value, str) and ("e" in value or "E" in value):
+                _check_exponent(value)
             try:
                 value = Fraction(value)
             except ZeroDivisionError:
@@ -115,6 +120,15 @@ class FieldSpec:
         if self.kind == "prime":
             return Scalar(rng.randrange(self.p), self)
         return Scalar(Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)), self)
+
+
+def _check_exponent(text: str):
+    """Refuse a decimal exponent above MAX_EXPONENT in magnitude before
+    Fraction builds its power of ten; Fraction judges the rest of the text."""
+    exp = text.lower().partition("e")[2]
+    digits = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdecimal() and int(digits[:5]) > MAX_EXPONENT:  # no leading zeros left
+        raise ValueError(f"decimal exponent in {text[:40]!r} exceeds {MAX_EXPONENT}")
 
 
 def gf(p: int) -> FieldSpec:

@@ -46,8 +46,23 @@ def field_from_dict(d) -> FieldSpec:
     raise ValueError(f"unknown field type {d['type']!r}")
 
 
+def _int_str(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        from decimal import Decimal
+
+        return str(Decimal(v))
+
+
 def scalar_to_str(s: Scalar) -> str:
-    return str(s.value)
+    """The exact decimal text of s, "num/den" for a non-integer fraction,
+    whatever the interpreter's int-to-str digit limit."""
+    v = s.value
+    if isinstance(v, int):
+        return _int_str(v)
+    num = _int_str(v.numerator)
+    return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
 
 
 def matrix_to_dict(X: RectMatrix) -> dict:

@@ -6,13 +6,11 @@ coefficient is multilinear in A's remaining columns, and summands for distinct
 S have disjoint monomial supports, so "vanishes for every A" can be decided
 exactly by sweeping standard basis vectors through the free column slots.
 
-Also houses the three completion constructors: fixed patterns B such that
-det(X|B) collapses, for every X with two columns, to a prescribed combination
-of 2x2 determinants.  Their last-column signs are not derivable from a closed
-formula here.  Both sides of each identity are bilinear and alternating in
-the two columns of X, so each constructor fixes the sign once, exactly, on
-the basis pairs X = (e_a | e_b) over the integers, and raises
-CalibrationError if no sign reproduces the identity on every pair.
+Also houses the three completion constructors: fixed patterns B of unit
+columns such that det(X|B) collapses, for every X with two columns, to a
+prescribed combination of 2x2 determinants.  Each B carries a closed-form
+sign on its last column, read off a Laplace expansion along B's unit columns:
+-1 for diffdiff, (-1)**(n(k+1)) for diffsum and (-1)**(k(n+1)) for plainsum.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ from itertools import combinations
 from math import perm
 
 from .determinant import det_int, sweep
-from .errors import CalibrationError, FieldMismatch, ShapeError, ShapeMismatch
-from .fields import RATIONALS, FieldSpec, Scalar
+from .errors import FieldMismatch, ShapeError, ShapeMismatch
+from .fields import FieldSpec, Scalar
 from .matrix import RectMatrix, eliminate, from_raw, raw_rows
 from .record import Record, set_field
 
@@ -89,7 +87,7 @@ def _digits(packed: int, w: int, count: int) -> list[int]:
     return out
 
 
-def _first_completion(cols: list[list[int]], n: int, m: int, p: int | None):
+def _first_basis_rows(cols: list[list[int]], n: int, m: int, p: int | None):
     """First m-subset R of rows, in lexicographic order, such that the raw
     columns `cols` restricted to the rows outside R have a nonzero
     determinant (mod p when p is given); None when there is none.
@@ -120,11 +118,11 @@ def _raw_columns(X: RectMatrix) -> tuple[list[list[int]], int | None]:
 def _completion_scan(cols: list[list[int]], n: int, k: int, d: int, p: int | None):
     """(S, R): S the first d-subset of `cols`, raw columns of an n x k matrix,
     that some k - d basis columns complete to a nonzero det, and R their first
-    rows (`_first_completion`); None when there is none.  Completable sets
+    rows (`_first_basis_rows`); None when there is none.  Completable sets
     are closed under subsets: expand a dropped column of S in the standard
     basis, and one term is a nonzero completion of the rest."""
     for S in combinations(range(len(cols)), d):
-        R = _first_completion([cols[j] for j in S], n, k - d, p)
+        R = _first_basis_rows([cols[j] for j in S], n, k - d, p)
         if R is not None:
             return S, R
     return None
@@ -176,7 +174,7 @@ def all_completions_vanish(X: RectMatrix, k: int) -> bool:
     if k < 2 or k > X.n:
         raise ShapeError(f"target width {k} outside 2..{X.n}")
     cols, p = _raw_columns(X)
-    return _first_completion(cols, X.n, k - 2, p) is None
+    return _first_basis_rows(cols, X.n, k - 2, p) is None
 
 
 # -- completion constructors ---------------------------------------------------
@@ -186,17 +184,13 @@ def _det2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _rows2(X) -> list:
-    """The rows of a two-column X given as a RectMatrix, or X itself when it
-    is already a list of rows (calibration passes rows of plain integers)."""
-    if not isinstance(X, RectMatrix):
-        return X
+def _rows2(X: RectMatrix) -> list:
     if X.k != 2:
         raise ShapeError(f"expected two columns, got {X.k}")
     return X.rows()
 
 
-def diffdiff_rhs(X, l: int) -> Scalar:
+def diffdiff_rhs(X: RectMatrix, l: int) -> Scalar:
     """det2 of (row1 - row2) against (row l - row l+1)."""
     r = _rows2(X)
     u = [r[0][0] - r[1][0], r[0][1] - r[1][1]]
@@ -204,14 +198,14 @@ def diffdiff_rhs(X, l: int) -> Scalar:
     return _det2(u, v)
 
 
-def diffsum_rhs(X, k: int) -> Scalar:
+def diffsum_rhs(X: RectMatrix, k: int) -> Scalar:
     """Alternating sum over l = 3..n-k+3 of det2 of (row1 - row2) against row l."""
     r = _rows2(X)
     u = [r[0][0] - r[1][0], r[0][1] - r[1][1]]
     return sum((-1) ** l * _det2(u, r[l - 1]) for l in range(3, len(r) - k + 4))
 
 
-def plainsum_rhs(X, k: int) -> Scalar:
+def plainsum_rhs(X: RectMatrix, k: int) -> Scalar:
     """The truncated two-column determinant expansion on rows 1..n-k+2:
     det2(r1, r2) plus signed cross terms against and among rows 3..n-k+2."""
     r = _rows2(X)
@@ -223,101 +217,51 @@ def plainsum_rhs(X, k: int) -> Scalar:
                   for l in range(3, m + 1) for mm in range(l + 1, m + 1)))
 
 
-def _diffdiff_pattern(field: FieldSpec, n: int, k: int, l: int) -> RectMatrix:
-    z, o = field.zero, field.one
-    cols = [[z] * n for _ in range(k - 2)]
-    cols[0][0] = cols[0][1] = o
-    cols[1][l - 1] = cols[1][l] = o
-    extra = [t for t in range(3, n + 1) if t not in (l, l + 1)][: k - 4]
-    for a, t in enumerate(extra):
-        cols[a + 2][t - 1] = o
-    return RectMatrix.from_columns(field, cols)
-
-
-def _diffsum_pattern(field: FieldSpec, n: int, k: int) -> RectMatrix:
-    z, o = field.zero, field.one
-    cols = [[z] * n for _ in range(k - 2)]
-    cols[0][0] = cols[0][1] = o
-    for i in range(1, k - 2):
-        cols[i][n - k + 3 + i - 1] = o
-    return RectMatrix.from_columns(field, cols)
-
-
-def _plainsum_pattern(field: FieldSpec, n: int, k: int) -> RectMatrix:
-    z, o = field.zero, field.one
-    cols = [[z] * n for _ in range(k - 2)]
-    for i in range(1, k - 1):
-        cols[i - 1][n - k + 2 + i - 1] = o
-    return RectMatrix.from_columns(field, cols)
-
-
-_SIGN_CACHE: dict[tuple, int] = {}
-
-
-def _pair_dets(pattern: RectMatrix) -> list[int]:
-    """det(e_a | e_b | pattern) over the integers for the rows a < b in
-    lexicographic order, from one row sweep: with x_a = 2**(w*a) and
-    y_b = 2**(w*n*b) in the two new columns, it is the signed base-2**w
-    digit a + n*b, the coefficient of x_a*y_b."""
-    (rows,), _ = raw_rows(pattern)
-    n, k = pattern.n, pattern.k + 2
-    top = max(1, max(abs(x) for row in rows for x in row))
-    w = (perm(n, k) * top ** k).bit_length() + 1
-    digits = _digits(sweep([[1 << w * i, 1 << w * n * i] + row for i, row in enumerate(rows)], k),
-                     w, n * n)
-    return [digits[a + n * b] for a, b in combinations(range(n), 2)]
-
-
-def _completion(key: tuple, pattern_fn, rhs_fn, field: FieldSpec) -> RectMatrix:
-    """pattern_fn(field) with its last column times the sign making det(X|B)
-    equal rhs_fn(X) for every X.
-
-    Both sides are bilinear and alternating in the columns of X with integer
-    coefficients, so they agree everywhere exactly when they agree on each
-    X = (e_a | e_b), a < b, over the integers.  The first pair with a nonzero
-    target fixes the sign, cached per key, and every pair checks it;
-    CalibrationError if no sign works.
-    """
-    eps = _SIGN_CACHE.get(key)
-    if eps is None:
-        A = pattern_fn(RATIONALS)
-        pairs = list(zip(_pair_dets(A), (rhs_fn([[int(i == a), int(i == b)] for i in range(A.n)])
-                                         for a, b in combinations(range(A.n), 2))))
-        eps = next((1 if lhs == r else -1 for lhs, r in pairs if r), 0)
-        if not eps or any(eps * lhs != r for lhs, r in pairs):
-            raise CalibrationError(f"{key}: no last-column sign matches the target identity")
-        _SIGN_CACHE[key] = eps
-    B = pattern_fn(field)
-    return B.with_scaled_column(B.k, eps)
+def _pattern(field: FieldSpec, n: int, cols: list[list[int]], sign: int) -> RectMatrix:
+    """The n x len(cols) matrix with ones at the 0-based rows cols[j] of
+    column j, and sign instead of one on the last column."""
+    out = [[field.zero] * n for _ in cols]
+    for j, rows in enumerate(cols):
+        for i in rows:
+            out[j][i] = field.element(sign if j == len(cols) - 1 else 1)
+    return RectMatrix.from_columns(field, out)
 
 
 def make_b_diffdiff(n: int, k: int, l: int, field: FieldSpec) -> RectMatrix:
     """Completion whose join with any two-column X has determinant
-    diffdiff_rhs(X, l)."""
+    diffdiff_rhs(X, l): columns e1 + e2, e_l + e_l+1 and e_t for the first
+    k - 4 rows t >= 3 outside {l, l+1}, the last signed -1.  Laplace expansion
+    along them leaves x_11 x_l2 on rows {1, 2, l, l+1, t...}, a set of sign +1,
+    through the odd permutation (1, l, 2, l+1, t...), whatever n, k and l."""
     if not (n >= k >= 4):
         raise ShapeError(f"need n >= k >= 4, got n={n}, k={k}")
     if not (2 < l < n):
         raise ShapeError(f"need 2 < l < n, got l={l}")
-    return _completion(("diffdiff", n, k, l), lambda F: _diffdiff_pattern(F, n, k, l),
-                       lambda X: diffdiff_rhs(X, l), field)
+    extra = [t for t in range(2, n) if t not in (l - 1, l)][: k - 4]
+    return _pattern(field, n, [[0, 1], [l - 1, l]] + [[t] for t in extra], -1)
 
 
 def make_b_diffsum(n: int, k: int, field: FieldSpec) -> RectMatrix:
     """Completion whose join with any two-column X has determinant
-    diffsum_rhs(X, k)."""
+    diffsum_rhs(X, k): columns e1 + e2 and the units of the last k - 3 rows,
+    the last signed (-1)**(n(k+1)).  Laplace expansion along each bottom unit
+    (last row, last column) gives (-1)**(n+k), k - 3 times, and e1 + e2 then
+    leaves diffsum_rhs itself."""
     if not (n >= k >= 3):
         raise ShapeError(f"need n >= k >= 3, got n={n}, k={k}")
-    return _completion(("diffsum", n, k), lambda F: _diffsum_pattern(F, n, k),
-                       lambda X: diffsum_rhs(X, k), field)
+    cols = [[0, 1]] + [[i] for i in range(n - k + 3, n)]
+    return _pattern(field, n, cols, (-1) ** (n * (k + 1)))
 
 
 def make_b_plainsum(n: int, k: int, field: FieldSpec) -> RectMatrix | None:
     """Completion whose join with any two-column X has determinant
     plainsum_rhs(X, k).  For k = 2 the completion is empty: None is returned
-    and the identity degrades to det(X) itself."""
+    and the identity degrades to det(X) itself.  Otherwise its columns are
+    the units of the last k - 2 rows, the last signed (-1)**(k(n+1)): Laplace
+    expansion along each (last row, last column) gives (-1)**(n+k), k - 2
+    times, and leaves det of X's first n - k + 2 rows, which is plainsum_rhs."""
     if not (n >= k >= 2):
         raise ShapeError(f"need n >= k >= 2, got n={n}, k={k}")
     if k == 2:
         return None
-    return _completion(("plainsum", n, k), lambda F: _plainsum_pattern(F, n, k),
-                       lambda X: plainsum_rhs(X, k), field)
+    return _pattern(field, n, [[i] for i in range(n - k + 2, n)], (-1) ** (k * (n + 1)))

@@ -37,7 +37,7 @@ from math import lcm, perm
 from operator import add
 
 from . import combinatorics as comb_mod
-from .determinant import DEFAULT_TERM_GUARD, det, det_int, sweep
+from .determinant import DEFAULT_TERM_GUARD, _guard, det, det_int, sweep
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
@@ -278,10 +278,7 @@ def _det_table(n: int, k: int, p: int, budget: int | None = None) -> tuple[int, 
     The budget counts the p**(nk) entries and is checked on every call; the
     tables themselves are read-only and the last eight built are kept.
     """
-    total = p ** (n * k)
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceeded(f"{total} inputs exceeds budget {limit}")
+    _guard(p ** (n * k), budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, "inputs")
     return _build_det_table(n, k, p)
 
 
@@ -429,9 +426,7 @@ def _symbolic_diff(T: LinearMapNK, budget: int | None) -> dict:
         from . import sympoly
         # integers (s = 1) are the map's own values, and clear faster
         return sympoly.det_change(_rows(m if s == 1 else values, n * k), n, k, field, budget)
-    limit = DEFAULT_TERM_GUARD if budget is None else budget
-    if perm(n, k) > limit:
-        raise BudgetExceeded(f"{n}x{k} minor sum beyond {limit} terms")
+    _guard(perm(n, k), budget, DEFAULT_TERM_GUARD, BudgetExceeded, f"minor-sum terms at {n}x{k}")
     a, b, c = split
     weights = list(_sign_weights(a, b, c ** k, k, field.p))
     if not any(weights):
@@ -599,10 +594,7 @@ def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list
     from .fields import gf
 
     field = gf(p)
-    total = p ** (n * k)
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceeded(f"{total} matrices exceeds budget {limit}")
+    _guard(p ** (n * k), budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, "matrices")
     if not 1 <= k <= n:
         raise ShapeError(f"{n}x{k}: need n >= k >= 1")
     good = [c for c in product(range(p), repeat=n) if _completion_scan([c], n, k, 1, p) is None]
@@ -670,10 +662,7 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
         raise ShapeError(f"{n}x{k}: need n >= k >= 1")
     field = gf(p)
     nk = n * k
-    space = p ** (nk * nk)
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if space > limit:
-        raise BudgetExceeded(f"{space} maps exceeds budget {limit}")
+    _guard(p ** (nk * nk), budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, "maps")
 
     table = _det_table(n, k, p, budget)
     size = len(table)

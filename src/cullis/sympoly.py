@@ -19,7 +19,7 @@ from itertools import combinations
 from math import lcm
 
 from .combinatorics import sgn_of_subset
-from .determinant import DEFAULT_TERM_GUARD, sweep_count, sweep_plan
+from .determinant import DEFAULT_TERM_GUARD, _guard, sweep_count, sweep_plan
 from .errors import BudgetExceeded
 from .fields import FieldSpec
 
@@ -54,9 +54,9 @@ def _sweep(mat_rows: list[list], n: int, k: int, p: int | None,
     column j of T(X) is cleared by the lcm of its denominators, and s is the
     product of those lcms; over GF(p), s = 1.
     """
-    limit = DEFAULT_TERM_GUARD if guard is None else guard
-    if sweep_count(n, k) > limit:  # a plan with more moves than allowed products is not built
-        raise BudgetExceeded(f"{n}x{k} sweep plan beyond {limit} products")
+    # a plan with more moves than allowed products is not built
+    limit = _guard(sweep_count(n, k), guard, DEFAULT_TERM_GUARD, BudgetExceeded,
+                   f"sweep-plan moves at {n}x{k}")
     b = k.bit_length()
     scale = 1
     # forms[i][j]: entry (i, j) of T(X) as (packed variable, coefficient) pairs

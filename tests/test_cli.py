@@ -334,6 +334,24 @@ def test_cli_booleans_exit_2():
     assert_refused(bad_doc('{"type": "gfp", "p": true}', '"1"'))
 
 
+def test_cli_huge_decimal_exponent_exits_2_before_any_work():
+    # Fraction would build 10**30000000 first; the exponent is refused at 4300
+    for entry in ("1e30000000", "-2.5E+4301", "1e-4301", "1e0000000000009999"):
+        doc = '{"n": 1, "k": 1, "field": {"type": "rational"}, "entries": [["%s"]]}' % entry
+        assert run_in_process(["det", "--input", "x.json"], {"x.json": doc}) == (2, "")
+    doc = '{"n": 1, "k": 1, "field": {"type": "rational"}, "entries": [["-1e-4300"]]}'
+    code, out = run_in_process(["det", "--input", "x.json"], {"x.json": doc})
+    assert code == 0 and json.loads(out)["det"] == "-1/1" + "0" * 4300
+
+
+def test_cli_prints_a_det_past_the_int_to_str_digit_limit():
+    doc = ('{"n": 2, "k": 2, "field": {"type": "rational"}, '
+           '"entries": [["1e3000", "0"], ["0", "1e3000"]]}')
+    code, out = run_in_process(["det", "--input", "x.json"], {"x.json": doc})
+    assert code == 0
+    assert json.loads(out)["det"] == "1" + "0" * 6000
+
+
 def test_cli_deep_nesting_exits_2():
     deep = "[" * 100_000
     for cmd in (["det", "--input", "-"], ["preserver", "check", "--map", "-"]):
@@ -390,7 +408,7 @@ _FIELDS = st.sampled_from([{"type": "rational"}, {"type": "gfp", "p": 2},
                            {"type": "gfp", "p": 3}, {"type": "gfp", "p": "5"}])
 _BAD_FIELDS = st.sampled_from([{"type": "gfp", "p": 4}, {"type": "gfp", "p": -5},
                                {"type": "gfp"}, {"type": "complex"}, "QQ"])
-_BAD_ENTRIES = st.one_of(st.sampled_from(["1/0", "x", "", "1.5", "nan", "1/2"]),
+_BAD_ENTRIES = st.one_of(st.sampled_from(["1/0", "x", "", "1.5", "nan", "1/2", "1e30000000"]),
                          st.floats(allow_nan=False), st.booleans(), st.none())
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 4), st.floats(allow_nan=False),

@@ -1,10 +1,9 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from cullis import (
-    CalibrationError,
     RATIONALS,
     RectMatrix,
     ShapeError,
@@ -216,12 +215,33 @@ def test_diffsum_vanishes_on_proportional_rows():
     assert det(hjoin(RectMatrix.from_rows(F, rows), B)).value == 0
 
 
-def test_wrong_completion_pattern_raises(monkeypatch):
-    # the plain-sum pattern does not reproduce the diff-sum target with either sign
-    monkeypatch.setattr(lambdapoly, "_SIGN_CACHE", {})
-    monkeypatch.setattr(lambdapoly, "_diffsum_pattern", lambdapoly._plainsum_pattern)
-    with pytest.raises(CalibrationError):
-        make_b_diffsum(6, 4, gf(7))
+def completion_keys(max_n):
+    """(args, constructor, target) for every key with 3 <= k <= n <= max_n."""
+    for n in range(3, max_n + 1):
+        for k in range(3, n + 1):
+            yield (n, k), make_b_plainsum, lambda X, k=k: plainsum_rhs(X, k)
+            yield (n, k), make_b_diffsum, lambda X, k=k: diffsum_rhs(X, k)
+    for n, k, l in admissible_diffdiff(max_n):
+        yield (n, k, l), make_b_diffdiff, lambda X, l=l: diffdiff_rhs(X, l)
+
+
+def test_completion_identity_exact_on_every_basis_pair():
+    # Both sides are bilinear and alternating in the two columns of X, so the
+    # basis pairs (e_a | e_b), a < b, decide the identity; this reaches every
+    # sign class of the closed-form last-column signs, diffsum's -1 (n odd,
+    # k even) included.
+    keys = pairs = 0
+    for args, make, rhs in completion_keys(9):
+        B = make(*args, Q)
+        n = args[0]
+        assert (B.n, B.k) == (n, args[1] - 2)
+        for a, b in combinations(range(n), 2):
+            X = RectMatrix.from_columns(Q, [[Q.element(int(i == a)) for i in range(n)],
+                                            [Q.element(int(i == b)) for i in range(n)]])
+            assert det(hjoin(X, B)) == rhs(X), (make.__name__, args, a, b)
+            pairs += 1
+        keys += 1
+    assert (keys, pairs) == (147, 3773)
 
 
 def test_plainsum_identity():
