@@ -268,16 +268,28 @@ def det_minorsum(X: RectMatrix, budget: int | None = None) -> Scalar:
     return total
 
 
+def _entry_weight(rows, p: int | None) -> int:
+    """What one step costs on the raw rows: ceil(b / 64) ** 2, b the bit
+    length of the largest entry, (p - 1).bit_length() over GF(p); 1 for
+    every entry below 2**64."""
+    bits = (p - 1).bit_length() if p else max(abs(x) for row in rows for x in row).bit_length()
+    return max(1, -(-bits // 64)) ** 2
+
+
 def det(X: RectMatrix, budget: int | None = None) -> Scalar:
     """Dispatcher: the cheaper of the row sweep and raw elimination.
 
-    The route is picked, and the budget checked, from the exact step counts
-    of the shape before anything is converted; every route returns the same
-    value on the same input.
+    The route is picked from the exact step counts of the shape, and the
+    budget checked on that count, before anything is converted.  After
+    `raw_rows` the budget is checked again on the count times
+    `_entry_weight`, the cost of one step on entries that size.  Every route
+    returns the same value on the same input.
     """
     _require_tall(X)
-    route(X.n, X.k, budget)  # refuse before converting anything
+    steps = _cheaper(X.n, X.k)[1]
+    _guard(steps, budget)  # refuse before converting anything
     (rows,), scale = raw_rows(X)
+    _guard(steps * _entry_weight(rows, X.field.p), budget, what="entry-weighted steps")
     return from_raw(X.field, det_int(rows, X.k, budget), scale)
 
 

@@ -115,11 +115,53 @@ class FieldSpec:
     def one(self) -> "Scalar":
         return self.element(1)
 
-    def random_element(self, rng) -> "Scalar":
-        """Draw a scalar from `rng`; small mixed-sign fractions over QQ."""
+    def raw_values(self, items, check=None) -> list:
+        """`element(v).value` for every v in items, in one pass.
+
+        Ints and Scalars of this field are read directly, and so are strings
+        that `int` reads over GF(p) and plain ASCII "-digits" or
+        "-digits/digits" strings with a nonzero denominator over QQ.  Every
+        other item goes to `element`, after check(v) when check is given, so
+        the grammar accepted is still the interpreter's.
+        """
+        out = []
+        add = out.append
+        p = self.p
+        for v in items:
+            t = type(v)
+            if t is str:
+                if p:
+                    try:
+                        add(int(v) % p)
+                        continue
+                    except ValueError:  # int's spaces are only some of strip's
+                        pass
+                elif v.isascii():  # "-digits" or "-digits/digits" skip Fraction's parser
+                    num, slash, den = v.partition("/")
+                    if (num[1:] if num[:1] == "-" else num).isdigit() and (
+                            den.isdigit() or not slash):
+                        d = int(den) if slash else 1
+                        if d:  # a zero denominator takes element's error
+                            add(Fraction(int(num), d))
+                            continue
+            elif t is int:
+                add(v % p if p else Fraction(v))
+                continue
+            elif t is Scalar and v.field is self and check is None:
+                add(v.value)
+                continue
+            add(self.element(v if check is None else check(v)).value)
+        return out
+
+    def random_value(self, rng):
+        """Draw a raw value from `rng`; small mixed-sign fractions over QQ."""
         if self.kind == "prime":
-            return Scalar(rng.randrange(self.p), self)
-        return Scalar(Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)), self)
+            return rng.randrange(self.p)
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
+
+    def random_element(self, rng) -> "Scalar":
+        """`random_value` as a scalar."""
+        return Scalar(self.random_value(rng), self)
 
 
 def _check_exponent(text: str):

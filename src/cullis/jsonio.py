@@ -12,11 +12,12 @@ Linear maps carry their (nk) x (nk) matrix the same way under "mat".
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import CullisError
 from .fields import FieldSpec, RATIONALS, Scalar, gf
-from .matrix import RectMatrix
+from .matrix import RectMatrix, _check_shape
 
 if TYPE_CHECKING:  # matrix commands do not load the map module
     from .preserver import LinearMapNK
@@ -55,14 +56,22 @@ def _int_str(v: int) -> str:
         return str(Decimal(v))
 
 
-def scalar_to_str(s: Scalar) -> str:
-    """The exact decimal text of s, "num/den" for a non-integer fraction,
-    whatever the interpreter's int-to-str digit limit."""
-    v = s.value
+def _value_to_str(v) -> str:
     if isinstance(v, int):
         return _int_str(v)
     num = _int_str(v.numerator)
     return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
+
+
+def scalar_to_str(s: Scalar) -> str:
+    """The exact decimal text of s, "num/den" for a non-integer fraction,
+    whatever the interpreter's int-to-str digit limit."""
+    return _value_to_str(s.value)
+
+
+def _text_rows(X: RectMatrix) -> list[list[str]]:
+    text = list(map(_value_to_str, X.values))
+    return [text[i:i + X.k] for i in range(0, len(text), X.k)]
 
 
 def matrix_to_dict(X: RectMatrix) -> dict:
@@ -70,13 +79,18 @@ def matrix_to_dict(X: RectMatrix) -> dict:
         "n": X.n,
         "k": X.k,
         "field": field_to_dict(X.field),
-        "entries": [[scalar_to_str(v) for v in X.row(i)] for i in range(1, X.n + 1)],
+        "entries": _text_rows(X),
     }
+
+
+def _entry(v):
+    return _checked(v, "entry")
 
 
 def _read(d, key: str, what: str, size) -> tuple[int, int, RectMatrix]:
     """n, k and the matrix under `key` of a matrix or map document, whose
-    row count and row length are size(n, k)."""
+    row count and row length are size(n, k).  The entries are coerced to raw
+    values in one pass (`FieldSpec.raw_values`)."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} document must be a JSON object")
     try:
@@ -90,7 +104,9 @@ def _read(d, key: str, what: str, size) -> tuple[int, int, RectMatrix]:
         raise ValueError(f"expected {rows} {what} rows")
     if any(not isinstance(row, list) or len(row) != width for row in body):
         raise ValueError(f"expected {what} rows of {width} entries")
-    return n, k, RectMatrix.from_rows(field, [[_checked(v, "entry") for v in row] for row in body])
+    _check_shape(rows, width)
+    values = field.raw_values(chain.from_iterable(body), _entry)
+    return n, k, RectMatrix._of(field, rows, width, tuple(values))
 
 
 def matrix_from_dict(d) -> RectMatrix:
@@ -98,12 +114,11 @@ def matrix_from_dict(d) -> RectMatrix:
 
 
 def map_to_dict(T: LinearMapNK) -> dict:
-    nk = T.n * T.k
     return {
         "n": T.n,
         "k": T.k,
         "field": field_to_dict(T.field),
-        "mat": [[scalar_to_str(v) for v in T.mat.row(i)] for i in range(1, nk + 1)],
+        "mat": _text_rows(T.mat),
     }
 
 
@@ -120,16 +135,13 @@ def coerce_map_to_prime(T: LinearMapNK, p: int) -> LinearMapNK:
     from .preserver import LinearMapNK
 
     field = gf(p)
-
-    def conv(s: Scalar) -> Scalar:
-        if T.field.kind == "prime":
-            return field.element(s.value)
-        num = field.element(s.value.numerator)
-        den = field.element(s.value.denominator)
-        if den.is_zero:
-            raise CullisError(f"denominator of {s} vanishes mod {p}")
-        return num * den.inverse()
-
+    if T.field.kind == "prime":
+        values = [v % p for v in T.mat.values]
+    else:
+        values = []
+        for v in T.mat.values:
+            if not v.denominator % p:
+                raise CullisError(f"denominator of {_value_to_str(v)} vanishes mod {p}")
+            values.append(v.numerator * pow(v.denominator, -1, p) % p)
     nk = T.n * T.k
-    rows = [[conv(v) for v in T.mat.row(i)] for i in range(1, nk + 1)]
-    return LinearMapNK(T.n, T.k, RectMatrix.from_rows(field, rows))
+    return LinearMapNK(T.n, T.k, RectMatrix._of(field, nk, nk, tuple(values)))

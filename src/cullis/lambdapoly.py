@@ -21,7 +21,7 @@ from math import perm
 from .determinant import det_int, sweep
 from .errors import FieldMismatch, ShapeError, ShapeMismatch
 from .fields import FieldSpec, Scalar
-from .matrix import RectMatrix, eliminate, from_raw, raw_rows
+from .matrix import RectMatrix, _zero_one, eliminate, from_raw, raw_rows
 from .record import Record, set_field
 
 
@@ -157,10 +157,11 @@ def deg_witness(B: RectMatrix, d: int) -> RectMatrix | None:
     if found is None:
         return None
     S, R = found
-    wcols = [[B.field.zero] * n for _ in range(k)]
+    zero, one = _zero_one(B.field)
+    values = [zero] * (n * k)
     for j, t in zip([j for j in range(k) if j not in S], R):
-        wcols[j][t] = B.field.one
-    return RectMatrix.from_columns(B.field, wcols)
+        values[t * k + j] = one
+    return RectMatrix._of(B.field, n, k, tuple(values))
 
 
 def all_completions_vanish(X: RectMatrix, k: int) -> bool:
@@ -220,11 +221,14 @@ def plainsum_rhs(X: RectMatrix, k: int) -> Scalar:
 def _pattern(field: FieldSpec, n: int, cols: list[list[int]], sign: int) -> RectMatrix:
     """The n x len(cols) matrix with ones at the 0-based rows cols[j] of
     column j, and sign instead of one on the last column."""
-    out = [[field.zero] * n for _ in cols]
+    k = len(cols)
+    zero, one = _zero_one(field)
+    last = sign % field.p if field.p else one * sign
+    values = [zero] * (n * k)
     for j, rows in enumerate(cols):
         for i in rows:
-            out[j][i] = field.element(sign if j == len(cols) - 1 else 1)
-    return RectMatrix.from_columns(field, out)
+            values[i * k + j] = last if j == k - 1 else one
+    return RectMatrix._of(field, n, k, tuple(values))
 
 
 def make_b_diffdiff(n: int, k: int, l: int, field: FieldSpec) -> RectMatrix:

@@ -1,6 +1,15 @@
 """Immutable rectangular matrices, the submatrix calculus they support, and
 the one elimination on raw integers.
 
+A matrix stores one form: `values`, a read-only tuple of canonical raw
+values in row-major order (residues in [0, p) over GF(p), reduced Fractions
+over QQ).  `values` is public.  `entries`, `entry`, `row`, `column` and
+`rows` wrap these values as `Scalar`s when called, for callers that want
+field elements.  The public constructor takes Scalars and checks them;
+`from_rows` and the JSON reader coerce plain values in one pass
+(`FieldSpec.raw_values`), and the kernels build their results with the
+trusted constructor `RectMatrix._of`, so no Scalar is made inside a kernel.
+
 All public indices are 1-based.  Row and column selections follow the
 keep/drop convention: `submatrix_keep` retains the listed indices in
 increasing order, `submatrix_drop` strikes them out.  `vec` stacks a matrix
@@ -17,7 +26,9 @@ the rank over QQ) and reduced mod p for the rank over GF(p).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,41 +41,64 @@ from .errors import (
 )
 from .fields import FieldSpec, Scalar
 
+_set = object.__setattr__
+
+
+def _check_shape(n: int, k: int):
+    if n < 1 or k < 1:
+        raise ShapeError(f"matrix shape {n}x{k} must be at least 1x1")
+
+
+def _reduced(values, p: int | None) -> tuple:
+    """values as canonical raw values: mod p over GF(p); over QQ they are
+    Fractions already."""
+    return tuple(x % p for x in values) if p else tuple(values)
+
 
 class RectMatrix:
-    """An n-by-k matrix of scalars over a fixed field, stored row-major."""
+    """An n-by-k matrix over a fixed field, stored as raw values row-major."""
 
-    __slots__ = ("n", "k", "entries", "field")
+    __slots__ = ("n", "k", "values", "field")
 
     def __init__(self, field: FieldSpec, n: int, k: int, entries: Sequence[Scalar]):
-        if n < 1 or k < 1:
-            raise ShapeError(f"matrix shape {n}x{k} must be at least 1x1")
+        _check_shape(n, k)
         if len(entries) != n * k:
             raise LengthMismatch(f"{len(entries)} entries for a {n}x{k} matrix")
+        values = []
         for e in entries:
             if not isinstance(e, Scalar) or (e.field is not field and e.field != field):
                 raise FieldMismatch(f"entry {e!r} does not belong to {field!r}")
-        self_set = object.__setattr__
-        self_set(self, "field", field)
-        self_set(self, "n", n)
-        self_set(self, "k", k)
-        self_set(self, "entries", tuple(entries))
+            values.append(e.value)
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "values", tuple(values))
+
+    @classmethod
+    def _of(cls, field: FieldSpec, n: int, k: int, values: tuple) -> "RectMatrix":
+        """Trusted constructor: values is a tuple of n * k canonical raw
+        values of field, row-major, and n, k >= 1."""
+        self = object.__new__(cls)
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "values", values)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RectMatrix is immutable")
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "RectMatrix":
+        """The matrix with the given rows of anything `field.element` takes."""
         n = len(rows)
         if n == 0:
             raise ShapeError("no rows given")
         k = len(rows[0])
-        entries = []
-        for row in rows:
-            if len(row) != k:
-                raise ShapeMismatch("ragged rows")
-            entries.extend(field.element(v) for v in row)
-        return cls(field, n, k, entries)
+        if any(len(row) != k for row in rows):
+            raise ShapeMismatch("ragged rows")
+        _check_shape(n, k)
+        return cls._of(field, n, k, tuple(field.raw_values(chain.from_iterable(rows))))
 
     @classmethod
     def from_columns(cls, field: FieldSpec, cols: Sequence[Sequence]) -> "RectMatrix":
@@ -75,22 +109,31 @@ class RectMatrix:
         rows = [[cols[j][i] for j in range(k)] for i in range(n)]
         return cls.from_rows(field, rows)
 
-    # -- element access (1-based) -------------------------------------------
+    # -- element access (1-based), as scalars --------------------------------
+
+    def _scalars(self, values) -> list[Scalar]:
+        f = self.field
+        return [Scalar(v, f) for v in values]
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        """The entries row-major as scalars, built from `values` on each call."""
+        return tuple(self._scalars(self.values))
 
     def entry(self, i: int, j: int) -> Scalar:
         if not (1 <= i <= self.n and 1 <= j <= self.k):
             raise IndexOutOfRange(f"({i},{j}) outside {self.n}x{self.k}")
-        return self.entries[(i - 1) * self.k + (j - 1)]
+        return Scalar(self.values[(i - 1) * self.k + (j - 1)], self.field)
 
     def row(self, i: int) -> list[Scalar]:
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"row {i} outside 1..{self.n}")
-        return list(self.entries[(i - 1) * self.k : i * self.k])
+        return self._scalars(self.values[(i - 1) * self.k : i * self.k])
 
     def column(self, j: int) -> list[Scalar]:
         if not 1 <= j <= self.k:
             raise IndexOutOfRange(f"column {j} outside 1..{self.k}")
-        return list(self.entries[j - 1 :: self.k])
+        return self._scalars(self.values[j - 1 :: self.k])
 
     def rows(self) -> list[list[Scalar]]:
         return [self.row(i) for i in range(1, self.n + 1)]
@@ -98,7 +141,7 @@ class RectMatrix:
     def columns(self) -> list[list[Scalar]]:
         return [self.column(j) for j in range(1, self.k + 1)]
 
-    # -- algebra --------------------------------------------------------------
+    # -- algebra on raw values -------------------------------------------------
 
     def _check_same_shape(self, other: "RectMatrix"):
         if self.field != other.field:
@@ -106,71 +149,64 @@ class RectMatrix:
         if (self.n, self.k) != (other.n, other.k):
             raise ShapeMismatch(f"{self.n}x{self.k} vs {other.n}x{other.k}")
 
+    def _like(self, values) -> "RectMatrix":
+        """A matrix of self's shape and field from unreduced raw values."""
+        return RectMatrix._of(self.field, self.n, self.k, _reduced(values, self.field.p))
+
     def __add__(self, other: "RectMatrix") -> "RectMatrix":
         self._check_same_shape(other)
-        return RectMatrix(
-            self.field, self.n, self.k,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
+        return self._like(map(add, self.values, other.values))
 
     def __sub__(self, other: "RectMatrix") -> "RectMatrix":
         self._check_same_shape(other)
-        return RectMatrix(
-            self.field, self.n, self.k,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
+        return self._like(map(sub, self.values, other.values))
 
     def __neg__(self) -> "RectMatrix":
-        return RectMatrix(self.field, self.n, self.k, [-a for a in self.entries])
+        return self._like(map(neg, self.values))
 
     def scale(self, c) -> "RectMatrix":
-        c = self.field.element(c)
-        return RectMatrix(self.field, self.n, self.k, [c * a for a in self.entries])
+        c = self.field.element(c).value
+        return self._like(c * a for a in self.values)
 
     def __matmul__(self, other: "RectMatrix") -> "RectMatrix":
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         if self.k != other.n:
             raise ShapeMismatch(f"{self.n}x{self.k} times {other.n}x{other.k}")
-        a, b = self.entries, other.entries
+        a, b = self.values, other.values
         k, m = self.k, other.k
-        zero = self.field.zero
-        out = []
-        for i in range(self.n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = zero
-                for t in range(k):
-                    x = arow[t]
-                    if x.value:
-                        acc = acc + x * b[t * m + j]
-                out.append(acc)
-        return RectMatrix(self.field, self.n, m, out)
+        zero = 0 if self.field.p else Fraction(0)
+        bcols = [b[j::m] for j in range(m)]
+        out = [sum((x * y for x, y in zip(a[i * k:(i + 1) * k], col) if x and y), zero)
+               for i in range(self.n) for col in bcols]
+        return RectMatrix._of(self.field, self.n, m, _reduced(out, self.field.p))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return not any(self.values)
 
     def with_scaled_column(self, j: int, c) -> "RectMatrix":
         """New matrix with column j multiplied by c."""
-        c = self.field.element(c)
-        cols = self.columns()
-        cols[j - 1] = [c * v for v in cols[j - 1]]
-        return RectMatrix.from_columns(self.field, cols)
+        if not 1 <= j <= self.k:
+            raise IndexOutOfRange(f"column {j} outside 1..{self.k}")
+        c = self.field.element(c).value
+        k = self.k
+        return self._like(c * x if idx % k == j - 1 else x for idx, x in enumerate(self.values))
 
     def __eq__(self, other):
         return (
             isinstance(other, RectMatrix)
             and self.field == other.field
             and (self.n, self.k) == (other.n, other.k)
-            and self.entries == other.entries
+            and self.values == other.values
         )
 
     def __hash__(self):
-        return hash((self.n, self.k, self.entries))
+        return hash((self.n, self.k, self.values))
 
     def __repr__(self):
         body = "; ".join(
-            " ".join(str(v) for v in self.row(i)) for i in range(1, self.n + 1)
+            " ".join(str(v) for v in self.values[i * self.k:(i + 1) * self.k])
+            for i in range(self.n)
         )
         return f"RectMatrix({self.n}x{self.k} over {self.field!r}: {body})"
 
@@ -178,45 +214,53 @@ class RectMatrix:
 # -- constructors -------------------------------------------------------------
 
 
+def _zero_one(field: FieldSpec):
+    return (0, 1) if field.p else (Fraction(0), Fraction(1))
+
+
 def zeros(field: FieldSpec, n: int, k: int) -> RectMatrix:
-    z = field.zero
-    return RectMatrix(field, n, k, [z] * (n * k))
+    _check_shape(n, k)
+    return RectMatrix._of(field, n, k, (_zero_one(field)[0],) * (n * k))
 
 
 def ones(field: FieldSpec, n: int, k: int) -> RectMatrix:
-    o = field.one
-    return RectMatrix(field, n, k, [o] * (n * k))
+    _check_shape(n, k)
+    return RectMatrix._of(field, n, k, (_zero_one(field)[1],) * (n * k))
 
 
 def identity(field: FieldSpec, n: int) -> RectMatrix:
-    z, o = field.zero, field.one
-    return RectMatrix(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+    _check_shape(n, n)
+    z, o = _zero_one(field)
+    return RectMatrix._of(field, n, n,
+                          tuple(o if i == j else z for i in range(n) for j in range(n)))
 
 
 def basis_matrix(field: FieldSpec, n: int, k: int, i: int, j: int) -> RectMatrix:
     """Unit matrix: 1 in row i, column j, zero elsewhere."""
     if not (1 <= i <= n and 1 <= j <= k):
         raise IndexOutOfRange(f"({i},{j}) outside {n}x{k}")
-    z, o = field.zero, field.one
+    z, o = _zero_one(field)
     ent = [z] * (n * k)
     ent[(i - 1) * k + (j - 1)] = o
-    return RectMatrix(field, n, k, ent)
+    return RectMatrix._of(field, n, k, tuple(ent))
 
 
 def basis_selector(field: FieldSpec, n: int, elems: Iterable[int]) -> RectMatrix:
     """Matrix whose columns are the standard basis vectors indexed by elems."""
     elems = list(elems)
-    z, o = field.zero, field.one
-    cols = []
     for t in elems:
         if not 1 <= t <= n:
             raise IndexOutOfRange(f"basis index {t} outside 1..{n}")
-        cols.append([o if r == t else z for r in range(1, n + 1)])
-    return RectMatrix.from_columns(field, cols)
+    if not elems:
+        raise ShapeError("no columns given")
+    z, o = _zero_one(field)
+    return RectMatrix._of(field, n, len(elems),
+                          tuple(o if r == t else z for r in range(1, n + 1) for t in elems))
 
 
 def random_matrix(field: FieldSpec, n: int, k: int, rng) -> RectMatrix:
-    return RectMatrix(field, n, k, [field.random_element(rng) for _ in range(n * k)])
+    _check_shape(n, k)
+    return RectMatrix._of(field, n, k, tuple(field.random_value(rng) for _ in range(n * k)))
 
 
 # -- submatrix calculus --------------------------------------------------------
@@ -236,8 +280,9 @@ def submatrix_keep(A: RectMatrix, rows: Iterable[int], cols: Iterable[int]) -> R
     cols = _check_indices(cols, A.k, "column")
     if not rows or not cols:
         raise EmptyResult("kept row and column sets must be nonempty")
-    picked = [[A.entries[(i - 1) * A.k + (j - 1)] for j in cols] for i in rows]
-    return RectMatrix(A.field, len(rows), len(cols), [v for r in picked for v in r])
+    v, k = A.values, A.k
+    return RectMatrix._of(A.field, len(rows), len(cols),
+                          tuple(v[(i - 1) * k + (j - 1)] for i in rows for j in cols))
 
 
 def submatrix_drop(A: RectMatrix, rows: Iterable[int], cols: Iterable[int]) -> RectMatrix:
@@ -257,33 +302,35 @@ def hjoin(A: RectMatrix, B: RectMatrix) -> RectMatrix:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
     if A.n != B.n:
         raise ShapeMismatch(f"{A.n} rows vs {B.n} rows")
-    ent = []
-    for i in range(A.n):
-        ent.extend(A.entries[i * A.k : (i + 1) * A.k])
-        ent.extend(B.entries[i * B.k : (i + 1) * B.k])
-    return RectMatrix(A.field, A.n, A.k + B.k, ent)
+    a, b = A.values, B.values
+    return RectMatrix._of(A.field, A.n, A.k + B.k, tuple(chain.from_iterable(
+        a[i * A.k:(i + 1) * A.k] + b[i * B.k:(i + 1) * B.k] for i in range(A.n))))
 
 
 # -- vectorisation --------------------------------------------------------------
 
 
+def _vec_values(X: RectMatrix) -> tuple:
+    """`vec` of X as raw values."""
+    return tuple(chain.from_iterable(X.values[j::X.k] for j in range(X.k)))
+
+
 def vec(X: RectMatrix) -> tuple[Scalar, ...]:
     """Column-major flattening: vec([[a,b],[c,d]]) = (a, c, b, d)."""
-    return tuple(
-        X.entries[(i - 1) * X.k + (j - 1)]
-        for j in range(1, X.k + 1)
-        for i in range(1, X.n + 1)
-    )
+    return tuple(X._scalars(_vec_values(X)))
+
+
+def _unvec_values(v: Sequence, n: int, k: int, field: FieldSpec) -> RectMatrix:
+    """The n x k matrix X with _vec_values(X) = v, for canonical raw values v."""
+    return RectMatrix._of(field, n, k, tuple(chain.from_iterable(
+        v[i::n] for i in range(n))))
 
 
 def unvec(v: Sequence, n: int, k: int, field: FieldSpec) -> RectMatrix:
     if len(v) != n * k:
         raise LengthMismatch(f"vector of length {len(v)} for shape {n}x{k}")
-    ent = [None] * (n * k)
-    for idx, s in enumerate(v):
-        j, i = divmod(idx, n)
-        ent[i * k + j] = field.element(s)
-    return RectMatrix(field, n, k, ent)
+    _check_shape(n, k)
+    return _unvec_values(field.raw_values(v), n, k, field)
 
 
 # -- raw values and elimination ---------------------------------------------------
@@ -301,19 +348,14 @@ def raw_rows(*mats: RectMatrix) -> tuple[list[list[list[int]]], int]:
     """
     k = mats[0].k
     if mats[0].field.kind == "prime":
-        return [[[e.value for e in M.entries[i * k:(i + 1) * k]] for i in range(M.n)]
-                for M in mats], 1
-    scales = [1] * k
-    for M in mats:
-        for idx, e in enumerate(M.entries):
-            d = e.value.denominator
-            if d != 1:
-                scales[idx % k] = lcm(scales[idx % k], d)
+        return [[list(M.values[i * k:(i + 1) * k]) for i in range(M.n)] for M in mats], 1
+    dens = [[x.denominator for x in M.values] for M in mats]
+    scales = [lcm(*chain.from_iterable(d[j::k] for d in dens)) for j in range(k)]
     out = []
-    for M in mats:
-        fr = [e.value for e in M.entries]
-        out.append([[fr[i * k + j].numerator * (scales[j] // fr[i * k + j].denominator)
-                     for j in range(k)] for i in range(M.n)])
+    for M, den in zip(mats, dens):
+        cleared = [x.numerator * (scales[idx % k] // d)
+                   for idx, (x, d) in enumerate(zip(M.values, den))]
+        out.append([cleared[i:i + k] for i in range(0, len(cleared), k)])
     return out, prod(scales)
 
 

@@ -49,13 +49,15 @@ from .fields import FieldSpec, Scalar
 from .lambdapoly import _completion_scan, _digits, _raw_columns
 from .matrix import (
     RectMatrix,
+    _unvec_values,
+    _vec_values,
+    _zero_one,
     basis_matrix,
     identity,
     ones,
     rank,
     random_matrix,
     unvec,
-    vec,
     zeros,
 )
 from .record import Record, set_field
@@ -86,35 +88,44 @@ class LinearMapNK:
     @classmethod
     def from_function(cls, field: FieldSpec, n: int, k: int, fn) -> "LinearMapNK":
         """Build the matrix of a linear function from its unit-matrix images."""
-        return cls(n, k, RectMatrix.from_columns(field, [
-            vec(fn(basis_matrix(field, n, k, i, j)))
-            for j in range(1, k + 1) for i in range(1, n + 1)]))
+        images = []
+        for j in range(1, k + 1):
+            for i in range(1, n + 1):
+                Y = fn(basis_matrix(field, n, k, i, j))
+                if Y.field != field:
+                    raise FieldMismatch(f"image over {Y.field!r}, expected {field!r}")
+                if (Y.n, Y.k) != (n, k):
+                    raise ShapeMismatch(f"{Y.n}x{Y.k} image for an {n}x{k} map")
+                images.append(_vec_values(Y))
+        nk = n * k
+        return cls(n, k, RectMatrix._of(field, nk, nk, tuple(chain.from_iterable(zip(*images)))))
 
     def apply(self, X: RectMatrix) -> RectMatrix:
         if (X.n, X.k) != (self.n, self.k):
             raise ShapeMismatch(f"{X.n}x{X.k} input for {self.n}x{self.k} map")
         if X.field != self.field:
             raise FieldMismatch(f"{X.field!r} vs {self.field!r}")
-        v = [e.value for e in vec(X)]
-        ent = self.mat.entries
-        nk = len(v)
+        v = _vec_values(X)
+        ent = self.mat.values
+        nk, p = len(v), self.field.p
+        zero = _zero_one(self.field)[0]
         # raw row times vec(X); zero products are skipped (maps are mostly
         # sparse, and products of Fractions are costly)
-        out = [sum(e.value * x for e, x in zip(ent[r * nk:(r + 1) * nk], v) if e.value and x)
+        out = [sum((e * x for e, x in zip(ent[r * nk:(r + 1) * nk], v) if e and x), zero)
                for r in range(nk)]
-        return unvec(out, self.n, self.k, self.field)
+        return _unvec_values([y % p for y in out] if p else out, self.n, self.k, self.field)
 
     def compose(self, other: "LinearMapNK") -> "LinearMapNK":
         """self after other."""
         if (self.n, self.k) != (other.n, other.k):
             raise ShapeMismatch("composition of maps on different shapes")
+        if self.field != other.field:
+            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         nk, field, p = self.n * self.k, self.field, self.field.p
-        a = [e.value for e in self.mat.entries]
-        b = other.mat.entries
+        a, b = self.mat.values, other.mat.values
         # other's rows as (column, value) pairs of its nonzero entries
-        rows = [[(c, e.value) for c, e in enumerate(b[t * nk:(t + 1) * nk]) if e.value]
-                for t in range(nk)]
-        zero = 0 if p else Fraction(0)
+        rows = [[(c, y) for c, y in enumerate(b[t * nk:(t + 1) * nk]) if y] for t in range(nk)]
+        zero = _zero_one(field)[0]
         out = []
         for r in range(nk):
             acc = [zero] * nk
@@ -122,8 +133,8 @@ class LinearMapNK:
                 if x:
                     for c, y in rows[t]:
                         acc[c] += x * y
-            out += [Scalar(v % p, field) for v in acc] if p else [Scalar(v, field) for v in acc]
-        return LinearMapNK(self.n, self.k, RectMatrix(field, nk, nk, out))
+            out += [v % p for v in acc] if p else acc
+        return LinearMapNK(self.n, self.k, RectMatrix._of(field, nk, nk, tuple(out)))
 
     def is_invertible(self) -> bool:
         return rank(self.mat) == self.n * self.k
@@ -178,17 +189,21 @@ def make_two_sided(A: RectMatrix, B: RectMatrix) -> LinearMapNK:
     row j*n + i and column l*n + m, holds B[l, j] * A[i, m].
     """
     n, k = _check_factors(A, B)
-    a, b = A.entries, B.entries
-    ent = [b[l * k + j] * a[i * n + m]
-           for j in range(k) for i in range(n) for l in range(k) for m in range(n)]
-    return LinearMapNK(n, k, RectMatrix(A.field, n * k, n * k, ent))
+    p = A.field.p
+    arows = [A.values[i * n:(i + 1) * n] for i in range(n)]
+    bcols = [B.values[j::k] for j in range(k)]  # B[l, j] for every l
+    if p:
+        ent = [y * x % p for bj in bcols for ai in arows for y in bj for x in ai]
+    else:
+        ent = [y * x for bj in bcols for ai in arows for y in bj for x in ai]
+    return LinearMapNK(n, k, RectMatrix._of(A.field, n * k, n * k, tuple(ent)))
 
 
-def _cleared(values: list, p: int | None) -> tuple[list[int], int]:
+def _cleared(values, p: int | None) -> tuple[list[int], int]:
     """Raw values as integers and the factor s they were multiplied by:
     residues and 1 over GF(p), over QQ s the lcm of the denominators."""
     if p:
-        return values, 1
+        return list(values), 1
     s = lcm(*(v.denominator for v in values))
     return [v.numerator * (s // v.denominator) for v in values], s
 
@@ -220,8 +235,8 @@ def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
     if k > n:
         raise ShapeError(f"inner size {k} exceeds outer size {n}")
     p = A.field.p
-    a, sa = _cleared([e.value for e in A.entries], p)
-    b, sb = _cleared([e.value for e in B.entries], p)
+    a, sa = _cleared(A.values, p)
+    b, sb = _cleared(B.values, p)
     return not any(_sign_weights(_rows(a, n), _rows(b, k), (sa * sb) ** k, k, p))
 
 
@@ -395,10 +410,11 @@ def _is_preserver_exhaustive(T: LinearMapNK, budget: int | None) -> PreserverRep
     p = T.field.p
     nk = T.n * T.k
     table = _det_table(T.n, T.k, p, budget)
-    cols = [[e.value for e in T.mat.column(m)] for m in range(1, nk + 1)]
+    values = T.mat.values
+    cols = [list(values[m::nk]) for m in range(nk)]
     code = _first_violation(cols, table, p)
     if code is not None:
-        witness = unvec(_vector(code, p, nk), T.n, T.k, T.field)
+        witness = _unvec_values(_vector(code, p, nk), T.n, T.k, T.field)
         return PreserverReport("violates", "exhaustive", witness)
     return PreserverReport("preserves", "exhaustive")
 
@@ -419,7 +435,7 @@ def _symbolic_diff(T: LinearMapNK, budget: int | None) -> dict:
     sweep (`sympoly.det_change`).  Both give the same polynomial, and
     `sympoly` is loaded only when D has to be expanded."""
     n, k, field = T.n, T.k, T.field
-    values = [e.value for e in T.mat.entries]
+    values = T.mat.values
     m, s = _cleared(values, field.p)
     split = _kronecker(m, s, n, k, field.p)
     if split is None:
@@ -515,15 +531,16 @@ def make_s_shift(n: int, k: int, i: int, j: int, field: FieldSpec) -> LinearMapN
     if not 1 <= j <= k:
         raise ShapeError(f"column {j} outside 1..{k}")
     nk = n * k
-    signs = (field.one, -field.one)
-    ent = [field.zero] * (nk * nk)
+    zero, one = _zero_one(field)
+    signs = (one, field.p - 1 if field.p else -one)
+    ent = [zero] * (nk * nk)
     for c in range(k):
         src = j - 1 if c == 0 else 0 if c == j - 1 else c
         flip = (n - i + (c == 0 and j > 1)) & 1
         for r in range(n):
             s = r + i - 1
             ent[(c * n + r) * nk + src * n + s % n] = signs[flip ^ (s >= n)]
-    return LinearMapNK(n, k, RectMatrix(field, nk, nk, ent))
+    return LinearMapNK(n, k, RectMatrix._of(field, nk, nk, tuple(ent)))
 
 
 def _corner_sums(X: RectMatrix) -> Scalar:
@@ -599,7 +616,7 @@ def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list
         raise ShapeError(f"{n}x{k}: need n >= k >= 1")
     good = [c for c in product(range(p), repeat=n) if _completion_scan([c], n, k, 1, p) is None]
     flats = sorted(tuple(x for row in zip(*cs) for x in row) for cs in product(good, repeat=k))
-    return [RectMatrix(field, n, k, [field.element(x) for x in flat]) for flat in flats]
+    return [RectMatrix._of(field, n, k, flat) for flat in flats]
 
 
 # -- factorisation ------------------------------------------------------------------
@@ -615,7 +632,7 @@ def factor_two_sided(T: LinearMapNK) -> tuple[RectMatrix, RectMatrix] | None:
     """
     n, k, field = T.n, T.k, T.field
     p = field.p
-    split = _kronecker(*_cleared([e.value for e in T.mat.entries], p), n, k, p)
+    split = _kronecker(*_cleared(T.mat.values, p), n, k, p)
     if split is None:
         return None
     a, b, c = split
@@ -624,12 +641,12 @@ def factor_two_sided(T: LinearMapNK) -> tuple[RectMatrix, RectMatrix] | None:
     alpha = next(x for col in zip(*a) for x in col if x)
     if p:  # A = a / alpha and B = b * alpha / c
         ia, bc = pow(alpha, -1, p), alpha * pow(c, -1, p)
-        A = [Scalar(x * ia % p, field) for row in a for x in row]
-        B = [Scalar(x * bc % p, field) for row in b for x in row]
+        A = [x * ia % p for row in a for x in row]
+        B = [x * bc % p for row in b for x in row]
     else:
-        A = [Scalar(Fraction(x, alpha), field) for row in a for x in row]
-        B = [Scalar(Fraction(x * alpha, c), field) for row in b for x in row]
-    return RectMatrix(field, n, n, A), RectMatrix(field, k, k, B)
+        A = [Fraction(x, alpha) for row in a for x in row]
+        B = [Fraction(x * alpha, c) for row in b for x in row]
+    return RectMatrix._of(field, n, n, tuple(A)), RectMatrix._of(field, k, k, tuple(B))
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -705,9 +722,7 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
 
     extend(nk, [0])
     found.sort()
-    elements = [field.element(x) for x in range(p)]
-    maps = tuple(LinearMapNK(n, k, RectMatrix(field, nk, nk, [elements[x] for x in flat]))
-                 for flat in found)
+    maps = tuple(LinearMapNK(n, k, RectMatrix._of(field, nk, nk, flat)) for flat in found)
     return Census(len(maps), maps)
 
 

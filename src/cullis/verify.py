@@ -112,7 +112,8 @@ def _sweep_preserves(T):
     """The verdict of the folded sweep expansion det(T(X)) - det(X), kept
     apart from the sign weights that decide two-sided maps in `is_preserver`."""
     nk = T.n * T.k
-    rows = [[e.value for e in T.mat.entries[r * nk:(r + 1) * nk]] for r in range(nk)]
+    values = T.mat.values
+    rows = [list(values[r * nk:(r + 1) * nk]) for r in range(nk)]
     return not sympoly.det_change(rows, T.n, T.k, T.field)
 
 

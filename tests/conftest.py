@@ -7,3 +7,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+# the decoder-equivalence property at depth, for CI on every Python:
+#   pytest --hypothesis-profile decoder tests/test_fields.py::test_fast_decode_matches_element
+settings.register_profile(
+    "decoder",
+    max_examples=2000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)

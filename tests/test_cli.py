@@ -352,6 +352,23 @@ def test_cli_prints_a_det_past_the_int_to_str_digit_limit():
     assert json.loads(out)["det"] == "1" + "0" * 6000
 
 
+def test_cli_det_budget_weighs_entry_size():
+    # 20x20 diagonal, 8,300 digits per entry: 4,940 elimination steps, each
+    # charged ceil(27,572 / 64) ** 2, far past the default budget
+    import time
+
+    rows = [["9" * 4000 + "e4300" if i == j else "0" for j in range(20)] for i in range(20)]
+    doc = json.dumps({"n": 20, "k": 20, "field": {"type": "rational"}, "entries": rows})
+    assert len(doc) > 80_000
+    start = time.perf_counter()
+    assert run_in_process(["det", "--input", "x.json"], {"x.json": doc}) == (3, "")
+    assert time.perf_counter() - start < 1.0
+    # a 2x2 with 3,001-digit entries is still well inside it
+    doc = ('{"n": 2, "k": 2, "field": {"type": "rational"}, '
+           '"entries": [["1e3000", "0"], ["0", "1e3000"]]}')
+    assert run_in_process(["det", "--input", "x.json"], {"x.json": doc})[0] == 0
+
+
 def test_cli_deep_nesting_exits_2():
     deep = "[" * 100_000
     for cmd in (["det", "--input", "-"], ["preserver", "check", "--map", "-"]):

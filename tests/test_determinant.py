@@ -196,3 +196,21 @@ def test_multilinearity_random():
         assert det(RectMatrix.from_columns(F, cm)) == a * det(
             RectMatrix.from_columns(F, cu)
         ) + b * det(RectMatrix.from_columns(F, cv))
+
+
+def test_det_budget_charges_entry_size():
+    # a 2x2 takes 2 elimination steps; an entry of 65 bits makes each cost 4
+    big = mat([[2 ** 64, 0], [0, 1]])
+    with pytest.raises(ResourceGuard):
+        det(big, budget=7)
+    assert det(big, budget=8).value == 2 ** 64
+    assert det(mat([[2 ** 63, 0], [0, 1]]), budget=2).value == 2 ** 63
+    # over GF(p) the weight is read off p alone: 1 below 2**64
+    F = gf(2 ** 127 - 1)
+    with pytest.raises(ResourceGuard):
+        det(mat([[1, 0], [0, 1]], F), budget=7)
+    assert det(mat([[1, 0], [0, 1]], F), budget=8).value == 1
+    assert det(mat([[1, 0], [0, 1]], gf(2 ** 61 - 1)), budget=2).value == 1
+    # the route is still chosen on the unweighted count
+    X = random_matrix(Q, 12, 6, random.Random(3))
+    assert det(X) == det_laplace(X)

@@ -3,11 +3,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cullis import FieldMismatch, RATIONALS, ZeroInverse, gf
-from cullis.fields import is_prime
+from cullis import FieldMismatch, RATIONALS, ZeroInverse, gf, jsonio
+from cullis.fields import MAX_EXPONENT, is_prime
 
 
 def test_inverse_examples():
@@ -100,3 +100,70 @@ def test_scalar_string_forms():
     assert str(gf(11).element(13)) == "2"
     assert str(RATIONALS.element(Fraction(-4, 6))) == "-2/3"
     assert str(RATIONALS.element(3)) == "3"
+
+
+# -- the one-pass decoder against FieldSpec.element ---------------------------------
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=8)
+_EXPONENTS = st.one_of(st.integers(0, 2 * MAX_EXPONENT),
+                       st.sampled_from([MAX_EXPONENT, MAX_EXPONENT + 1])).map(str)
+_BODIES = st.one_of(
+    _DIGITS,
+    st.builds("{}_{}".format, _DIGITS, _DIGITS),
+    st.builds("{}/{}".format, _DIGITS, _DIGITS),
+    st.builds("{}/-{}".format, _DIGITS, _DIGITS),
+    st.builds("{}.{}".format, _DIGITS, _DIGITS),
+    st.builds("{}{}{}{}".format, _DIGITS, st.sampled_from("eE"),
+              st.sampled_from(["", "-", "+", "0"]), _EXPONENTS),
+    st.sampled_from(["\u0663", "\u0661\u0662/\u0664", "1/0", "0/0", "00/000", "1__0", "_1", "1_",
+                     "", "/", "1/", "/2", "1/2/3", "0x10", "1e", "inf", "nan", ".5", "1.",
+                     "9" * (MAX_EXPONENT + 1)]),
+)
+_SPACES = st.sampled_from(["", " ", "\t", "\n", "\u2003", "\xa0", "\x1c", "\x1f"])
+
+
+@st.composite
+def _numerals(draw):
+    """Decimal text: a sign, leading zeros and surrounding whitespace around
+    integers, fractions (zero and negative denominators too), underscores,
+    non-ASCII digits, decimals and exponents below and above MAX_EXPONENT."""
+    sign = draw(st.sampled_from(["", "-", "+", "--"]))
+    zeros = draw(st.sampled_from(["", "0", "000"]))
+    return draw(_SPACES) + sign + zeros + draw(_BODIES) + draw(_SPACES)
+
+
+_ENTRIES = st.one_of(_numerals(), st.integers(-10 ** 40, 10 ** 40), st.booleans(),
+                     st.floats(allow_nan=False), st.fractions(),
+                     st.sampled_from([gf(3).element(1), RATIONALS.element("1/2")]))
+_DECODE_FIELDS = [gf(2), gf(10007), gf(2 ** 127 - 1), RATIONALS]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the class is what must agree
+        return type(exc)
+
+
+@given(st.lists(_ENTRIES, min_size=1, max_size=4))
+@example(["\x1c5 ", " -007 ", "1_000", "\u0663"])
+@example(["3/-4"])
+@example(["1/0"])
+@example(["0/0"])
+@example(["1e4300", "-2.5E-7"])
+@example(["1e4301"])
+@example([True, 2, -3])
+@example([1.5])
+def test_fast_decode_matches_element(row):
+    """`FieldSpec.raw_values` and the JSON reader give the values that
+    `element` gives entry by entry, or raise the same exception class; the
+    reader also refuses booleans and floats."""
+    for F in _DECODE_FIELDS:
+        want = _outcome(lambda: [F.element(v).value for v in row])
+        assert _outcome(lambda: F.raw_values(row)) == want, F
+        doc = {"n": 1, "k": len(row), "field": jsonio.field_to_dict(F), "entries": [row]}
+        got = _outcome(lambda: list(jsonio.matrix_from_dict(doc).values))
+        if any(type(v) not in (int, str) for v in row):
+            assert got is ValueError, F
+        else:
+            assert got == want, F

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cullis import (
     EmptyResult,
+    Scalar,
     FieldMismatch,
     IndexOutOfRange,
     LengthMismatch,
@@ -161,3 +162,49 @@ def test_matmul_and_scale():
     assert X.scale(2) == mat([[2, 4], [6, 8], [10, 12]])
     with pytest.raises(ShapeMismatch):
         Y @ X
+
+
+@pytest.mark.parametrize("field", [gf(5), gf(2 ** 127 - 1), Q])
+def test_raw_values_keep_the_scalar_api(field):
+    rng = random.Random(12)
+    raw = [[field.random_value(rng) for _ in range(3)] for _ in range(4)]
+    scalars = [Scalar(v, field) for row in raw for v in row]
+    X = RectMatrix(field, 4, 3, scalars)
+    Y = RectMatrix.from_rows(field, raw)
+    assert X == Y and hash(X) == hash(Y)
+    assert X.values == tuple(v for row in raw for v in row)
+    assert X.entries == tuple(scalars)
+    assert X.entry(2, 3) == scalars[5]
+    assert X.row(4) == scalars[9:12] and X.column(1) == scalars[0::3]
+    for s in X.entries + (X.entry(1, 1),) + tuple(X.row(2)) + tuple(X.column(2)):
+        assert isinstance(s, Scalar) and s.field == field
+    # Scalars of the same field are read, not converted again
+    assert RectMatrix.from_rows(field, [scalars[i:i + 3] for i in range(0, 12, 3)]) == X
+    with pytest.raises(AttributeError):
+        X.values = ()
+    with pytest.raises(FieldMismatch):
+        RectMatrix(field, 4, 3, scalars[:-1] + [gf(3).element(1)])
+    with pytest.raises(FieldMismatch):
+        RectMatrix.from_rows(field, [[gf(3).element(1)]])
+    with pytest.raises(LengthMismatch):
+        RectMatrix(field, 4, 3, scalars[:-1])
+    with pytest.raises(ShapeError):
+        RectMatrix(field, 0, 3, [])
+
+
+def test_raw_arithmetic_matches_scalar_arithmetic():
+    rng = random.Random(13)
+    for field in (gf(7), Q):
+        X, Y = random_matrix(field, 3, 2, rng), random_matrix(field, 3, 2, rng)
+        Z = random_matrix(field, 2, 4, rng)
+        c = field.random_element(rng)
+        assert (X + Y).entries == tuple(a + b for a, b in zip(X.entries, Y.entries))
+        assert (X - Y).entries == tuple(a - b for a, b in zip(X.entries, Y.entries))
+        assert (-X).entries == tuple(-a for a in X.entries)
+        assert X.scale(c).entries == tuple(c * a for a in X.entries)
+        assert (X @ Z).entries == tuple(
+            sum((X.entry(i, t) * Z.entry(t, j) for t in (1, 2)), field.zero)
+            for i in (1, 2, 3) for j in (1, 2, 3, 4))
+        scaled = X.with_scaled_column(2, c)
+        assert scaled.column(1) == X.column(1)
+        assert scaled.column(2) == [c * a for a in X.column(2)]

@@ -788,3 +788,22 @@ def test_forward_direction_at_6x4():
         assert is_preserver(T, "symbolic").preserves
         refact = factor_two_sided(T)
         assert refact is not None and check_sign_condition(*refact)
+
+
+@pytest.mark.parametrize("field", [gf(5), Q])
+def test_raw_map_builders_match_their_function_references(field):
+    rng = random.Random(14)
+    n, k = 4, 2
+    A, B = random_matrix(field, n, n, rng), random_matrix(field, k, k, rng)
+    T = make_two_sided(A, B)
+    assert T == LinearMapNK.from_function(field, n, k, lambda X: A @ X @ B)
+    S = make_s_shift(n, k, 3, 2, field)
+    assert S == LinearMapNK.from_function(field, n, k, lambda X: s_shift_apply(X, 3, 2))
+    assert S.compose(T) == LinearMapNK.from_function(field, n, k, lambda X: S.apply(T.apply(X)))
+    A2, B2 = factor_two_sided(T)
+    assert LinearMapNK.from_function(field, n, k, lambda X: A2 @ X @ B2) == T
+    assert make_two_sided(A2, B2) == T
+    X = random_matrix(field, n, k, rng)
+    assert T.apply(X) == A @ X @ B
+    with pytest.raises(FieldMismatch):
+        T.compose(make_s_shift(n, k, 1, 1, gf(3) if field == Q else Q))
