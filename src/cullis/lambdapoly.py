@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import perm
 
-from .determinant import det_int, sweep
+from .determinant import _entry_weight, _guard, det_int, sweep, sweep_count
 from .errors import FieldMismatch, ShapeError, ShapeMismatch
 from .fields import FieldSpec, Scalar
 from .matrix import RectMatrix, _zero_one, eliminate, from_raw, raw_rows
@@ -56,7 +56,9 @@ def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> La
     ring map from integer polynomials in t, so the integer sweep computes the
     packed det(A + t*B); w leaves room for every coefficient with its sign,
     which are read back as signed base-2**w digits.  The budget bounds the
-    sweep's moves, as for `det`.
+    sweep's moves, as for `det`: once on their count, then, after
+    `raw_rows`, on their count times ceil(b / 64) ** 2, b the bit length of
+    the largest packed entry.
     """
     if A.field != B.field:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
@@ -65,12 +67,15 @@ def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> La
     if A.k > A.n:
         raise ShapeError(f"{A.n}x{A.k}: need at least as many rows as columns")
     n, k = A.n, A.k
+    steps = sweep_count(n, k)
+    _guard(steps, budget)  # refuse before converting anything
     (arows, brows), scale = raw_rows(A, B)
     top = max(1, max(abs(x) for rows in (arows, brows) for row in rows for x in row))
     # |coefficient| <= (#injections) * (#column subsets) * top**k
     w = ((perm(n, k) << k) * top ** k).bit_length() + 1
-    packed = sweep([[a + (b << w) for a, b in zip(ra, rb)] for ra, rb in zip(arows, brows)],
-                   k, budget)
+    rows = [[a + (b << w) for a, b in zip(ra, rb)] for ra, rb in zip(arows, brows)]
+    _guard(steps * _entry_weight(rows, None), budget, what="entry-weighted steps")
+    packed = sweep(rows, k, budget)
     return LambdaPoly(tuple(from_raw(A.field, c, scale) for c in _digits(packed, w, k + 1)),
                       A.field)
 

@@ -17,14 +17,15 @@ D = det(AXB) - det(X) = sum_d w_d det(X_d), the same polynomial the row
 sweep expands.  Invertibility is a rank test by `matrix.eliminate`.
 
 The exhaustive routines index the matrices over GF(p) by the base-p code of
-vec(X), so code i is the i-th vector in product order.  `_det_table` fills
-det mod p one linear form per run of p**n codes (det is linear in the last
-column, the fastest-varying coordinates).  The exhaustive check streams the
-inputs in that order, an odometer adding one column of T to the image per
-step, and answers with the first input whose image changes det.  The census
-fixes T's columns last coordinate first: each new column decides exactly the
-inputs whose first nonzero coordinate it owns, a contiguous run of codes, so
-a partial map is dropped at its first mismatch.
+vec(X), so code i is the i-th vector in product order.  One lane kernel,
+`lanes.det_lanes` (loaded by the first exhaustive check or census),
+computes det(T v) for a whole block of inputs at once, one byte per input.
+Run on the identity it fills the det table (`_det_table`); run on T, each
+block is compared with its slice of the table in one `==`, and the first
+differing byte is the witness.  The census fixes T's columns last
+coordinate first: each new column decides exactly the inputs whose first
+nonzero coordinate it owns, a contiguous run of codes, so a partial map is
+dropped at its first mismatch.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm, perm
-from operator import add
 
 from . import combinatorics as comb_mod
-from .determinant import DEFAULT_TERM_GUARD, _guard, det, det_int, sweep
+from .determinant import DEFAULT_TERM_GUARD, _guard, det, det_int
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
@@ -46,7 +46,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import FieldSpec, Scalar
-from .lambdapoly import _completion_scan, _digits, _raw_columns
+from .lambdapoly import _completion_scan, _raw_columns
 from .matrix import (
     RectMatrix,
     _unvec_values,
@@ -285,39 +285,37 @@ def _kronecker(m: list[int], s: int, n: int, k: int, p: int | None):
 # -- preservation checking -------------------------------------------------------
 
 
-def _det_table(n: int, k: int, p: int, budget: int | None = None) -> tuple[int, ...]:
+def _det_table(n: int, k: int, p: int, budget: int | None = None):
     """det(X) mod p for every n x k matrix X over GF(p), indexed by the
     base-p code of vec(X) (first coordinate most significant), so that entry
-    i belongs to the i-th vector of product(range(p), repeat=nk).
+    i belongs to the i-th vector of product(range(p), repeat=nk): bytes for
+    p < 128, else a tuple of ints.
 
     The budget counts the p**(nk) entries and is checked on every call; the
     tables themselves are read-only and the last eight built are kept.
     """
-    _guard(p ** (n * k), budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, "inputs")
-    return _build_det_table(n, k, p)
+    _guard_power(p, n * k, budget, "inputs")
+    return _filled_table(n, k, p)
+
+
+def _guard_power(p: int, e: int, budget: int | None, what: str) -> None:
+    """`_guard` on p**e items against the search budget; refused from the
+    exponent alone when p**e has more bits than the limit, so that a huge
+    shape never builds p**e."""
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    if (p.bit_length() - 1) * e > limit.bit_length():
+        raise BudgetExceeded(f"{p}**{e} {what} exceed budget {limit}")
+    _guard(p ** e, budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, what)
 
 
 @lru_cache(maxsize=8)
-def _build_det_table(n: int, k: int, p: int) -> tuple[int, ...]:
-    """`_det_table` without the budget check.
+def _filled_table(n: int, k: int, p: int):
+    """`_det_table` without the budget check: `lanes.det_lanes` of the identity."""
+    from .lanes import det_lanes
 
-    det is linear in the last column, which is the n fastest-varying
-    coordinates of vec(X).  So each run of p**n entries sharing the first
-    k - 1 columns X' is v -> sum c_i v_i mod p with c_i = det(X' | e_i), and
-    one sweep with the packed last column e_i -> 2**(w i) gives every c_i.
-    """
-    w = (perm(n - 1, k - 1) * (p - 1) ** (k - 1)).bit_length() + 1
-    units = [1 << w * i for i in range(n)]
-
-    def block(head: tuple[int, ...]) -> list[int]:
-        # vec(X) is column-major, so row i of X' is head[i], head[i + n], ...
-        packed = sweep([list(head[i::n]) + [units[i]] for i in range(n)], k)
-        out = [0]
-        for c in _digits(packed, w, n):
-            out = [(x + c * d) % p for x in out for d in range(p)]
-        return out
-
-    return tuple(chain.from_iterable(map(block, product(range(p), repeat=n * k - n))))
+    nk = n * k
+    lanes = det_lanes([[int(r == m) for r in range(nk)] for m in range(nk)], n, k, p)
+    return b"".join(lanes) if p < 128 else tuple(chain.from_iterable(lanes))
 
 
 def _lift(maps: list[list[int]], p: int) -> list[int]:
@@ -327,72 +325,6 @@ def _lift(maps: list[list[int]], p: int) -> list[int]:
     for f in maps:
         out = [x * p + y for x in out for y in f]
     return out
-
-
-def _width(p: int, cap: int, most: int) -> int:
-    """The largest g <= most with p**g <= cap, and at least 1."""
-    g = 1
-    while g < most and p ** (g + 1) <= cap:
-        g += 1
-    return g
-
-
-def _first_violation(cols: list[list[int]], table: tuple[int, ...], p: int) -> int | None:
-    """Code of the first input v, in product order, with det(T v) != det(v),
-    where T has raw columns `cols`; None when T preserves det.
-
-    Inputs go in blocks sharing all but the last L coordinates (L >= 1 and
-    p**L <= 1024 where possible).  The images of the tails are computed once; the head of v
-    advances as an odometer, each step adding one column of T to the head's
-    image y.  Image codes are sums over spans of g output coordinates
-    (p**g <= 64): on a span, y + z digit-wise mod p is one lookup in a row
-    built once per digits of y.  Each block is then compared with its slice
-    of the table, so memory is the table plus one block.
-    """
-    nk = len(cols)
-    g, tail = _width(p, 64, nk), _width(p, 1024, nk)
-    spans = [(lo, min(lo + g, nk)) for lo in range(0, nk, g)]
-    rows: dict[tuple, list[int]] = {}
-
-    def shift(digits: tuple[int, ...], codes: list[int], place: int = 1) -> list[int]:
-        """place times the code of digits + z, digit-wise mod p, for every code z."""
-        if p > 64:  # one digit per span, and a row per digit would take p**2 entries
-            a = digits[0]
-            return [(a + z) % p * place for z in codes]
-        row = rows.get((digits, place))
-        if row is None:
-            row = rows[digits, place] = [place * x for x in _lift(
-                [[(a + d) % p for d in range(p)] for a in digits], p)]
-        return list(map(row.__getitem__, codes))
-
-    # per span, the codes of the images of every tail, in product order
-    tails = []
-    for lo, hi in spans:
-        codes = [0]
-        for col in cols[nk - tail:]:
-            parts = [shift(tuple(d * x % p for x in col[lo:hi]), codes) for d in range(p)]
-            codes = [c for images in zip(*parts) for c in images]
-        tails.append(codes)
-
-    size = p ** tail
-    head = [0] * (nk - tail)
-    y = [0] * nk
-    for start in range(0, len(table), size):
-        m = len(head)
-        while start:  # odometer: every digit that turns over adds its column
-            m -= 1
-            head[m] = (head[m] + 1) % p
-            y = [(a + x) % p for a, x in zip(y, cols[m])]
-            if head[m]:
-                break
-        codes = None
-        for (lo, hi), zs in zip(spans, tails):
-            part = shift(tuple(y[lo:hi]), zs, p ** (nk - hi))
-            codes = part if codes is None else list(map(add, codes, part))
-        got = tuple(map(table.__getitem__, codes))
-        if got != table[start:start + size]:
-            return start + next(j for j, d in enumerate(got) if d != table[start + j])
-    return None
 
 
 def _vector(code: int, p: int, length: int) -> list[int]:
@@ -405,17 +337,24 @@ def _vector(code: int, p: int, length: int) -> list[int]:
 
 
 def _is_preserver_exhaustive(T: LinearMapNK, budget: int | None) -> PreserverReport:
+    """Each block's det(T v) lane (`lanes.det_lanes`) against its slice of
+    the table; the first input whose entry differs is the witness."""
     if T.field.kind != "prime":
         raise FieldMismatch("exhaustive checking needs a finite field")
-    p = T.field.p
-    nk = T.n * T.k
-    table = _det_table(T.n, T.k, p, budget)
+    n, k, p = T.n, T.k, T.field.p
+    nk = n * k
+    table = _det_table(n, k, p, budget)
+    from .lanes import det_lanes
+
     values = T.mat.values
-    cols = [list(values[m::nk]) for m in range(nk)]
-    code = _first_violation(cols, table, p)
-    if code is not None:
-        witness = _unvec_values(_vector(code, p, nk), T.n, T.k, T.field)
-        return PreserverReport("violates", "exhaustive", witness)
+    start = 0
+    for got in det_lanes([values[m::nk] for m in range(nk)], n, k, p):
+        want = table[start:start + len(got)]
+        if got != want:
+            code = start + next(j for j, (a, b) in enumerate(zip(got, want)) if a != b)
+            witness = _unvec_values(_vector(code, p, nk), n, k, T.field)
+            return PreserverReport("violates", "exhaustive", witness)
+        start += len(got)
     return PreserverReport("preserves", "exhaustive")
 
 
@@ -472,7 +411,12 @@ def is_preserver(
 ) -> PreserverReport:
     """Decide whether det(T(X)) = det(X) for all X.
 
-    `exhaustive` sweeps every matrix over a finite field (space permitting).
+    `exhaustive` sweeps every matrix over a finite field, p**(nk) inputs
+    counted against the search budget; it answers with the first input in
+    product order of vec(X) whose image changes det.  Inputs go in blocks of
+    at most 2**15 sharing their leading coordinates, each one byte lane per
+    coordinate of T(X) for p < 128 (`lanes.det_lanes`), so memory is the det
+    table (p**(nk) bytes) and at most nk * (p + 1) + 2**k lanes of a block.
     `symbolic` expands det(T(X)) - det(X), reduced by x**p = x over GF(p),
     and is exact over every field, small ones included; a violation carries
     a witness read off that polynomial, and neither verdict depends on
@@ -611,7 +555,7 @@ def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list
     from .fields import gf
 
     field = gf(p)
-    _guard(p ** (n * k), budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, "matrices")
+    _guard_power(p, n * k, budget, "matrices")
     if not 1 <= k <= n:
         raise ShapeError(f"{n}x{k}: need n >= k >= 1")
     good = [c for c in product(range(p), repeat=n) if _completion_scan([c], n, k, 1, p) is None]
@@ -671,7 +615,8 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
     coordinate is m, codes p**(nk-1-m) .. p**(nk-m) - 1 in product order,
     are a * col_m + (an image already known), and a branch is dropped at the
     first of them whose image changes det.  The budget counts all
-    p**((nk)**2) maps, as a brute force would, and refuses before any work.
+    p**((nk)**2) maps, as a brute force would, and refuses before any work;
+    at 1 x 1 it counts p**2, the entries of the scaled-code tables.
     """
     from .fields import gf
 
@@ -679,7 +624,7 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
         raise ShapeError(f"{n}x{k}: need n >= k >= 1")
     field = gf(p)
     nk = n * k
-    _guard(p ** (nk * nk), budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, "maps")
+    _guard_power(p, max(nk * nk, nk + 1), budget, "maps")
 
     table = _det_table(n, k, p, budget)
     size = len(table)
@@ -713,7 +658,8 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
             grown = images
             for a in range(1, p):
                 new = list(map(plus(scaled[a][x]).__getitem__, images))
-                if tuple(map(table.__getitem__, new)) != table[a * run:(a + 1) * run]:
+                # in the table's own type: bytes, or a tuple from p = 128 on
+                if type(table)(map(table.__getitem__, new)) != table[a * run:(a + 1) * run]:
                     break
                 grown = grown + new
             else:

@@ -15,3 +15,12 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the exhaustive check against brute force on many drawn maps, for CI on
+# every Python:
+#   pytest --hypothesis-profile exhaustive tests/test_exhaustive.py::test_exhaustive_equals_brute_force_on_drawn_maps
+settings.register_profile(
+    "exhaustive",
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)

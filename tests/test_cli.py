@@ -237,10 +237,12 @@ def test_cli_verify_paper_filter_selecting_nothing_exits_2():
 
 
 def test_verify_table_loads_only_for_verify_paper(tmp_path):
-    # so is the polynomial expander, which only symbolic checks need; and
+    # so is the polynomial expander, which only symbolic checks need, and
+    # the lane kernel, which only exhaustive checks and censuses need; and
     # `import cullis` loads no submodule, each command only the modules it
     # runs, and no record loads `dataclasses` (which imports `inspect`)
     X = write_matrix(tmp_path, "x.json", random_matrix(gf(7), 4, 2, random.Random(3)))
+    T = write_map(tmp_path, "t.json", make_s_shift(3, 1, 2, 1, gf(3)))
     code = f"""
 import contextlib, io, sys
 before = set(sys.modules)
@@ -265,6 +267,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["lambda", "--a", {X!r}, "--b", {X!r}]) == 0
     extra = loaded("cullis.preserver", "cullis.sympoly", "cullis.verify")
     assert not extra, extra
+    # the lane kernel loads with the first exhaustive check
+    assert cli.main(["preserver", "check", "--map", {T!r}]) == 0
+    extra = loaded("cullis.lanes", "cullis.verify")
+    assert not extra, extra
+    assert cli.main(["preserver", "check", "--map", {T!r}, "--method", "exhaustive"]) == 0
+    assert loaded("cullis.lanes") == ["cullis.lanes"]
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -367,6 +375,20 @@ def test_cli_det_budget_weighs_entry_size():
     doc = ('{"n": 2, "k": 2, "field": {"type": "rational"}, '
            '"entries": [["1e3000", "0"], ["0", "1e3000"]]}')
     assert run_in_process(["det", "--input", "x.json"], {"x.json": doc})[0] == 0
+
+
+def test_cli_lambda_budget_weighs_entry_size():
+    # a 12x6 pair of 8,300-digit rational entries: 1,344 sweep moves, each
+    # charged for the packed entries of about 190,000 bits
+    import time
+
+    rng = random.Random(30)
+    docs = {name: json.dumps({"n": 12, "k": 6, "field": {"type": "rational"}, "entries": [
+        [str(rng.randrange(10 ** 3999, 10 ** 4000)) + "e4300" for _ in range(6)]
+        for _ in range(12)]}) for name in ("a.json", "b.json")}
+    start = time.perf_counter()
+    assert run_in_process(["lambda", "--a", "a.json", "--b", "b.json"], docs) == (3, "")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_cli_deep_nesting_exits_2():
@@ -472,7 +494,8 @@ _BUDGET = st.sampled_from([[], ["--budget", "0"], ["--budget", "10"], ["--budget
 
 def run_in_process(argv, files):
     """cli.main on argv with the named files written to a fresh directory;
-    returns the exit code and stdout."""
+    returns the exit code and stdout.  argparse refusing the vector exits
+    through SystemExit, which gives the code."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
@@ -480,7 +503,10 @@ def run_in_process(argv, files):
         argv = [os.path.join(tmp, a) if a in files else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
     return code, out.getvalue()
 
 
@@ -514,3 +540,50 @@ def test_fuzz_lambda_documents(a, b):
 def test_fuzz_preserver_check_documents(doc, method, p, budget):
     argv = ["preserver", "check", "--map", "t.json", "--method", method, "--samples", "5"]
     assert_contract(*run_in_process(argv + p + budget, {"t.json": doc}))
+
+
+# -- argument vectors ------------------------------------------------------------------
+
+_JUNK_ARGS = st.sampled_from(["", "x", "3.0", "1e3", "0x5", " 7", "٣", "--", "-"])
+_PRIMES = st.sampled_from([2, 3, 5, 7, 131, 1009]).map(str)
+_NON_PRIMES = st.sampled_from([0, 1, 4, 9, -7, 10 ** 6]).map(str)
+_SIZES = st.one_of(st.integers(-2, 6), st.sampled_from([300, 3000, 10 ** 6])).map(str)
+_BUDGETS = st.one_of(st.just([]), st.sampled_from(["0", "1", "100", "10000", "1000000", "-1"])
+                     .map(lambda b: ["--budget", b]), _JUNK_ARGS.map(lambda b: ["--budget", b]))
+_SMALL_MAPS = st.sampled_from([
+    json.dumps(jsonio.map_to_dict(make_s_shift(2, 1, 1, 1, RATIONALS))),
+    json.dumps(jsonio.map_to_dict(make_s_shift(2, 2, 2, 1, gf(5)))),
+    json.dumps(jsonio.map_to_dict(make_s_shift(3, 1, 2, 1, gf(7)))),
+    '{"n": 1, "k": 1, "field": {"type": "rational"}, "mat": [["2"]]}',
+])
+
+
+@settings(max_examples=60)
+@given(doc=_SMALL_MAPS, p=st.one_of(_PRIMES, _NON_PRIMES, _JUNK_ARGS), budget=_BUDGETS)
+def test_fuzz_exhaustive_check_arguments(doc, p, budget):
+    argv = ["preserver", "check", "--map", "t.json", "--method", "exhaustive", "--p", p]
+    assert_contract(*run_in_process(argv + budget, {"t.json": doc}))
+
+
+@settings(max_examples=60)
+@given(cmd=st.sampled_from(["enumerate", "radical"]), n=st.one_of(_SIZES, _JUNK_ARGS),
+       k=_SIZES, p=st.one_of(_PRIMES, _NON_PRIMES, _JUNK_ARGS), budget=_BUDGETS)
+def test_fuzz_enumeration_arguments(cmd, n, k, p, budget):
+    code, out = run_in_process(["preserver", cmd, "--n", n, "--k", k, "--p", p] + budget, {})
+    assert_contract(code, out)
+    if code == 0 and budget == []:
+        # the default budget admits only small searches
+        assert int(p) ** (int(n) * int(k)) <= 10 ** 6
+
+
+_SHAPE_ITEMS = st.sampled_from(["3x2", "4x2", "5x3", "6x4", "6x2", "3x1", "5x2", "5x4",
+                                "x", "0x0", "2x3", "9x9", "4X2", " 4x2 ", "4x", "-1x2", "1e3x2"])
+
+
+@settings(max_examples=10)
+@given(shapes=st.one_of(st.none(), st.lists(_SHAPE_ITEMS, min_size=1, max_size=3).map(",".join)),
+       primes=st.one_of(st.none(), st.lists(st.one_of(_PRIMES, _NON_PRIMES, _JUNK_ARGS),
+                                           min_size=1, max_size=2).map(",".join)))
+def test_fuzz_verify_paper_filters(shapes, primes):
+    argv = ["verify-paper"] + (["--shapes", shapes] if shapes is not None else [])
+    assert_contract(*run_in_process(argv + (["--p", primes] if primes is not None else []), {}))

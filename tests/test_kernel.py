@@ -36,7 +36,8 @@ from cullis.determinant import (
     sweep_count,
     sweep_plan,
 )
-from cullis.preserver import _build_det_table, _det_table
+from cullis import lanes
+from cullis.preserver import _det_table, _filled_table
 from oracles import oracle_det
 
 Q = RATIONALS
@@ -230,26 +231,31 @@ def test_deg_witness_is_the_first_in_assignment_order():
 # -- exhaustive tables ----------------------------------------------------------------------
 
 
-def test_det_table_is_indexed_by_product_order():
-    # k = 1 is one block; k = 3 fills blocks from forms of two fixed columns
-    for n, k, p in ((2, 1, 3), (3, 2, 2), (2, 2, 3), (3, 1, 5), (4, 1, 3), (3, 3, 2)):
+def test_det_table_is_indexed_by_product_order(monkeypatch):
+    # bytes below p = 128, ints from GF(131) on; each table is one lane, and
+    # is the same filled one block of at most 3 inputs at a time
+    for n, k, p in ((2, 1, 3), (3, 2, 2), (2, 2, 3), (3, 1, 5), (4, 1, 3), (3, 3, 2), (2, 1, 131)):
         F = gf(p)
         table = _det_table(n, k, p)
         vecs = list(product(range(p), repeat=n * k))
         assert len(table) == len(vecs)
         for code, v in enumerate(vecs):
             assert table[code] == det(unvec([F.element(x) for x in v], n, k, F)).value
+        with monkeypatch.context() as m:
+            m.setattr(lanes, "BLOCK", 3)
+            assert _filled_table.__wrapped__(n, k, p) == table
     with pytest.raises(BudgetExceeded):
         _det_table(4, 2, 5, budget=100)
 
 
 def test_det_table_is_shared_and_still_budgeted():
     table = _det_table(2, 1, 3)
-    assert isinstance(table, tuple) and _det_table(2, 1, 3, budget=9) is table
-    hits = _build_det_table.cache_info().hits
+    assert isinstance(table, bytes) and _det_table(2, 1, 3, budget=9) is table
+    assert isinstance(_det_table(2, 1, 131), tuple)
+    hits = _filled_table.cache_info().hits
     assert enumerate_preservers(2, 1, 3).count == 9
     assert is_preserver(LinearMapNK.identity_map(gf(3), 2, 1), "exhaustive").preserves
-    assert _build_det_table.cache_info().hits == hits + 2
+    assert _filled_table.cache_info().hits == hits + 2
     # a kept table is still refused over budget
     with pytest.raises(BudgetExceeded):
         _det_table(2, 1, 3, budget=8)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cullis import (
     RATIONALS,
     RectMatrix,
+    ResourceGuard,
     ShapeError,
     all_completions_vanish,
     basis_matrix,
@@ -23,6 +25,7 @@ from cullis import (
     zeros,
 )
 from cullis import lambdapoly
+from cullis.determinant import sweep_count
 from cullis.lambdapoly import diffdiff_rhs, diffsum_rhs, plainsum_rhs
 
 Q = RATIONALS
@@ -52,6 +55,42 @@ def test_coefficient_examples():
     Z = zeros(Q, 3, 2)
     assert [c.value for c in lambda_coeffs(A, Z).coeffs] == [1, 0, 0]
     assert [c.value for c in lambda_coeffs(Z, A).coeffs] == [0, 0, 1]
+
+
+def huge_rational_pair(n, k, rng):
+    """Two n x k rational matrices of 8,300-digit entries, "<4000 digits>e4300"."""
+    def entry():
+        return str(rng.randrange(10 ** 3999, 10 ** 4000)) + "e4300"
+    return [mat([[entry() for _ in range(k)] for _ in range(n)]) for _ in range(2)]
+
+
+def test_lambda_budget_charges_packed_entry_size(monkeypatch):
+    A, B = huge_rational_pair(12, 6, random.Random(12))
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(lambdapoly, "sweep", no_sweep)
+    with pytest.raises(ResourceGuard, match="entry-weighted steps"):
+        lambda_coeffs(A, B)
+    # the unweighted count still refuses before anything is converted
+    monkeypatch.setattr(lambdapoly, "raw_rows", no_sweep)
+    with pytest.raises(ResourceGuard, match="elementary steps"):
+        lambda_coeffs(A, B, budget=sweep_count(12, 6) - 1)
+
+
+def test_lambda_budget_keeps_the_benchmark_shapes():
+    # 8x5 over GF(10007) and over small fractions pack into entries of 65 to
+    # 128 bits: weight 4, far inside the default budget
+    rng = random.Random(13)
+
+    def small():
+        return mat([[Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in range(5)]
+                    for _ in range(8)])
+
+    F = gf(10007)
+    for A, B in ((random_matrix(F, 8, 5, rng), random_matrix(F, 8, 5, rng)), (small(), small())):
+        assert lambda_coeffs(A, B, budget=4 * sweep_count(8, 5)) == lambda_coeffs(A, B)
 
 
 def test_evaluation_consistency_and_endpoints():
