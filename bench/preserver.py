@@ -1,14 +1,15 @@
 """Before/after timings of the exhaustive preservation check, and its counts.
 
-    python bench/preserver.py --before OLD/src --after src [--reps 9] > BENCH_preserver.json
+    python bench/preserver.py --before OLD/src --after src > BENCH_preserver.json
 
 Times `is_preserver(identity, "exhaustive")` (every input is swept, the det
 table already built) and a cold fill of the det table, for each case, in
-fresh child processes that alternate between the two source trees.  Each
-child runs every case `--reps` times and reports the median; the file holds
-the median over the children.  The counts (inputs swept, blocks, lane
-products per block) are read off the `--after` tree: they follow from
-`sweep_plan` and the block rule alone, so tests can gate on them.
+fresh child processes that alternate between the two source trees.  Each of
+the CHILDREN children per tree runs every case REPS times and reports the
+median; the file holds the median over the children.  The counts (inputs
+swept, blocks, lane products per block) are read off the `--after` tree:
+they follow from `sweep_plan` and the block rule alone, so tests can gate
+on them.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ import sys
 from time import perf_counter
 
 CASES = ((3, 2, 3), (4, 2, 3), (3, 2, 5), (2, 2, 13), (4, 3, 2), (6, 3, 2), (3, 3, 3))
+REPS = 9  # runs of each case in one child
+CHILDREN = 5  # child processes per tree
 
 
-def time_tree(reps: int) -> dict:
+def time_tree() -> dict:
     """Median milliseconds per case for the package on sys.path."""
     from cullis import LinearMapNK, gf, is_preserver
     from cullis import preserver
@@ -36,7 +39,7 @@ def time_tree(reps: int) -> dict:
         T = LinearMapNK.identity_map(gf(p), n, k)
         is_preserver(T, "exhaustive")
         check, table = [], []
-        for _ in range(reps):
+        for _ in range(REPS):
             t0 = perf_counter()
             is_preserver(T, "exhaustive")
             t1 = perf_counter()
@@ -63,18 +66,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", help="src directory of the old tree")
     ap.add_argument("--after", help="src directory of the new tree")
-    ap.add_argument("--reps", type=int, default=9)
-    ap.add_argument("--children", type=int, default=5, help="child processes per tree")
     ap.add_argument("--time", help=argparse.SUPPRESS)  # child mode: time the tree on sys.path
     args = ap.parse_args()
     if args.time:
-        print(json.dumps(time_tree(args.reps)))
+        print(json.dumps(time_tree()))
         return 0
     runs: dict[str, list] = {"before": [], "after": []}
-    for _ in range(args.children):
+    for _ in range(CHILDREN):
         for side in ("before", "after"):
             env = dict(os.environ, PYTHONPATH=os.path.abspath(getattr(args, side)))
-            proc = subprocess.run([sys.executable, __file__, "--time", "1", "--reps", str(args.reps)],
+            proc = subprocess.run([sys.executable, __file__, "--time", "1"],
                                   env=env, capture_output=True, text=True, check=True)
             runs[side].append(json.loads(proc.stdout))
     sys.path.insert(0, os.path.abspath(args.after))
@@ -90,7 +91,7 @@ def main() -> int:
         "layer": "preserver.exhaustive",
         "what": "is_preserver(identity, 'exhaustive') with the det table built (check_ms), "
                 "and a cold fill of the det table (table_ms); medians of "
-                f"{args.children} alternating child processes x {args.reps} runs",
+                f"{CHILDREN} alternating child processes x {REPS} runs",
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "platform": platform.platform()},
         "cases": cases,

@@ -3,10 +3,10 @@
 The exhaustive preservation check and its det table (`preserver`) run on
 this kernel.  Inputs go in product order of vec(v), in blocks of at most
 `BLOCK` that share their leading coordinates.  For each coordinate of T v a
-block is one lane, one byte per input (p < 128), worked on as a big int:
+block is one lane, one byte per input (p <= 13), worked on as a big int:
 `translate` tables give shifts, reductions and products, big-int adds give
 sums, and the row sweep's cached plan (`sweep_plan`) strings them into a
-determinant.  Wider fields take lists of ints in the same function.
+determinant.  Larger p take lists of ints in the same function.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from operator import add
 from .determinant import sweep_plan
 
 BLOCK = 1 << 15  # inputs per lane, at most
+BYTE_P = 13  # the largest p whose lanes are bytes: a pair index a * p + b fits one
 
 
 def tail_len(p: int, nk: int) -> int:
@@ -31,18 +32,12 @@ def tail_len(p: int, nk: int) -> int:
 
 @lru_cache(maxsize=16)
 def _byte_tables(p: int) -> tuple:
-    """`translate` tables on byte lanes over GF(p), p < 128: x + y mod p for
-    each y, and per sign s a product table.  For p <= 13 entry x is
-    (-1)**s * a * b for the pair index x = a * p + b.  Above, entry x is
-    (-1)**s * x**2 / 4, and (-1)**s * a * b is entry a + b of table s plus
-    entry a - b + p of table 1 - s.  Any byte is an index, so a may be an
-    unreduced sum while the index stays below 256."""
+    """`translate` tables on byte lanes over GF(p), p <= BYTE_P: x + y mod p
+    for each y, and per sign s the product (-1)**s * a * b at the pair index
+    x = a * p + b.  Any byte is an index, so a may be an unreduced sum while
+    the index stays below 256."""
     add_to = [bytes((x + y) % p for x in range(256)) for y in range(p)]
-    if p <= 13:
-        prod = [bytes((x // p) * (x % p) * (-1) ** s % p for x in range(256)) for s in (0, 1)]
-    else:
-        quarter = pow(4, -1, p)
-        prod = [bytes(x * x * quarter * (-1) ** s % p for x in range(256)) for s in (0, 1)]
+    prod = [bytes((x // p) * (x % p) * (-1) ** s % p for x in range(256)) for s in (0, 1)]
     return add_to, prod
 
 
@@ -50,17 +45,14 @@ def det_lanes(cols: list, n: int, k: int, p: int):
     """det(T v) for every input v over GF(p) in product order, one lane per
     block (`tail_len`), where T has raw columns `cols`.
 
-    A lane holds one digit per input.  For p < 128 that is one byte, and a
-    lane is yielded as bytes and worked on as a little-endian int: a sum is
+    A lane holds one digit per input.  For p <= BYTE_P that is one byte, and
+    a lane is yielded as bytes and worked on as a little-endian int: a sum is
     an int add, reduced by `translate` only before a byte could overflow, a
     negation is p - x bytewise, and a product is one `translate` of the pair
-    index a * p + b for p <= 13, two of a + b and a - b through quarter
-    squares (and a reduction) for odd p up to 127, and AND for p = 2, where
-    sums are XOR.
-    Wider p take lists of ints, yielded as tuples.  Each coordinate of T v
-    is its image of the tail coordinates, built once, shifted per block by
-    the image of the head; the lanes then run `sweep_plan`, one lane product
-    per move from a nonempty mask.
+    index a * p + b.  Larger p take lists of ints, yielded as tuples.  Each
+    coordinate of T v is its image of the tail coordinates, built once,
+    shifted per block by the image of the head; the lanes then run
+    `sweep_plan`, one lane product per move from a nonempty mask.
     """
     nk = n * k
     tail = tail_len(p, nk)
@@ -68,10 +60,10 @@ def det_lanes(cols: list, n: int, k: int, p: int):
     # bounds on a lane's largest byte: a sum is reduced before it could pass
     # `top`, and before a product reads it above `most`
     top = most = float("inf")
-    if p < 128:
+    byte = p <= BYTE_P
+    if byte:
         add_to, prod = _byte_tables(p)
         load = partial(int.from_bytes, byteorder="little")
-        ps = load(bytes([p]) * size)
 
         def tr(v, table):
             return load(v.to_bytes(size, "little").translate(table))
@@ -82,23 +74,12 @@ def det_lanes(cols: list, n: int, k: int, p: int):
         def out(v):
             return v.to_bytes(size, "little").translate(add_to[0])
 
-        red, neg = partial(tr, table=add_to[0]), ps.__sub__
+        red, neg = partial(tr, table=add_to[0]), load(bytes([p]) * size).__sub__
         join, plus, zero = b"".join, add, 0
-        if p == 2:
-            plus, neg = int.__xor__, int.__pos__
+        top, most = 255, (256 - p) // p
 
-            def mul(a, b, s):
-                return a & b
-        elif p <= 13:
-            top, most = 255, (256 - p) // p
-
-            def mul(a, b, s):
-                return tr(a * p + b, prod[s])
-        else:
-            top, most = 255, 255 - p
-
-            def mul(a, b, s):
-                return red(tr(a + b, prod[s]) + tr(a + ps - b, prod[1 - s]))
+        def mul(a, b, s):
+            return tr(a * p + b, prod[s])
         lanes = [b"\0"] * nk
     else:
         def shift(lane, y):
@@ -137,7 +118,7 @@ def det_lanes(cols: list, n: int, k: int, p: int):
             lane = loaded.get(key)
             if lane is None:
                 lane = load(shift(lanes[key[0]], key[1]))
-                if p < 128:  # wide blocks rarely meet a shift twice
+                if byte:  # list blocks are large and rarely meet a shift twice
                     loaded[key] = lane
             x.append(lane)
         val, bound = [zero] * (1 << k), [0] * (1 << k)

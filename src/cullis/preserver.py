@@ -19,7 +19,8 @@ sweep expands.  Invertibility is a rank test by `matrix.eliminate`.
 The exhaustive routines index the matrices over GF(p) by the base-p code of
 vec(X), so code i is the i-th vector in product order.  One lane kernel,
 `lanes.det_lanes` (loaded by the first exhaustive check or census),
-computes det(T v) for a whole block of inputs at once, one byte per input.
+computes det(T v) for a whole block of inputs at once, one byte per input
+for p <= 13.
 Run on the identity it fills the det table (`_det_table`); run on T, each
 block is compared with its slice of the table in one `==`, and the first
 differing byte is the witness.  The census fixes T's columns last
@@ -289,7 +290,7 @@ def _det_table(n: int, k: int, p: int, budget: int | None = None):
     """det(X) mod p for every n x k matrix X over GF(p), indexed by the
     base-p code of vec(X) (first coordinate most significant), so that entry
     i belongs to the i-th vector of product(range(p), repeat=nk): bytes for
-    p < 128, else a tuple of ints.
+    p <= lanes.BYTE_P, else a tuple of ints.
 
     The budget counts the p**(nk) entries and is checked on every call; the
     tables themselves are read-only and the last eight built are kept.
@@ -311,11 +312,11 @@ def _guard_power(p: int, e: int, budget: int | None, what: str) -> None:
 @lru_cache(maxsize=8)
 def _filled_table(n: int, k: int, p: int):
     """`_det_table` without the budget check: `lanes.det_lanes` of the identity."""
-    from .lanes import det_lanes
+    from .lanes import BYTE_P, det_lanes
 
     nk = n * k
     lanes = det_lanes([[int(r == m) for r in range(nk)] for m in range(nk)], n, k, p)
-    return b"".join(lanes) if p < 128 else tuple(chain.from_iterable(lanes))
+    return b"".join(lanes) if p <= BYTE_P else tuple(chain.from_iterable(lanes))
 
 
 def _lift(maps: list[list[int]], p: int) -> list[int]:
@@ -415,8 +416,9 @@ def is_preserver(
     counted against the search budget; it answers with the first input in
     product order of vec(X) whose image changes det.  Inputs go in blocks of
     at most 2**15 sharing their leading coordinates, each one byte lane per
-    coordinate of T(X) for p < 128 (`lanes.det_lanes`), so memory is the det
-    table (p**(nk) bytes) and at most nk * (p + 1) + 2**k lanes of a block.
+    coordinate of T(X) for p <= 13, a list of ints above (`lanes.det_lanes`),
+    so memory is the det table (p**(nk) entries) and at most
+    nk * (p + 1) + 2**k lanes of a block.
     `symbolic` expands det(T(X)) - det(X), reduced by x**p = x over GF(p),
     and is exact over every field, small ones included; a violation carries
     a witness read off that polynomial, and neither verdict depends on
@@ -658,7 +660,7 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
             grown = images
             for a in range(1, p):
                 new = list(map(plus(scaled[a][x]).__getitem__, images))
-                # in the table's own type: bytes, or a tuple from p = 128 on
+                # in the table's own type: bytes, or a tuple from p = 17 on
                 if type(table)(map(table.__getitem__, new)) != table[a * run:(a + 1) * run]:
                     break
                 grown = grown + new

@@ -41,8 +41,9 @@ from cullis.determinant import sweep_plan
 from oracles import oracle_subset_sign
 
 LIMIT = 20_000
-# (p, n, k): every shape with p**(nk) <= LIMIT over the small fields, and
-# the first two widths over two fields whose lanes are lists of ints
+# (p, n, k): every shape with p**(nk) <= LIMIT over the small fields (byte
+# lanes up to GF(13), lists of ints from GF(17)), and the first two widths
+# over two wide fields
 CASES = [(p, n, k) for p in (2, 3, 5, 7, 13, 17, 31)
          for k in range(1, 5) for n in range(k, 15) if p ** (n * k) <= LIMIT]
 CASES += [(p, n, 1) for p in (131, 1009) for n in (1, 2)]
@@ -157,19 +158,44 @@ def check_against_brute_force(T, monkeypatch):
             assert [W.values[i * k + j] for j in range(k) for i in range(n)] == want, (T, block)
 
 
-@pytest.mark.parametrize("p, n, k", [(3, 44, 2), (5, 12, 3), (13, 30, 2), (13, 4, 3), (17, 3, 2),
-                                     (31, 5, 2), (67, 3, 2), (101, 3, 2), (127, 4, 2), (127, 3, 3),
-                                     (2, 9, 4), (131, 3, 2)])
-def test_lane_arithmetic_on_the_first_blocks(p, n, k, monkeypatch):
-    # shapes far past any search budget, where sums grow until the kernel
-    # must reduce them before a product reads them or a byte overflows (44
-    # rows over GF(3), 30 over GF(13), three terms from GF(67) on), and list
-    # lanes with products (GF(131)): the first blocks of det(T v), p inputs
-    # each, against the injection sum
-    rng = random.Random(p * n * k)
+def worst_entries(n, p):
+    """n x 2 entries, vec order, whose row sweep adds p - 1 into the full
+    mask at every product whose source is nonzero mod p."""
+    y, v = [[1, 1] for _ in range(n)], [0, 0, 0]
+    for row, moves in zip(y, sweep_plan(n, 2)):
+        for src, _, col, s in moves:
+            if src and v[src] % p:
+                row[col] = (-1) ** (s + 1) * pow(v[src], -1, p) % p
+        for src, dst, col, s in moves:
+            if not src:
+                v[dst] += (-1) ** s * row[col]
+    return [row[c] for c in range(2) for row in y]
+
+
+@pytest.mark.parametrize("p, n, k, worst", [
+    (3, 44, 2, False), (5, 12, 3, False), (13, 30, 2, False), (13, 4, 3, False),
+    (17, 3, 2, False), (31, 5, 2, False), (67, 3, 2, False), (101, 3, 2, False),
+    (127, 4, 2, False), (127, 3, 3, False), (2, 9, 4, False), (131, 3, 2, False),
+    (3, 44, 2, True), (13, 30, 2, True)])
+def test_lane_arithmetic_on_the_first_blocks(p, n, k, worst, monkeypatch):
+    # shapes far past any search budget, where byte-lane sums grow until the
+    # kernel must reduce them before a product reads them or a byte
+    # overflows (44 rows over GF(3), 30 over GF(13), 9 x 4 over GF(2)), and
+    # list lanes with products from GF(17) on: the first blocks of det(T v),
+    # p inputs each, against the injection sum.  A random map reaches about
+    # half of each bound.  The worst map is T v = v[-2] * Y, so every byte
+    # of block 1 holds the sweep of Y, whose products all add p - 1 where
+    # they can: over GF(13) the full mask's sum runs to 252 (21 adds of 12)
+    # before each reduction, and a bound of 264 lets a byte carry into its
+    # neighbour.  Over GF(3) the sources hit 0 mod 3 too often for the sum
+    # to pass 3/4 of its bound.
     F, nk = gf(p), n * k
-    T = LinearMapNK(n, k, random_matrix(F, nk, nk, rng))
-    cols = [T.mat.values[m::nk] for m in range(nk)]
+    if worst:
+        cols = [[0] * nk for _ in range(nk)]
+        cols[-2] = worst_entries(n, p)
+    else:
+        T = LinearMapNK(n, k, random_matrix(F, nk, nk, random.Random(p * n * k)))
+        cols = [T.mat.values[m::nk] for m in range(nk)]
     monkeypatch.setattr(lanes, "BLOCK", p)
     terms = injection_terms(n, k)
     for b, lane in enumerate(islice(lanes.det_lanes(cols, n, k, p), 8)):

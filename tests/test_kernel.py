@@ -232,9 +232,10 @@ def test_deg_witness_is_the_first_in_assignment_order():
 
 
 def test_det_table_is_indexed_by_product_order(monkeypatch):
-    # bytes below p = 128, ints from GF(131) on; each table is one lane, and
+    # bytes up to p = 13, ints from GF(17) on; each table is one lane, and
     # is the same filled one block of at most 3 inputs at a time
-    for n, k, p in ((2, 1, 3), (3, 2, 2), (2, 2, 3), (3, 1, 5), (4, 1, 3), (3, 3, 2), (2, 1, 131)):
+    for n, k, p in ((2, 1, 3), (3, 2, 2), (2, 2, 3), (3, 1, 5), (4, 1, 3), (3, 3, 2), (2, 1, 13),
+                    (2, 1, 17), (2, 1, 131)):
         F = gf(p)
         table = _det_table(n, k, p)
         vecs = list(product(range(p), repeat=n * k))
@@ -251,7 +252,7 @@ def test_det_table_is_indexed_by_product_order(monkeypatch):
 def test_det_table_is_shared_and_still_budgeted():
     table = _det_table(2, 1, 3)
     assert isinstance(table, bytes) and _det_table(2, 1, 3, budget=9) is table
-    assert isinstance(_det_table(2, 1, 131), tuple)
+    assert isinstance(_det_table(2, 1, 13), bytes) and isinstance(_det_table(2, 1, 17), tuple)
     hits = _filled_table.cache_info().hits
     assert enumerate_preservers(2, 1, 3).count == 9
     assert is_preserver(LinearMapNK.identity_map(gf(3), 2, 1), "exhaustive").preserves
