@@ -72,6 +72,17 @@ def _field_from_args(args):
     return gf(args.p) if args.p is not None else RATIONALS
 
 
+def _guard_map_entries(n: int, k: int, budget: int | None) -> None:
+    """Refuse a map on n x k matrices whose (nk)**2 entries exceed the search
+    budget, before any is made; a shape with no rows or columns is left for
+    the constructor to refuse."""
+    from .determinant import _guard
+    from .preserver import DEFAULT_SEARCH_BUDGET
+
+    _guard((max(n, 0) * max(k, 0)) ** 2, budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded,
+           "map entries")
+
+
 def _cmd_preserver(args) -> int:
     from . import jsonio
     from .matrix import ones
@@ -107,10 +118,12 @@ def _cmd_preserver(args) -> int:
         _emit(jsonio.map_to_dict(make_two_sided(A, B)))
         return 0
     if sub == "make-s-shift":
+        _guard_map_entries(args.n, args.k, budget)
         _emit(jsonio.map_to_dict(make_s_shift(args.n, args.k, args.i, args.j,
                                               _field_from_args(args))))
         return 0
     if sub == "make-k2":
+        _guard_map_entries(args.n, 2, budget)
         _emit(jsonio.map_to_dict(make_k2_counterexample(args.n, _field_from_args(args))))
         return 0
     if sub == "factor":
@@ -146,8 +159,9 @@ def _parse_shapes(text: str):
 def _cmd_verify(args) -> int:
     from .verify import run_verification
 
-    shapes = _parse_shapes(args.shapes) if args.shapes else None
-    primes = tuple(int(p) for p in args.p.split(",")) if args.p else None
+    # an empty filter is malformed, not absent
+    shapes = _parse_shapes(args.shapes) if args.shapes is not None else None
+    primes = tuple(int(p) for p in args.p.split(",")) if args.p is not None else None
     report = run_verification(shapes=shapes, primes=primes, seed=args.seed)
     _emit(report)
     return 0 if report["all_pass"] else 1

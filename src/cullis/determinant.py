@@ -40,8 +40,8 @@ from .fields import Scalar
 from .matrix import RectMatrix, eliminate, from_raw, raw_rows, submatrix_keep
 
 DEFAULT_OP_BUDGET = 10_000_000
-# products or terms a symbolic expansion may make: `sympoly`, and the closed
-# form of two-sided maps in `preserver`
+# products a symbolic expansion may make (`sympoly`), and the terms of D that
+# the sign weights of a two-sided map stand for (`preserver`)
 DEFAULT_TERM_GUARD = 200_000_000
 
 

@@ -11,10 +11,11 @@ On that flattening the two-sided map X -> A X B is the Kronecker product
 B^T (x) A.  `make_two_sided` writes it entry by entry; `_kronecker` decides
 on raw values whether a matrix is one, by the rank-one test on its blocks,
 and gives integer factors.  `factor_two_sided` reads A and B off them, and
-the symbolic check of such a map reads D off the minors of A: with
+the symbolic check of such a map needs no polynomial: with
 w_d = det(B) det(A[:, d]) - sgn(d) (`_sign_weights`), Cauchy-Binet gives
-D = det(AXB) - det(X) = sum_d w_d det(X_d), the same polynomial the row
-sweep expands.  Invertibility is a rank test by `matrix.eliminate`.
+D = det(AXB) - det(X) = sum_d w_d det(X_d), so the weights decide it and
+the first nonzero one gives the witness.  Invertibility is a rank test by
+`matrix.eliminate`.
 
 The exhaustive routines index the matrices over GF(p) by the base-p code of
 vec(X), so code i is the i-th vector in product order.  One lane kernel,
@@ -54,6 +55,7 @@ from .matrix import (
     _vec_values,
     _zero_one,
     basis_matrix,
+    basis_selector,
     identity,
     ones,
     rank,
@@ -368,12 +370,18 @@ def _random_violation(T: LinearMapNK, samples: int, seed: int) -> RectMatrix | N
     return None
 
 
-def _symbolic_diff(T: LinearMapNK, budget: int | None) -> dict:
-    """D = det(T(X)) - det(X), folded.  A Kronecker product (`_kronecker`)
-    takes the closed form `sympoly.minor_sum` of its sign weights, after a
-    budget check on its C(n, k) * k! terms; any other map takes the row
-    sweep (`sympoly.det_change`).  Both give the same polynomial, and
-    `sympoly` is loaded only when D has to be expanded."""
+def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverReport:
+    """T preserves exactly when D = det(T(X)) - det(X) is zero.
+
+    A Kronecker product (`_kronecker`) is decided by its sign weights, after
+    a budget check on the perm(n, k) terms of D = sum_d w_d det(X_d): D is
+    zero exactly when every w_d is.  Otherwise the witness is the unit
+    pattern of the first d with w_d != 0 (`basis_selector`); there every
+    other minor X_d' has a zero row, so D = w_d.  It is also the point
+    `sympoly.nonzero_point` picks on D: the diagonal of that d is D's lowest
+    monomial, and the only term on its variables.  Any other map takes the
+    row sweep (`sympoly.det_change`) and its witness is read off D, so
+    `sympoly` is loaded only for a map that does not factor."""
     n, k, field = T.n, T.k, T.field
     values = T.mat.values
     m, s = _cleared(values, field.p)
@@ -381,26 +389,18 @@ def _symbolic_diff(T: LinearMapNK, budget: int | None) -> dict:
     if split is None:
         from . import sympoly
         # integers (s = 1) are the map's own values, and clear faster
-        return sympoly.det_change(_rows(m if s == 1 else values, n * k), n, k, field, budget)
-    _guard(perm(n, k), budget, DEFAULT_TERM_GUARD, BudgetExceeded, f"minor-sum terms at {n}x{k}")
+        diff = sympoly.det_change(_rows(m if s == 1 else values, n * k), n, k, field, budget)
+        if not diff:
+            return PreserverReport("preserves", "symbolic")
+        witness = unvec(sympoly.nonzero_point(diff, n * k, field), n, k, field)
+        return PreserverReport("violates", "symbolic", witness)
+    _guard(perm(n, k), budget, DEFAULT_TERM_GUARD, BudgetExceeded, f"terms of D at {n}x{k}")
     a, b, c = split
-    weights = list(_sign_weights(a, b, c ** k, k, field.p))
-    if not any(weights):
-        return {}
-    from . import sympoly
-    return sympoly.minor_sum(weights, n, k, field)
-
-
-def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverReport:
-    """T preserves exactly when D (`_symbolic_diff`) is empty; otherwise the
-    witness is read off D by `sympoly.nonzero_point`."""
-    diff = _symbolic_diff(T, budget)
-    if not diff:
+    weights = _sign_weights(a, b, c ** k, k, field.p)
+    d = next((d for d, w in zip(combinations(range(1, n + 1), k), weights) if w), None)
+    if d is None:
         return PreserverReport("preserves", "symbolic")
-    from . import sympoly
-
-    witness = unvec(sympoly.nonzero_point(diff, T.n * T.k, T.field), T.n, T.k, T.field)
-    return PreserverReport("violates", "symbolic", witness)
+    return PreserverReport("violates", "symbolic", basis_selector(field, n, d))
 
 
 def is_preserver(
@@ -419,11 +419,12 @@ def is_preserver(
     coordinate of T(X) for p <= 13, a list of ints above (`lanes.det_lanes`),
     so memory is the det table (p**(nk) entries) and at most
     nk * (p + 1) + 2**k lanes of a block.
-    `symbolic` expands det(T(X)) - det(X), reduced by x**p = x over GF(p),
-    and is exact over every field, small ones included; a violation carries
-    a witness read off that polynomial, and neither verdict depends on
-    `seed`.  `random` draws `samples` matrices from `seed` and can only
-    return `violates` or `inconclusive`.
+    `symbolic` decides D = det(T(X)) - det(X), reduced by x**p = x over
+    GF(p), and is exact over every field, small ones included: from the sign
+    weights for a two-sided map, else from D expanded by the row sweep.  A
+    violation carries a witness where D is nonzero, and neither verdict
+    depends on `seed`.  `random` draws `samples` matrices from `seed` and
+    can only return `violates` or `inconclusive`.
     """
     if T.k > T.n:
         raise ShapeError(f"{T.n}x{T.k}: need at least as many rows as columns")

@@ -6,19 +6,18 @@ polynomial is a dict from monomials to nonzero raw coefficients (residues for
 GF(p), Fractions otherwise).  Raw coefficients keep the hot loops free of
 wrapper objects; the public preserver API still speaks in scalars.
 
-`det_change` expands det(T(X)) - det(X) for any map T with one row sweep.
-For a two-sided map X -> A X B the same polynomial is a weighted sum of the
-square minors of X (Cauchy-Binet), which `minor_sum` writes down directly.
+`det_change` expands det(T(X)) - det(X) for any map T with one row sweep,
+and `nonzero_point` finds a point where it is nonzero.  The symbolic check
+loads this module only for a map that does not factor: a two-sided map is
+decided from its sign weights in `preserver`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import lcm
 
-from .combinatorics import sgn_of_subset
 from .determinant import DEFAULT_TERM_GUARD, _guard, sweep_count, sweep_plan
 from .errors import BudgetExceeded
 from .fields import FieldSpec
@@ -26,13 +25,6 @@ from .fields import FieldSpec
 
 Monomial = tuple[tuple[int, int], ...]
 Poly = dict[Monomial, object]
-
-
-@lru_cache(maxsize=16)
-def det_poly_identity(n: int, k: int, field: FieldSpec) -> Poly:
-    """det(X) as a polynomial in the nk entry variables of X: `det_poly_of_map`
-    of the identity map; cached, so callers must not modify it."""
-    return _unpacked(_identity_sweep(n, k, field.p), k, field.p, 1)
 
 
 @lru_cache(maxsize=16)
@@ -138,36 +130,6 @@ def det_change(mat_rows: list[list], n: int, k: int, field: FieldSpec,
     poly = _unpacked(diff, k, p, scale)
     # exponents are at most k, so below p folding only drops zero coefficients
     return fold(poly, field) if p and p <= k else poly
-
-
-@lru_cache(maxsize=16)
-def _minor_terms(n: int, k: int, field: FieldSpec) -> tuple[tuple[tuple[Monomial, bool], ...], ...]:
-    """Per row k-subset d of an n x k matrix X, in lexicographic order, the
-    terms of det(X) (`det_poly_identity`) whose variables lie in the rows d,
-    as (monomial, negated) pairs: those are the terms of det(X_d) times
-    sgn(d), and negated marks a term with sign -1 in det(X_d)."""
-    groups = {}
-    for d in combinations(range(1, n + 1), k):
-        groups[sum(1 << r for r in d)] = (sgn_of_subset(d) < 0, [])
-    for mono, c in det_poly_identity(n, k, field).items():
-        flip, terms = groups[sum(2 << v % n for v, _ in mono)]  # variable v is in row v % n + 1
-        terms.append((mono, (c != 1) != flip))
-    return tuple(tuple(terms) for _, terms in groups.values())
-
-
-def minor_sum(weights: list, n: int, k: int, field: FieldSpec) -> Poly:
-    """sum over the row k-subsets d of X, in lexicographic order, of
-    weights[d] * det(X_d), for raw weights (residues over GF(p), Fractions
-    over QQ).  Distinct terms never share a monomial, so the result is
-    already folded."""
-    p = field.p
-    poly: Poly = {}
-    for w, terms in zip(weights, _minor_terms(n, k, field)):
-        if w:
-            neg = p - w if p else -w
-            for mono, negated in terms:
-                poly[mono] = neg if negated else w
-    return poly
 
 
 def fold(poly: Poly, field: FieldSpec) -> Poly:

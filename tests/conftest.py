@@ -24,3 +24,11 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the argument-vector fuzz of the map constructors, for CI on every Python:
+#   pytest --hypothesis-profile cli tests/test_cli.py::test_fuzz_construction_arguments
+settings.register_profile(
+    "cli",
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)

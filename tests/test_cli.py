@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cullis import RATIONALS, RectMatrix, basis_matrix, gf, make_s_shift, random_matrix
+from cullis import (RATIONALS, RectMatrix, basis_matrix, gf, make_s_shift, make_two_sided,
+                    random_matrix)
 from cullis import cli, jsonio
 from cullis.preserver import LinearMapNK
 import cullis.combinatorics as comb_mod
@@ -234,15 +237,24 @@ def test_cli_verify_paper_filter_selecting_nothing_exits_2():
         proc = run_cli("verify-paper", *args)
         assert proc.returncode == 2 and proc.stdout == "", args
         assert "no check matches" in proc.stderr
+    # an empty filter is malformed, not absent: it does not run the whole table
+    for args in (["--p", ""], ["--shapes", ""]):
+        proc = run_cli("verify-paper", *args)
+        assert proc.returncode == 2 and proc.stdout == "", args
+        assert proc.stderr.startswith("error:"), args
 
 
 def test_verify_table_loads_only_for_verify_paper(tmp_path):
-    # so is the polynomial expander, which only symbolic checks need, and
-    # the lane kernel, which only exhaustive checks and censuses need; and
+    # so is the polynomial expander, which only symbolic checks of maps that
+    # do not factor need, and the lane kernel, which only exhaustive checks
+    # and censuses need; and
     # `import cullis` loads no submodule, each command only the modules it
     # runs, and no record loads `dataclasses` (which imports `inspect`)
     X = write_matrix(tmp_path, "x.json", random_matrix(gf(7), 4, 2, random.Random(3)))
     T = write_map(tmp_path, "t.json", make_s_shift(3, 1, 2, 1, gf(3)))
+    rng = random.Random(4)
+    V = write_map(tmp_path, "v.json", make_two_sided(random_matrix(gf(7), 4, 4, rng),
+                                                     random_matrix(gf(7), 2, 2, rng)))
     code = f"""
 import contextlib, io, sys
 before = set(sys.modules)
@@ -267,9 +279,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["lambda", "--a", {X!r}, "--b", {X!r}]) == 0
     extra = loaded("cullis.preserver", "cullis.sympoly", "cullis.verify")
     assert not extra, extra
-    # the lane kernel loads with the first exhaustive check
+    # a two-sided map is decided, and its witness found, without the
+    # expander; the lane kernel loads with the first exhaustive check
     assert cli.main(["preserver", "check", "--map", {T!r}]) == 0
-    extra = loaded("cullis.lanes", "cullis.verify")
+    assert cli.main(["preserver", "check", "--map", {V!r}]) == 1
+    extra = loaded("cullis.sympoly", "cullis.lanes", "cullis.verify")
     assert not extra, extra
     assert cli.main(["preserver", "check", "--map", {T!r}, "--method", "exhaustive"]) == 0
     assert loaded("cullis.lanes") == ["cullis.lanes"]
@@ -574,6 +588,59 @@ def test_fuzz_enumeration_arguments(cmd, n, k, p, budget):
     if code == 0 and budget == []:
         # the default budget admits only small searches
         assert int(p) ** (int(n) * int(k)) <= 10 ** 6
+
+
+def run_with_env_budget(argv, budget):
+    """`run_in_process` with CULLIS_BUDGET set to budget, or unset for None."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CULLIS_BUDGET", None)
+        if budget is not None:
+            os.environ["CULLIS_BUDGET"] = budget
+        return run_in_process(argv, {})
+
+
+def test_cli_constructions_refuse_over_budget_before_any_entry():
+    # the (nk)**2 map entries are counted against the search budget, so an
+    # 8.1e13-entry s-shift and a 30000-row k = 2 map exit 3 at once
+    tracemalloc.start()
+    try:
+        for argv in (["make-s-shift", "--n", "3000", "--k", "3000", "--i", "1", "--j", "1"],
+                     ["make-k2", "--n", "30000"]):
+            assert run_with_env_budget(["preserver", *argv], None) == (3, "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # CULLIS_BUDGET applies: 6x4 has 576 entries and make-k2 at n = 6 has 144
+    for argv, entries in ((["make-s-shift", "--n", "6", "--k", "4", "--i", "2", "--j", "3"], 576),
+                          (["make-k2", "--n", "6", "--p", "3"], 144)):
+        assert run_with_env_budget(["preserver", *argv], str(entries - 1)) == (3, "")
+        code, out = run_with_env_budget(["preserver", *argv], str(entries))
+        assert code == 0 and len(json.loads(out)["mat"]) ** 2 == entries
+
+
+# mostly shapes that are built, then some refused as bad (exit 2) or too big (exit 3)
+_CONSTRUCTION_SIZES = st.one_of(st.integers(1, 6), st.integers(4, 6),
+                                st.sampled_from([-1, 0, 3000, 10 ** 6])).map(str)
+
+
+# few examples in the suite; CI runs more on every Python:
+#   pytest --hypothesis-profile cli tests/test_cli.py::test_fuzz_construction_arguments
+@given(cmd=st.sampled_from(["make-s-shift", "make-k2"]),
+       n=_CONSTRUCTION_SIZES, k=_CONSTRUCTION_SIZES,
+       i=st.integers(1, 4).map(str), j=st.integers(0, 3).map(str),
+       p=st.one_of(st.none(), _PRIMES, st.one_of(_NON_PRIMES, _JUNK_ARGS)),
+       budget=st.sampled_from([None, None, "10000", "1000000", "100", "0", "-1", "x"]))
+def test_fuzz_construction_arguments(cmd, n, k, i, j, p, budget):
+    argv = ["preserver", cmd, "--n", n]
+    if cmd == "make-s-shift":
+        argv += ["--k", k, "--i", i, "--j", j]
+    code, out = run_with_env_budget(argv + ([] if p is None else ["--p", p]), budget)
+    assert_contract(code, out)
+    if code == 0:
+        doc = json.loads(out)
+        nk = doc["n"] * doc["k"]
+        assert len(doc["mat"]) == nk and nk * nk <= (int(budget) if budget else 10 ** 6)
 
 
 _SHAPE_ITEMS = st.sampled_from(["3x2", "4x2", "5x3", "6x4", "6x2", "3x1", "5x2", "5x4",

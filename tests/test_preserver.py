@@ -38,7 +38,7 @@ from cullis import (
     zeros,
 )
 from cullis import sympoly
-from cullis.preserver import _cleared, _kronecker, _symbolic_diff
+from cullis.preserver import _cleared, _kronecker
 from oracles import oracle_det
 
 Q = RATIONALS
@@ -195,8 +195,9 @@ def is_kronecker(T):
 
 
 def test_closed_form_is_the_sweep_on_two_sided_maps():
-    # D read off the minors of A is the sweep's folded D, dict for dict, so
-    # verdict and witness agree; GF(2) and GF(3) have p <= k at these shapes
+    # the sign weights give the sweep's verdict, and the unit pattern of the
+    # first nonzero weight is the sweep's witness; GF(2) and GF(3) have
+    # p <= k at these shapes
     rng = random.Random(81)
     singular = 0
     for F in (gf(2), gf(3), gf(5), gf(7), Q):
@@ -212,7 +213,6 @@ def test_closed_form_is_the_sweep_on_two_sided_maps():
                 assert is_kronecker(T)
                 singular += not T.is_invertible()
                 diff, witness = sweep_report(T)
-                assert _symbolic_diff(T, None) == diff
                 rep = is_preserver(T, "symbolic")
                 assert rep.verdict == ("violates" if diff else "preserves")
                 assert rep.witness == witness
@@ -232,8 +232,8 @@ def test_maps_that_do_not_factor_take_the_sweep():
     for T in (corner, singular, changed):
         assert not is_kronecker(T)
         diff, witness = sweep_report(T)
-        assert _symbolic_diff(T, None) == diff
         rep = is_preserver(T, "symbolic")
+        assert rep.verdict == ("violates" if diff else "preserves")
         assert rep.witness == witness
         assert rep.preserves == is_preserver(T, "exhaustive").preserves
     assert is_preserver(corner, "symbolic").preserves
@@ -242,7 +242,7 @@ def test_maps_that_do_not_factor_take_the_sweep():
     half = RectMatrix.from_rows(Q, [["1/2", 0], [0, 2]])
     T = make_k2_counterexample(4, Q).compose(make_two_sided(identity(Q, 4), half))
     assert not is_kronecker(T)
-    assert _symbolic_diff(T, None) == sweep_report(T)[0] == {}
+    assert sweep_report(T) == ({}, None)
     assert is_preserver(T, "symbolic").preserves
 
 

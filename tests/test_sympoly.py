@@ -6,7 +6,7 @@ import pytest
 
 from cullis import BudgetExceeded, LinearMapNK, RATIONALS, det, gf, random_matrix, vec
 from cullis.determinant import sweep_count, sweep_plan
-from cullis.sympoly import det_change, det_poly_identity, det_poly_of_map, fold, nonzero_point
+from cullis.sympoly import det_change, det_poly_of_map, fold, nonzero_point
 from oracles import oracle_subset_sign
 
 
@@ -32,14 +32,20 @@ def oracle_identity_poly(n, k, p=None):
     return poly
 
 
+def identity_poly(n, k, field):
+    """det(X) as a polynomial: `det_poly_of_map` of the identity rows."""
+    nk = n * k
+    return det_poly_of_map([[int(r == c) for c in range(nk)] for r in range(nk)], n, k, field)
+
+
 def test_identity_map_expansion_matches_plain_determinant():
     for field in (gf(2), gf(5), RATIONALS):
         for (n, k) in [(1, 1), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 3)]:
-            assert det_poly_identity(n, k, field) == oracle_identity_poly(n, k, field.p)
+            assert identity_poly(n, k, field) == oracle_identity_poly(n, k, field.p)
 
 
 def test_identity_polynomial_term_count():
-    poly = det_poly_identity(4, 2, gf(5))
+    poly = identity_poly(4, 2, gf(5))
     assert len(poly) == 12  # injections of a pair into four rows
     assert all(len(mono) == 2 for mono in poly)
 
@@ -70,7 +76,7 @@ def test_det_change_is_the_folded_difference():
                       LinearMapNK.identity_map(field, n, k)):
                 rows = [[e.value for e in T.mat.row(i)] for i in range(1, nk + 1)]
                 diff = det_poly_of_map(rows, n, k, field)
-                for mono, c in det_poly_identity(n, k, field).items():
+                for mono, c in identity_poly(n, k, field).items():
                     diff[mono] = diff.get(mono, 0) - c
                 assert det_change(rows, n, k, field) == fold(diff, field)
 
