@@ -87,6 +87,7 @@ def _cmd_preserver(args) -> int:
     from . import jsonio
     from .matrix import ones
     from .preserver import (
+        _check_factors,
         enumerate_preservers,
         factor_two_sided,
         is_preserver,
@@ -115,6 +116,7 @@ def _cmd_preserver(args) -> int:
     if sub == "make-two-sided":
         A = jsonio.matrix_from_dict(_read_json(args.a))
         B = jsonio.matrix_from_dict(_read_json(args.b))
+        _guard_map_entries(*_check_factors(A, B), budget)
         _emit(jsonio.map_to_dict(make_two_sided(A, B)))
         return 0
     if sub == "make-s-shift":

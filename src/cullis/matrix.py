@@ -175,10 +175,18 @@ class RectMatrix:
             raise ShapeMismatch(f"{self.n}x{self.k} times {other.n}x{other.k}")
         a, b = self.values, other.values
         k, m = self.k, other.k
-        zero = 0 if self.field.p else Fraction(0)
-        bcols = [b[j::m] for j in range(m)]
-        out = [sum((x * y for x, y in zip(a[i * k:(i + 1) * k], col) if x and y), zero)
-               for i in range(self.n) for col in bcols]
+        zero = _zero_one(self.field)[0]
+        # other's rows as (column, value) pairs of its nonzero entries, so
+        # zero entries on either side cost nothing
+        rows = [[(c, y) for c, y in enumerate(b[t * m:(t + 1) * m]) if y] for t in range(k)]
+        out = []
+        for i in range(self.n):
+            acc = [zero] * m
+            for t, x in enumerate(a[i * k:(i + 1) * k]):
+                if x:
+                    for c, y in rows[t]:
+                        acc[c] += x * y
+            out += acc
         return RectMatrix._of(self.field, self.n, m, _reduced(out, self.field.p))
 
     def is_zero(self) -> bool:

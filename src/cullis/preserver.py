@@ -14,8 +14,11 @@ and gives integer factors.  `factor_two_sided` reads A and B off them, and
 the symbolic check of such a map needs no polynomial: with
 w_d = det(B) det(A[:, d]) - sgn(d) (`_sign_weights`), Cauchy-Binet gives
 D = det(AXB) - det(X) = sum_d w_d det(X_d), so the weights decide it and
-the first nonzero one gives the witness.  Invertibility is a rank test by
-`matrix.eliminate`.
+the first nonzero one gives the witness.  Any other map takes the row sweep
+(`_sweep_report`).  Both routes work on integers: a map over QQ is cleared
+once into M = s T (`_cleared`), the sweep expands s**k D and the weights
+come as q w_d.  A nonzero multiple is zero exactly where D is, so verdict
+and witness are D's own.  Invertibility is a rank test by `matrix.eliminate`.
 
 The exhaustive routines index the matrices over GF(p) by the base-p code of
 vec(X), so code i is the i-th vector in product order.  One lane kernel,
@@ -122,22 +125,7 @@ class LinearMapNK:
         """self after other."""
         if (self.n, self.k) != (other.n, other.k):
             raise ShapeMismatch("composition of maps on different shapes")
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-        nk, field, p = self.n * self.k, self.field, self.field.p
-        a, b = self.mat.values, other.mat.values
-        # other's rows as (column, value) pairs of its nonzero entries
-        rows = [[(c, y) for c, y in enumerate(b[t * nk:(t + 1) * nk]) if y] for t in range(nk)]
-        zero = _zero_one(field)[0]
-        out = []
-        for r in range(nk):
-            acc = [zero] * nk
-            for t, x in enumerate(a[r * nk:(r + 1) * nk]):
-                if x:
-                    for c, y in rows[t]:
-                        acc[c] += x * y
-            out += [v % p for v in acc] if p else acc
-        return LinearMapNK(self.n, self.k, RectMatrix._of(field, nk, nk, tuple(out)))
+        return LinearMapNK(self.n, self.k, self.mat @ other.mat)
 
     def is_invertible(self) -> bool:
         return rank(self.mat) == self.n * self.k
@@ -216,19 +204,21 @@ def _rows(flat: list, width: int) -> list[list]:
 
 
 def _sign_weights(a: list[list[int]], b: list[list[int]], q: int, k: int, p: int | None):
-    """w_d = det(b) * det(a[:, d]) / q - sgn(d) for the column k-subsets d of
-    the n x n integer rows a, in lexicographic order, lazily (one `det_int`
-    of an n x k matrix per subset): residues over GF(p), Fractions over QQ
-    (p None).  For X -> A X B with A = a and det(B) = det(b) / q, every w_d
-    is 0 exactly when the map preserves det, and D = sum_d w_d det(X_d)."""
+    """q * w_d = det(b) * det(a[:, d]) - sgn(d) * q for the column k-subsets
+    d of the n x n integer rows a, in lexicographic order, lazily (one
+    `det_int` of an n x k matrix per subset); residues over GF(p), integers
+    over QQ (p None).  For X -> A X B with A = a and det(B) = det(b) / q,
+    every w_d is 0 exactly when the map preserves det, and
+    D = sum_d w_d det(X_d).  q is a nonzero integer, also mod p, so q * w_d
+    is zero exactly when w_d is and no inverse of q is needed."""
     db = det_int(b, k)
     if p:
-        db = db * pow(q, -1, p) % p
+        db %= p
     cols = list(zip(*a))
     for d in combinations(range(1, len(a) + 1), k):
         x = det_int(list(zip(*(cols[c - 1] for c in d))), k) if db else 0
-        s = comb_mod.sgn_of_subset(d)
-        yield (db * x - s) % p if p else Fraction(db * x, q) - s
+        w = db * x - comb_mod.sgn_of_subset(d) * q
+        yield w % p if p else w
 
 
 def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
@@ -370,6 +360,22 @@ def _random_violation(T: LinearMapNK, samples: int, seed: int) -> RectMatrix | N
     return None
 
 
+def _sweep_report(T: LinearMapNK, budget: int | None) -> PreserverReport:
+    """The symbolic report from the row sweep alone: s**k * D for the
+    cleared map M = s T (`_cleared`, `sympoly.det_change`), a nonzero
+    multiple of D, so it is zero exactly when D is, and its witness is the
+    point `sympoly.nonzero_point` picks on D itself."""
+    from . import sympoly
+
+    n, k, field = T.n, T.k, T.field
+    m, s = _cleared(T.mat.values, field.p)
+    diff = sympoly.det_change(_rows(m, n * k), n, k, s, field.p, budget)
+    if not diff:
+        return PreserverReport("preserves", "symbolic")
+    witness = unvec(sympoly.nonzero_point(diff, n * k, field.p), n, k, field)
+    return PreserverReport("violates", "symbolic", witness)
+
+
 def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverReport:
     """T preserves exactly when D = det(T(X)) - det(X) is zero.
 
@@ -380,27 +386,19 @@ def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverRepor
     other minor X_d' has a zero row, so D = w_d.  It is also the point
     `sympoly.nonzero_point` picks on D: the diagonal of that d is D's lowest
     monomial, and the only term on its variables.  Any other map takes the
-    row sweep (`sympoly.det_change`) and its witness is read off D, so
-    `sympoly` is loaded only for a map that does not factor."""
-    n, k, field = T.n, T.k, T.field
-    values = T.mat.values
-    m, s = _cleared(values, field.p)
-    split = _kronecker(m, s, n, k, field.p)
+    row sweep (`_sweep_report`), so `sympoly` is loaded only for a map that
+    does not factor."""
+    n, k, p = T.n, T.k, T.field.p
+    split = _kronecker(*_cleared(T.mat.values, p), n, k, p)
     if split is None:
-        from . import sympoly
-        # integers (s = 1) are the map's own values, and clear faster
-        diff = sympoly.det_change(_rows(m if s == 1 else values, n * k), n, k, field, budget)
-        if not diff:
-            return PreserverReport("preserves", "symbolic")
-        witness = unvec(sympoly.nonzero_point(diff, n * k, field), n, k, field)
-        return PreserverReport("violates", "symbolic", witness)
+        return _sweep_report(T, budget)
     _guard(perm(n, k), budget, DEFAULT_TERM_GUARD, BudgetExceeded, f"terms of D at {n}x{k}")
     a, b, c = split
-    weights = _sign_weights(a, b, c ** k, k, field.p)
+    weights = _sign_weights(a, b, c ** k, k, p)
     d = next((d for d, w in zip(combinations(range(1, n + 1), k), weights) if w), None)
     if d is None:
         return PreserverReport("preserves", "symbolic")
-    return PreserverReport("violates", "symbolic", basis_selector(field, n, d))
+    return PreserverReport("violates", "symbolic", basis_selector(T.field, n, d))
 
 
 def is_preserver(
@@ -517,10 +515,28 @@ def detn2_partner(X: RectMatrix) -> RectMatrix:
 
 def make_k2_counterexample(n: int, field: FieldSpec) -> LinearMapNK:
     """The two-column determinant preserver that swaps opposite corner cells
-    through signed sums; not expressible as X -> A @ X @ B."""
+    through signed sums; not expressible as X -> A @ X @ B.
+
+    `detn2_partner` written entry by entry.  With 0-based indices, every
+    output entry is its input entry except (0, 0) = d + x[n-1, 1] and
+    (n-1, 1) = -d + x[0, 0], where d has coefficient (-1)**(r+1) on x[r, 0]
+    and (-1)**(r+1+n) on x[r, 1] for the inner rows r = 1..n-2.
+    """
     if n < 4:
         raise ShapeError(f"need at least 4 rows, got {n}")
-    return LinearMapNK.from_function(field, n, 2, detn2_partner)
+    nk = 2 * n
+    zero, one = _zero_one(field)
+    signs = (one, field.p - 1 if field.p else -one)
+    ent = [zero] * (nk * nk)
+    for e in range(1, nk - 1):
+        ent[e * nk + e] = one
+    last = (nk - 1) * nk  # the row of output entry (n-1, 1); (0, 0) is row 0
+    ent[nk - 1] = ent[last] = one
+    for r in range(1, n - 1):
+        for c, flip in ((r, r + 1), (n + r, r + 1 + n)):
+            ent[c] = signs[flip & 1]
+            ent[last + c] = signs[~flip & 1]
+    return LinearMapNK(n, 2, RectMatrix._of(field, nk, nk, tuple(ent)))
 
 
 def make_singular_preserver(n: int, k: int, field: FieldSpec) -> LinearMapNK:

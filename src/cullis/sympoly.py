@@ -2,64 +2,55 @@
 
 Entries of X are numbered by their column-major position (0-based).  A
 monomial is a tuple of (variable, exponent) pairs sorted by variable; a
-polynomial is a dict from monomials to nonzero raw coefficients (residues for
-GF(p), Fractions otherwise).  Raw coefficients keep the hot loops free of
-wrapper objects; the public preserver API still speaks in scalars.
+polynomial is a dict from monomials to nonzero integer coefficients,
+residues over GF(p) (p None stands for QQ).
 
-`det_change` expands det(T(X)) - det(X) for any map T with one row sweep,
-and `nonzero_point` finds a point where it is nonzero.  The symbolic check
-loads this module only for a map that does not factor: a two-sided map is
-decided from its sign weights in `preserver`.
+`det_change` expands s**k * D = det(M X) - s**k det(X) with one row sweep,
+for a map T given as the integers M = s T (`preserver._cleared`: s = 1 over
+GF(p), the least common multiple of T's denominators over QQ).  That is D
+times a nonzero integer, so it is zero exactly when D is, and
+`nonzero_point` picks the same point on both.  The symbolic check loads this module only for a map that
+does not factor: a two-sided map is decided from its sign weights in
+`preserver`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .determinant import DEFAULT_TERM_GUARD, _guard, sweep_count, sweep_plan
 from .errors import BudgetExceeded
-from .fields import FieldSpec
 
 
 Monomial = tuple[tuple[int, int], ...]
-Poly = dict[Monomial, object]
+Poly = dict[Monomial, int]
 
 
 @lru_cache(maxsize=16)
 def _identity_sweep(n: int, k: int, p: int | None) -> dict[int, int]:
     """`_sweep` of the identity map; cached, so callers must not modify it."""
     nk = n * k
-    return _sweep([[int(r == c) for c in range(nk)] for r in range(nk)], n, k, p, None)[0]
+    return _sweep([[int(r == c) for c in range(nk)] for r in range(nk)], n, k, p, None)
 
 
-def _sweep(mat_rows: list[list], n: int, k: int, p: int | None,
-           guard: int | None) -> tuple[dict[int, int], int]:
-    """(P, s): P is s * det(T(X)) with packed monomials and integer
-    coefficients (residues over GF(p)), for T given by raw coefficient rows.
+def _sweep(mat_rows: list[list[int]], n: int, k: int, p: int | None,
+           guard: int | None) -> dict[int, int]:
+    """det(M X) with packed monomials, for M given by integer rows: integer
+    coefficients, residues over GF(p).
 
     One row sweep over `sweep_plan(n, k)` whose values are sparse integer
     polynomials.  A monomial is packed into one integer, the exponent of
     variable v in bits [v*b, (v+1)*b) with 2**b > k, so that multiplying by
-    a variable is an integer addition.  Over QQ the block of map rows giving
-    column j of T(X) is cleared by the lcm of its denominators, and s is the
-    product of those lcms; over GF(p), s = 1.
+    a variable is an integer addition.  Row j*n + i of M gives entry (i, j)
+    of M X.
     """
     # a plan with more moves than allowed products is not built
     limit = _guard(sweep_count(n, k), guard, DEFAULT_TERM_GUARD, BudgetExceeded,
                    f"sweep-plan moves at {n}x{k}")
     b = k.bit_length()
-    scale = 1
-    # forms[i][j]: entry (i, j) of T(X) as (packed variable, coefficient) pairs
-    forms = [[None] * k for _ in range(n)]
-    for j in range(k):
-        block = mat_rows[j * n:(j + 1) * n]
-        clear = 1 if p else lcm(*(c.denominator for row in block for c in row))
-        scale *= clear
-        for i, row in enumerate(block):
-            forms[i][j] = [(1 << (v * b), c if p else c.numerator * (clear // c.denominator))
-                           for v, c in enumerate(row) if c]
+    # forms[i][j]: entry (i, j) of M X as (packed variable, coefficient) pairs
+    forms = [[[(1 << (v * b), c) for v, c in enumerate(mat_rows[j * n + i]) if c]
+              for j in range(k)] for i in range(n)]
 
     cost = 0
     val: list[dict | None] = [None] * (1 << k)
@@ -86,15 +77,22 @@ def _sweep(mat_rows: list[list], n: int, k: int, p: int | None,
         for m in written:
             val[m] = ({mo: c % p for mo, c in val[m].items() if c % p} if p
                       else {mo: c for mo, c in val[m].items() if c})
-    return val[-1] or {}, scale
+    return val[-1] or {}
 
 
-def _unpacked(packed: dict[int, int], k: int, p: int | None, scale: int) -> Poly:
-    """The nonzero terms of packed / scale (`_sweep`), with monomials as tuples."""
+def det_change(mat_rows: list[list[int]], n: int, k: int, s: int, p: int | None,
+               guard: int | None = None) -> Poly:
+    """s**k * (det(T(X)) - det(X)), folded (`fold`), for T given by the
+    integer rows of M = s T (`_sweep`).  det(X) is taken off in packed form,
+    so terms that cancel are never unpacked."""
+    diff = _sweep(mat_rows, n, k, p, guard)
+    sk = s ** k
+    for key, c in _identity_sweep(n, k, p).items():
+        diff[key] = diff.get(key, 0) - c * sk
     b = k.bit_length()
     emask = (1 << b) - 1
-    total: Poly = {}
-    for key, cf in packed.items():
+    poly: Poly = {}
+    for key, cf in diff.items():
         if p:
             cf %= p
         if not cf:
@@ -105,38 +103,15 @@ def _unpacked(packed: dict[int, int], k: int, p: int | None, scale: int) -> Poly
                 mono.append((v, key & emask))
             key >>= b
             v += 1
-        total[tuple(mono)] = cf if p else Fraction(cf, scale)
-    return total
-
-
-def det_poly_of_map(mat_rows: list[list], n: int, k: int, field: FieldSpec,
-                    guard: int | None = None) -> Poly:
-    """det(T(X)) as a polynomial in X's entries, where T acts on the
-    column-major flattening by the given (nk)x(nk) raw coefficient rows
-    (`_sweep`)."""
-    packed, scale = _sweep(mat_rows, n, k, field.p, guard)
-    return _unpacked(packed, k, field.p, scale)
-
-
-def det_change(mat_rows: list[list], n: int, k: int, field: FieldSpec,
-               guard: int | None = None) -> Poly:
-    """D = det(T(X)) - det(X), folded (`fold`), for the map T given by its
-    raw coefficient rows as in `det_poly_of_map`.  det(X) is taken off in
-    packed form, so terms that cancel are never unpacked."""
-    p = field.p
-    diff, scale = _sweep(mat_rows, n, k, p, guard)
-    for key, c in _identity_sweep(n, k, p).items():
-        diff[key] = diff.get(key, 0) - c * scale
-    poly = _unpacked(diff, k, p, scale)
+        poly[tuple(mono)] = cf
     # exponents are at most k, so below p folding only drops zero coefficients
-    return fold(poly, field) if p and p <= k else poly
+    return fold(poly, p) if p and p <= k else poly
 
 
-def fold(poly: Poly, field: FieldSpec) -> Poly:
+def fold(poly: Poly, p: int | None) -> Poly:
     """poly without zero terms, over GF(p) reduced by x**p = x (exponent e
     becomes 1 + (e - 1) % (p - 1)): empty exactly when poly is zero at every
     point, small fields included."""
-    p = field.p
     if p is None:
         return {mono: c for mono, c in poly.items() if c}
     out: Poly = {}
@@ -146,14 +121,17 @@ def fold(poly: Poly, field: FieldSpec) -> Poly:
     return {mono: c for mono, c in out.items() if c}
 
 
-def nonzero_point(poly: Poly, nvars: int, field: FieldSpec) -> list[int] | None:
-    """Integer coordinates where the folded poly is nonzero; None if empty.
+def nonzero_point(poly: Poly, nvars: int, p: int | None) -> list[int] | None:
+    """Integer coordinates where the folded poly is nonzero over GF(p), or
+    over QQ for p None; None if poly is empty.
 
     Variables outside the support of the term with fewest variables are 0,
     which keeps that term.  The rest are fixed one at a time to the first
     value in range(d + 1), d the variable's degree, leaving poly nonzero: it
-    has at most d roots (Alon's Combinatorial Nullstellensatz).  For det(T(X))
-    every value is below min(p, k + 1), or k + 1 over QQ.
+    has at most d roots (Alon's Combinatorial Nullstellensatz).  Every step
+    only asks which values leave poly nonzero, so a nonzero multiple of poly
+    gives the same point.  For det(T(X)) every value is below min(p, k + 1),
+    or k + 1 over QQ.
     """
     if not poly:
         return None
@@ -170,7 +148,7 @@ def nonzero_point(poly: Poly, nvars: int, field: FieldSpec) -> list[int] | None:
             sub: Poly = {}
             for rest, e, c in split:
                 sub[rest] = sub.get(rest, 0) + c * a ** e
-            if sub := fold(sub, field):
+            if sub := fold(sub, p):
                 break
         point[v], poly = a, sub
     return point

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from . import jsonio, sympoly
+from . import jsonio
 from .combinatorics import k_subsets
 from .determinant import (
     det,
@@ -47,6 +47,7 @@ from .matrix import (
 )
 from .preserver import (
     LinearMapNK,
+    _sweep_report,
     check_k1_form,
     check_sign_condition,
     detn2_partner,
@@ -106,15 +107,6 @@ def _cases(shapes, primes, rng, draws, keep=lambda n, k: True):
             F = gf(p)
             for _ in range(draws):
                 yield F, n, k, random_matrix(F, n, k, rng)
-
-
-def _sweep_preserves(T):
-    """The verdict of the folded sweep expansion det(T(X)) - det(X), kept
-    apart from the sign weights that decide two-sided maps in `is_preserver`."""
-    nk = T.n * T.k
-    values = T.mat.values
-    rows = [list(values[r * nk:(r + 1) * nk]) for r in range(nk)]
-    return not sympoly.det_change(rows, T.n, T.k, T.field)
 
 
 def _sign_pairs(field, n, k, rng):
@@ -404,7 +396,9 @@ def _chk_two_sided(shapes, primes, rng):
         pairs += _sign_pairs(F, n, k, rng)
         for A, B in pairs:
             cond = check_sign_condition(A, B)
-            verdict = _sweep_preserves(make_two_sided(A, B))
+            # the row sweep, kept apart from the sign weights that decide
+            # two-sided maps in `is_preserver`
+            verdict = _sweep_report(make_two_sided(A, B), None).preserves
             if cond != verdict:
                 return _w("criterion and verdict disagree", matrix=A, cond=cond)
     return None
@@ -604,7 +598,7 @@ def _chk_forward(shapes, primes, rng):
         if not check_sign_condition(A, B):
             return _w("constructed pair misses the sign condition")
         T = make_two_sided(A, B)
-        if not _sweep_preserves(T):
+        if not _sweep_report(T, None).preserves:
             return _w("sign condition pair does not preserve")
         fact = factor_two_sided(T)
         if fact is None or not check_sign_condition(*fact):

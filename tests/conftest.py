@@ -24,8 +24,10 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# the argument-vector fuzz of the map constructors, for CI on every Python:
+# the argument-vector fuzz of the map constructors and the document fuzz of
+# make-two-sided and factor, for CI on every Python:
 #   pytest --hypothesis-profile cli tests/test_cli.py::test_fuzz_construction_arguments
+#   (and ::test_fuzz_make_two_sided_documents, ::test_fuzz_factor_documents)
 settings.register_profile(
     "cli",
     max_examples=300,

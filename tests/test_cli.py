@@ -471,11 +471,13 @@ _JUNK = st.one_of(
 
 
 @st.composite
-def documents(draw, key, size):
+def documents(draw, key, size, square=False):
     """JSON text of a matrix ("entries") or map ("mat") document of a small
-    shape: well formed about half the time, else with a bad entry or field,
-    a part dropped or replaced by junk, rows cut short, or the text truncated."""
-    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape, n x n if square: well formed about half the time, else with a bad
+    entry or field, a part dropped or replaced by junk, rows cut short, or the
+    text truncated."""
+    n = draw(st.integers(1, 3))
+    k = n if square else draw(st.integers(1, 3))
     rows, width = size(n, k)
     field = draw(_FIELDS)
     entry = st.one_of(st.integers(-3, 3), st.integers(-30, 30).map(str),
@@ -502,6 +504,7 @@ def documents(draw, key, size):
 
 
 _MATRIX = documents("entries", lambda n, k: (n, k))
+_SQUARE = documents("entries", lambda n, k: (n, k), square=True)
 _MAP = documents("mat", lambda n, k: (n * k, n * k))
 _BUDGET = st.sampled_from([[], ["--budget", "0"], ["--budget", "10"], ["--budget", "100000"]])
 
@@ -556,6 +559,28 @@ def test_fuzz_preserver_check_documents(doc, method, p, budget):
     assert_contract(*run_in_process(argv + p + budget, {"t.json": doc}))
 
 
+# few examples in the suite; CI runs more on every Python:
+#   pytest --hypothesis-profile cli tests/test_cli.py::test_fuzz_make_two_sided_documents
+@given(a=_SQUARE, b=_SQUARE,
+       budget=st.sampled_from([None, None, "0", "10", "100", "100000", "x"]))
+def test_fuzz_make_two_sided_documents(a, b, budget):
+    argv = ["preserver", "make-two-sided", "--a", "a.json", "--b", "b.json"]
+    code, out = run_with_env_budget(argv, budget, {"a.json": a, "b.json": b})
+    assert_contract(code, out)
+    if code == 0:
+        nk = len(json.loads(out)["mat"])
+        assert nk * nk <= (int(budget) if budget else 10 ** 6)
+
+
+#   pytest --hypothesis-profile cli tests/test_cli.py::test_fuzz_factor_documents
+@given(doc=_MAP)
+def test_fuzz_factor_documents(doc):
+    code, out = run_in_process(["preserver", "factor", "--map", "t.json"], {"t.json": doc})
+    assert_contract(code, out)
+    if code in (0, 1):
+        assert json.loads(out)["factorable"] == (code == 0)
+
+
 # -- argument vectors ------------------------------------------------------------------
 
 _JUNK_ARGS = st.sampled_from(["", "x", "3.0", "1e3", "0x5", " 7", "٣", "--", "-"])
@@ -590,13 +615,13 @@ def test_fuzz_enumeration_arguments(cmd, n, k, p, budget):
         assert int(p) ** (int(n) * int(k)) <= 10 ** 6
 
 
-def run_with_env_budget(argv, budget):
+def run_with_env_budget(argv, budget, files=None):
     """`run_in_process` with CULLIS_BUDGET set to budget, or unset for None."""
     with mock.patch.dict(os.environ):
         os.environ.pop("CULLIS_BUDGET", None)
         if budget is not None:
             os.environ["CULLIS_BUDGET"] = budget
-        return run_in_process(argv, {})
+        return run_in_process(argv, files or {})
 
 
 def test_cli_constructions_refuse_over_budget_before_any_entry():
@@ -617,6 +642,31 @@ def test_cli_constructions_refuse_over_budget_before_any_entry():
         assert run_with_env_budget(["preserver", *argv], str(entries - 1)) == (3, "")
         code, out = run_with_env_budget(["preserver", *argv], str(entries))
         assert code == 0 and len(json.loads(out)["mat"]) ** 2 == entries
+
+
+def test_cli_make_two_sided_refuses_over_budget_before_any_entry():
+    # two 120x120 factors, about 70 KB of JSON each, would make (nk)**2 = 2.1e8
+    # map entries: the count is refused once both are decoded and square
+    rng = random.Random(15)
+    A, B = (json.dumps(jsonio.matrix_to_dict(random_matrix(gf(7), 120, 120, rng)))
+            for _ in range(2))
+    argv = ["preserver", "make-two-sided", "--a", "a.json", "--b", "b.json"]
+    tracemalloc.start()
+    try:
+        assert run_with_env_budget(argv, None, {"a.json": A, "b.json": B}) == (3, "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 21
+    # a factor that is not square is a data error at any size
+    wide = json.dumps(jsonio.matrix_to_dict(random_matrix(gf(7), 120, 119, rng)))
+    assert run_with_env_budget(argv, None, {"a.json": A, "b.json": wide}) == (2, "")
+    # CULLIS_BUDGET applies: a 4x2 map has 64 entries
+    files = {"a.json": json.dumps(jsonio.matrix_to_dict(random_matrix(gf(7), 4, 4, rng))),
+             "b.json": json.dumps(jsonio.matrix_to_dict(random_matrix(gf(7), 2, 2, rng)))}
+    assert run_with_env_budget(argv, "63", files) == (3, "")
+    code, out = run_with_env_budget(argv, "64", files)
+    assert code == 0 and len(json.loads(out)["mat"]) == 8
 
 
 # mostly shapes that are built, then some refused as bad (exit 2) or too big (exit 3)

@@ -9,6 +9,7 @@ from cullis import (
     FieldMismatch,
     LinearMapNK,
     ParityError,
+    PreserverReport,
     RATIONALS,
     RectMatrix,
     ShapeError,
@@ -37,8 +38,7 @@ from cullis import (
     unvec,
     zeros,
 )
-from cullis import sympoly
-from cullis.preserver import _cleared, _kronecker
+from cullis.preserver import _cleared, _kronecker, _sweep_report
 from oracles import oracle_det
 
 Q = RATIONALS
@@ -180,15 +180,6 @@ def test_symbolic_matches_exhaustive_gf3():
         assert is_preserver(T, "symbolic").preserves == is_preserver(T, "exhaustive").preserves
 
 
-def sweep_report(T):
-    """The symbolic verdict and witness from the row sweep alone."""
-    nk = T.n * T.k
-    rows = [[e.value for e in T.mat.row(i)] for i in range(1, nk + 1)]
-    diff = sympoly.det_change(rows, T.n, T.k, T.field)
-    point = sympoly.nonzero_point(diff, nk, T.field)
-    return diff, None if point is None else unvec(point, T.n, T.k, T.field)
-
-
 def is_kronecker(T):
     values = [e.value for e in T.mat.entries]
     return _kronecker(*_cleared(values, T.field.p), T.n, T.k, T.field.p) is not None
@@ -212,12 +203,10 @@ def test_closed_form_is_the_sweep_on_two_sided_maps():
             for T in maps:
                 assert is_kronecker(T)
                 singular += not T.is_invertible()
-                diff, witness = sweep_report(T)
                 rep = is_preserver(T, "symbolic")
-                assert rep.verdict == ("violates" if diff else "preserves")
-                assert rep.witness == witness
-                if witness is not None:
-                    assert det(T.apply(witness)) != det(witness)
+                assert rep == _sweep_report(T, None)
+                if rep.witness is not None:
+                    assert det(T.apply(rep.witness)) != det(rep.witness)
     assert singular >= 3 * 5 * 6
 
 
@@ -231,10 +220,8 @@ def test_maps_that_do_not_factor_take_the_sweep():
     changed = LinearMapNK(4, 2, RectMatrix(F, 8, 8, ent))
     for T in (corner, singular, changed):
         assert not is_kronecker(T)
-        diff, witness = sweep_report(T)
         rep = is_preserver(T, "symbolic")
-        assert rep.verdict == ("violates" if diff else "preserves")
-        assert rep.witness == witness
+        assert rep == _sweep_report(T, None)
         assert rep.preserves == is_preserver(T, "exhaustive").preserves
     assert is_preserver(corner, "symbolic").preserves
     assert is_preserver(singular, "symbolic").preserves
@@ -242,7 +229,7 @@ def test_maps_that_do_not_factor_take_the_sweep():
     half = RectMatrix.from_rows(Q, [["1/2", 0], [0, 2]])
     T = make_k2_counterexample(4, Q).compose(make_two_sided(identity(Q, 4), half))
     assert not is_kronecker(T)
-    assert sweep_report(T) == ({}, None)
+    assert _sweep_report(T, None) == PreserverReport("preserves", "symbolic")
     assert is_preserver(T, "symbolic").preserves
 
 
@@ -273,7 +260,7 @@ def test_two_sided_maps_of_tall_narrow_shapes():
     assert is_preserver(make_two_sided(identity(F, 30), identity(F, 1)), "symbolic").preserves
     # 12x2 over QQ: 66 weights against the sweep's verdict and witness
     T = make_two_sided(random_matrix(Q, 12, 12, random.Random(85)), identity(Q, 2))
-    assert is_preserver(T, "symbolic").witness == sweep_report(T)[1]
+    assert is_preserver(T, "symbolic") == _sweep_report(T, None)
 
 
 def test_closed_form_budget_counts_its_terms():
@@ -352,6 +339,14 @@ def test_corner_swap_basis_image():
         - basis_matrix(F, 4, 2, 4, 2)
     )
     assert got == want
+
+
+def test_corner_swap_is_its_partner_images():
+    # the raw entries written by make_k2_counterexample, against the map
+    # built from detn2_partner on the unit matrices; GF(2) has -1 = 1
+    for F in (gf(2), gf(3), gf(7), Q):
+        for n in range(4, 10):
+            assert make_k2_counterexample(n, F) == LinearMapNK.from_function(F, n, 2, detn2_partner)
 
 
 def test_corner_swap_preserves_exhaustively():

@@ -1,19 +1,20 @@
 import random
-from fractions import Fraction
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from cullis import BudgetExceeded, LinearMapNK, RATIONALS, det, gf, random_matrix, vec
 from cullis.determinant import sweep_count, sweep_plan
-from cullis.sympoly import det_change, det_poly_of_map, fold, nonzero_point
+from cullis.preserver import _cleared
+from cullis.sympoly import det_change, fold, nonzero_point
 from oracles import oracle_subset_sign
 
 
 def eval_poly(poly, point, field):
     total = field.zero
     for mono, coeff in poly.items():
-        term = field.element(coeff if isinstance(coeff, (int, Fraction)) else coeff)
+        term = field.element(coeff)
         for var, exp in mono:
             for _ in range(exp):
                 term = term * point[var]
@@ -21,95 +22,122 @@ def eval_poly(poly, point, field):
     return total
 
 
-def oracle_identity_poly(n, k, p=None):
-    """det(X) as a polynomial by the injection sum, one term per injection."""
-    poly = {}
+def oracle_det_poly(mat_rows, n, k):
+    """det(M X) as an integer polynomial in X's column-major entries, by the
+    injection sum: one product of k linear forms per injection of the k
+    columns into the n rows, entry (i, j) of M X being row j*n + i of M."""
+    poly = Counter()
     for images in permutations(range(1, n + 1), k):
         inv = sum(1 for a in range(k) for b in range(a + 1, k) if images[a] > images[b])
-        sign = (-1) ** inv * oracle_subset_sign(images)
-        mono = tuple(sorted(((i - 1) + j * n, 1) for j, i in enumerate(images)))
-        poly[mono] = sign % p if p else Fraction(sign)
+        terms = {(): (-1) ** inv * oracle_subset_sign(images)}
+        for j, i in enumerate(images):
+            form = [(v, c) for v, c in enumerate(mat_rows[j * n + i - 1]) if c]
+            grown = Counter()
+            for mono, c in terms.items():
+                for v, a in form:
+                    grown[tuple(sorted((Counter(dict(mono)) + Counter({v: 1})).items()))] += c * a
+            terms = grown
+        poly.update(terms)
     return poly
 
 
-def identity_poly(n, k, field):
-    """det(X) as a polynomial: `det_poly_of_map` of the identity rows."""
-    nk = n * k
-    return det_poly_of_map([[int(r == c) for c in range(nk)] for r in range(nk)], n, k, field)
+def raw_rows(T):
+    """(M, s): the integer rows of M = s T and the scale s (`_cleared`)."""
+    nk = T.n * T.k
+    m, s = _cleared(T.mat.values, T.field.p)
+    return [m[r * nk:(r + 1) * nk] for r in range(nk)], s
+
+
+def identity_rows(nk, scale=1):
+    return [[scale * int(r == c) for c in range(nk)] for r in range(nk)]
 
 
 def test_identity_map_expansion_matches_plain_determinant():
+    # the zero map gives -s**k det(X), against the injection sum of det(X)
     for field in (gf(2), gf(5), RATIONALS):
+        p = field.p
         for (n, k) in [(1, 1), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 3)]:
-            assert identity_poly(n, k, field) == oracle_identity_poly(n, k, field.p)
+            nk = n * k
+            for s in (1, 3):
+                want = {mono: -c * s ** k for mono, c in
+                        oracle_det_poly(identity_rows(nk), n, k).items()}
+                got = det_change(identity_rows(nk, 0), n, k, s, p)
+                assert got == fold(want, p)
 
 
 def test_identity_polynomial_term_count():
-    poly = identity_poly(4, 2, gf(5))
+    poly = det_change(identity_rows(8, 0), 4, 2, 1, 5)
     assert len(poly) == 12  # injections of a pair into four rows
     assert all(len(mono) == 2 for mono in poly)
 
 
 def test_map_expansion_agrees_with_pointwise_evaluation():
+    # s**k * (det(T(X)) - det(X)) at random X, with s > 1 over QQ
     rng = random.Random(33)
     shapes = {gf(7): [(4, 2)] * 6, RATIONALS: [(4, 2)] * 6 + [(3, 2), (4, 3)],
               gf(5): [(5, 3)], gf(10007): [(4, 3)]}
     for field, field_shapes in shapes.items():
         for n, k in field_shapes:
             T = LinearMapNK(n, k, random_matrix(field, n * k, n * k, rng))
-            rows = [[e.value for e in T.mat.row(i)] for i in range(1, n * k + 1)]
-            poly = det_poly_of_map(rows, n, k, field)
+            rows, s = raw_rows(T)
+            assert field.p or s > 1
+            poly = det_change(rows, n, k, s, field.p)
             for _ in range(4):
                 X = random_matrix(field, n, k, rng)
                 point = list(vec(X))
-                assert eval_poly(poly, point, field) == det(T.apply(X))
+                want = (det(T.apply(X)) - det(X)) * field.element(s ** k)
+                assert eval_poly(poly, point, field) == want
 
 
 def test_det_change_is_the_folded_difference():
     # det(X) is taken off in packed form and folding is skipped below p, yet
-    # the result is fold(det(T(X)) - det(X)), also for p <= k
+    # the result is fold(det(M X) - s**k det(X)) by the injection sum, also
+    # for p <= k
     rng = random.Random(34)
     for field in (gf(2), gf(3), gf(5), RATIONALS):
+        p = field.p
         for n, k in ((2, 2), (3, 2), (3, 3), (4, 3)):
             nk = n * k
             for T in (LinearMapNK(n, k, random_matrix(field, nk, nk, rng)),
                       LinearMapNK.identity_map(field, n, k)):
-                rows = [[e.value for e in T.mat.row(i)] for i in range(1, nk + 1)]
-                diff = det_poly_of_map(rows, n, k, field)
-                for mono, c in identity_poly(n, k, field).items():
-                    diff[mono] = diff.get(mono, 0) - c
-                assert det_change(rows, n, k, field) == fold(diff, field)
+                rows, s = raw_rows(T)
+                diff = oracle_det_poly(rows, n, k)
+                diff.subtract({mono: c * s ** k for mono, c in
+                               oracle_det_poly(identity_rows(nk), n, k).items()})
+                assert det_change(rows, n, k, s, p) == fold(dict(diff), p)
 
 
 def test_cancellation_prunes_zero_coefficients():
-    F = gf(3)
-    # X -> X + X has coefficient 2 everywhere; X -> 3X collapses to zero map
-    tripled = LinearMapNK.identity_map(F, 3, 2).mat.scale(3)
-    rows = [[e.value for e in tripled.row(i)] for i in range(1, 7)]
-    assert det_poly_of_map(rows, 3, 2, F) == {}
+    # 4 I is the identity over GF(3): every term of det(4X) cancels against
+    # det(X), though the rows are not reduced
+    assert det_change(identity_rows(6, 4), 3, 2, 1, 3) == {}
+    # over QQ the map X -> X, cleared as M = 2 I with s = 2
+    assert det_change(identity_rows(12, 2), 4, 3, 2, None) == {}
 
 
 def test_expansion_guard_refuses():
     F = gf(5)
     T = LinearMapNK(4, 3, random_matrix(F, 12, 12, random.Random(9)))
-    rows = [[e.value for e in T.mat.row(i)] for i in range(1, 13)]
+    rows, s = raw_rows(T)
     with pytest.raises(BudgetExceeded):
-        det_poly_of_map(rows, 4, 3, F, guard=1000)
+        det_change(rows, 4, 3, s, 5, guard=1000)
     # a shape whose plan has more moves than the guard is refused unbuilt
     big = [[0] * 130 for _ in range(130)]
     before = sweep_plan.cache_info().misses
     with pytest.raises(BudgetExceeded):
-        det_poly_of_map(big, 13, 10, F, guard=sweep_count(13, 10) - 1)
+        det_change(big, 13, 10, 1, 5, guard=sweep_count(13, 10) - 1)
     assert sweep_plan.cache_info().misses == before
 
 
 def test_fold_reduces_by_x_to_the_p():
     # x0^2 x1 + x0 x1^2 = 2 x0 x1 as a function on GF(2), which is zero
-    assert fold({((0, 2), (1, 1)): 1, ((0, 1), (1, 2)): 1}, gf(2)) == {}
-    assert nonzero_point({}, 2, gf(2)) is None
+    assert fold({((0, 2), (1, 1)): 1, ((0, 1), (1, 2)): 1}, 2) == {}
+    assert nonzero_point({}, 2, 2) is None
     # x0^2 x1 - x0 x1^2 = x0 x1 (x0 - x1) is not zero on GF(3)
-    F = gf(3)
-    poly = fold({((0, 2), (1, 1)): 1, ((0, 1), (1, 2)): -1}, F)
+    poly = fold({((0, 2), (1, 1)): 1, ((0, 1), (1, 2)): -1}, 3)
     assert poly == {((0, 2), (1, 1)): 1, ((0, 1), (1, 2)): 2}
-    x0, x1 = nonzero_point(poly, 2, F)
+    x0, x1 = nonzero_point(poly, 2, 3)
     assert (x0 ** 2 * x1 - x0 * x1 ** 2) % 3
+    # over QQ only zero terms go, and a nonzero multiple gives the same point
+    assert fold({((0, 2),): 0, ((1, 1),): 5}, None) == {((1, 1),): 5}
+    assert nonzero_point({m: 2 * c for m, c in poly.items()}, 2, 3) == [x0, x1]
