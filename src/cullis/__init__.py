@@ -14,16 +14,16 @@ _HOMES = {
                "IndexOutOfRange", "LengthMismatch", "ParityError", "ResourceGuard",
                "ShapeError", "ShapeMismatch", "ZeroInverse"),
     "fields": ("RATIONALS", "FieldSpec", "Scalar", "gf"),
-    "lambdapoly": ("LambdaPoly", "all_completions_vanish", "deg_witness", "lambda_coeffs",
-                   "make_b_diffdiff", "make_b_diffsum", "make_b_plainsum", "max_deg_over_all_A"),
+    "lambdapoly": ("LambdaPoly", "all_completions_vanish", "deg_witness", "in_radical",
+                   "lambda_coeffs", "make_b_diffdiff", "make_b_diffsum", "make_b_plainsum",
+                   "max_deg_over_all_A", "radical_enumerate"),
     "matrix": ("RectMatrix", "basis_matrix", "basis_selector", "hjoin", "identity", "ones",
                "rank", "random_matrix", "submatrix_drop", "submatrix_keep", "unvec", "vec",
                "zeros"),
     "preserver": ("Census", "LinearMapNK", "PreserverReport", "check_k1_form",
                   "check_sign_condition", "detn2_partner", "enumerate_preservers",
-                  "factor_two_sided", "in_radical", "is_preserver", "make_k2_counterexample",
-                  "make_s_shift", "make_singular_preserver", "make_two_sided",
-                  "radical_enumerate", "s_shift_apply"),
+                  "factor_two_sided", "is_preserver", "make_k2_counterexample", "make_s_shift",
+                  "make_singular_preserver", "make_two_sided", "s_shift_apply"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -76,16 +76,24 @@ def _guard_map_entries(n: int, k: int, budget: int | None) -> None:
     """Refuse a map on n x k matrices whose (nk)**2 entries exceed the search
     budget, before any is made; a shape with no rows or columns is left for
     the constructor to refuse."""
-    from .determinant import _guard
-    from .preserver import DEFAULT_SEARCH_BUDGET
+    from .determinant import DEFAULT_SEARCH_BUDGET, _guard
 
     _guard((max(n, 0) * max(k, 0)) ** 2, budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded,
            "map entries")
 
 
 def _cmd_preserver(args) -> int:
+    budget = _budget(args)
+    sub = args.preserver_cmd
+    if sub == "radical":  # the completion scan alone: no map, no JSON document
+        from .lambdapoly import radical_enumerate
+        from .matrix import ones
+
+        members = radical_enumerate(args.n, args.k, args.p, budget)
+        J = ones(_field_from_args(args), args.n, args.k)
+        _emit({"size": len(members), "contains_ones": any(w == J for w in members)})
+        return 0
     from . import jsonio
-    from .matrix import ones
     from .preserver import (
         _check_factors,
         enumerate_preservers,
@@ -94,11 +102,8 @@ def _cmd_preserver(args) -> int:
         make_k2_counterexample,
         make_s_shift,
         make_two_sided,
-        radical_enumerate,
     )
 
-    budget = _budget(args)
-    sub = args.preserver_cmd
     if sub == "check":
         T = jsonio.map_from_dict(_read_json(args.map))
         if args.p is not None and (T.field.kind != "prime" or T.field.p != args.p):
@@ -141,11 +146,6 @@ def _cmd_preserver(args) -> int:
     if sub == "enumerate":
         census = enumerate_preservers(args.n, args.k, args.p, budget)
         _emit({"count": census.count})
-        return 0
-    if sub == "radical":
-        members = radical_enumerate(args.n, args.k, args.p, budget)
-        J = ones(_field_from_args(args), args.n, args.k)
-        _emit({"size": len(members), "contains_ones": any(w == J for w in members)})
         return 0
     raise CullisError(f"unknown preserver subcommand {sub!r}")
 

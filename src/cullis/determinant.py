@@ -23,6 +23,9 @@ runs whichever of two routes needs fewer multiplications, counted from
   `det_square`, elimination on scalars, only serves the `det_minorsum`
   oracle.
 
+Every budget check is `_guard`, against the caller's budget or else one of
+the three defaults below (`_guard_power` when the cost is p**e).
+
 The sweep's moves for a shape are a cached plan (`sweep_plan`) shared by every
 coefficient type: integers here, det(A + tB) packed into one integer in
 `lambdapoly`, sparse polynomials in `sympoly`, and the exhaustive tables in
@@ -35,7 +38,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, perm
 
-from .errors import IndexOutOfRange, ResourceGuard, ShapeError, ShapeMismatch, FieldMismatch
+from .errors import (BudgetExceeded, FieldMismatch, IndexOutOfRange, ResourceGuard, ShapeError,
+                     ShapeMismatch)
 from .fields import Scalar
 from .matrix import RectMatrix, eliminate, from_raw, raw_rows, submatrix_keep
 
@@ -43,6 +47,9 @@ DEFAULT_OP_BUDGET = 10_000_000
 # products a symbolic expansion may make (`sympoly`), and the terms of D that
 # the sign weights of a two-sided map stand for (`preserver`)
 DEFAULT_TERM_GUARD = 200_000_000
+# inputs, maps or matrices an exhaustive search may visit (`preserver`,
+# `lambdapoly.radical_enumerate`), and the entries a map constructor writes
+DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
 def _require_tall(X: RectMatrix):
@@ -57,6 +64,16 @@ def _guard(cost: int, budget: int | None, default: int = DEFAULT_OP_BUDGET,
     if cost > limit:
         raise error(f"{cost} {what} exceed budget {limit}")
     return limit
+
+
+def _guard_power(p: int, e: int, budget: int | None, what: str) -> None:
+    """`_guard` on p**e items against the search budget; refused from the
+    exponent alone when p**e has more bits than the limit, so that a huge
+    shape never builds p**e."""
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    if (p.bit_length() - 1) * e > limit.bit_length():
+        raise BudgetExceeded(f"{p}**{e} {what} exceed budget {limit}")
+    _guard(p ** e, budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, what)
 
 
 # -- the row sweep ---------------------------------------------------------------

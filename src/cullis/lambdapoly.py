@@ -5,6 +5,8 @@ determinant with B's columns substituted at S and A's columns elsewhere.  Each
 coefficient is multilinear in A's remaining columns, and summands for distinct
 S have disjoint monomial supports, so "vanishes for every A" can be decided
 exactly by sweeping standard basis vectors through the free column slots.
+The same completion scan at d = 1 decides the radical: W with
+det(V + t*W) = det(V) for every V (`in_radical`, `radical_enumerate`).
 
 Also houses the three completion constructors: fixed patterns B of unit
 columns such that det(X|B) collapses, for every X with two columns, to a
@@ -15,12 +17,12 @@ sign on its last column, read off a Laplace expansion along B's unit columns:
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import perm
 
-from .determinant import _entry_weight, _guard, det_int, sweep, sweep_count
+from .determinant import _entry_weight, _guard, _guard_power, det_int, sweep, sweep_count
 from .errors import FieldMismatch, ShapeError, ShapeMismatch
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, gf
 from .matrix import RectMatrix, _zero_one, eliminate, from_raw, raw_rows
 from .record import Record, set_field
 
@@ -181,6 +183,28 @@ def all_completions_vanish(X: RectMatrix, k: int) -> bool:
         raise ShapeError(f"target width {k} outside 2..{X.n}")
     cols, p = _raw_columns(X)
     return _first_basis_rows(cols, X.n, k - 2, p) is None
+
+
+def in_radical(W: RectMatrix) -> bool:
+    """True when det(V + t*W) = det(V) identically in t for every V: no column
+    of W is completable, completable sets being closed under subsets (`_completion_scan`)."""
+    if W.k > W.n:
+        raise ShapeError(f"{W.n}x{W.k}: need at least as many rows as columns")
+    cols, p = _raw_columns(W)
+    return _completion_scan(cols, W.n, W.k, 1, p) is None
+
+
+def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list[RectMatrix]:
+    """All matrices over GF(p) lying in the radical of the determinant,
+    enumerated in row-major lexicographic order: the k-th power of the
+    columns that pass `in_radical`.  The budget still counts p**(nk)."""
+    field = gf(p)
+    _guard_power(p, n * k, budget, "matrices")
+    if not 1 <= k <= n:
+        raise ShapeError(f"{n}x{k}: need n >= k >= 1")
+    good = [c for c in product(range(p), repeat=n) if _completion_scan([c], n, k, 1, p) is None]
+    flats = sorted(tuple(x for row in zip(*cs) for x in row) for cs in product(good, repeat=k))
+    return [RectMatrix._of(field, n, k, flat) for flat in flats]
 
 
 # -- completion constructors ---------------------------------------------------

@@ -19,6 +19,7 @@ the first nonzero one gives the witness.  Any other map takes the row sweep
 once into M = s T (`_cleared`), the sweep expands s**k D and the weights
 come as q w_d.  A nonzero multiple is zero exactly where D is, so verdict
 and witness are D's own.  Invertibility is a rank test by `matrix.eliminate`.
+The radical of det is decided beside the completion scan it runs on, not here.
 
 The exhaustive routines index the matrices over GF(p) by the base-p code of
 vec(X), so code i is the i-th vector in product order.  One lane kernel,
@@ -42,7 +43,8 @@ from itertools import chain, combinations, product
 from math import lcm, perm
 
 from . import combinatorics as comb_mod
-from .determinant import DEFAULT_TERM_GUARD, _guard, det, det_int
+from .determinant import (DEFAULT_TERM_GUARD, _cheaper, _guard, _guard_power, det, det_int,
+                          semicyclic_shift)
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
@@ -50,25 +52,22 @@ from .errors import (
     ShapeError,
     ShapeMismatch,
 )
-from .fields import FieldSpec, Scalar
-from .lambdapoly import _completion_scan, _raw_columns
+from .fields import FieldSpec, Scalar, gf
 from .matrix import (
     RectMatrix,
+    _check_shape,
     _unvec_values,
     _vec_values,
     _zero_one,
     basis_matrix,
     basis_selector,
     identity,
-    ones,
     rank,
     random_matrix,
     unvec,
     zeros,
 )
 from .record import Record, set_field
-
-DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
 class LinearMapNK:
@@ -291,16 +290,6 @@ def _det_table(n: int, k: int, p: int, budget: int | None = None):
     return _filled_table(n, k, p)
 
 
-def _guard_power(p: int, e: int, budget: int | None, what: str) -> None:
-    """`_guard` on p**e items against the search budget; refused from the
-    exponent alone when p**e has more bits than the limit, so that a huge
-    shape never builds p**e."""
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if (p.bit_length() - 1) * e > limit.bit_length():
-        raise BudgetExceeded(f"{p}**{e} {what} exceed budget {limit}")
-    _guard(p ** e, budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, what)
-
-
 @lru_cache(maxsize=8)
 def _filled_table(n: int, k: int, p: int):
     """`_det_table` without the budget check: `lanes.det_lanes` of the identity."""
@@ -349,15 +338,6 @@ def _is_preserver_exhaustive(T: LinearMapNK, budget: int | None) -> PreserverRep
             return PreserverReport("violates", "exhaustive", witness)
         start += len(got)
     return PreserverReport("preserves", "exhaustive")
-
-
-def _random_violation(T: LinearMapNK, samples: int, seed: int) -> RectMatrix | None:
-    rng = random.Random(seed)
-    for _ in range(samples):
-        X = random_matrix(T.field, T.n, T.k, rng)
-        if det(T.apply(X)) != det(X):
-            return X
-    return None
 
 
 def _sweep_report(T: LinearMapNK, budget: int | None) -> PreserverReport:
@@ -422,7 +402,9 @@ def is_preserver(
     weights for a two-sided map, else from D expanded by the row sweep.  A
     violation carries a witness where D is nonzero, and neither verdict
     depends on `seed`.  `random` draws `samples` matrices from `seed` and
-    can only return `violates` or `inconclusive`.
+    can only return `violates` or `inconclusive`; samples below 1 raise
+    ValueError, and the two `det` calls per sample are counted against the
+    operation budget before the first draw.
     """
     if T.k > T.n:
         raise ShapeError(f"{T.n}x{T.k}: need at least as many rows as columns")
@@ -431,10 +413,14 @@ def is_preserver(
     if method == "symbolic":
         return _is_preserver_symbolic(T, budget)
     if method == "random":
-        witness = _random_violation(T, samples, seed)
-        if witness is not None:
-            return PreserverReport("violates", "random", witness, samples, seed)
-        return PreserverReport("inconclusive", "random", None, samples, seed)
+        if samples < 1:
+            raise ValueError(f"{samples} samples: need at least one")
+        _guard(2 * samples * _cheaper(T.n, T.k)[1], budget)  # two dets per sample
+        rng = random.Random(seed)
+        draws = (random_matrix(T.field, T.n, T.k, rng) for _ in range(samples))
+        witness = next((X for X in draws if det(T.apply(X)) != det(X)), None)
+        verdict = "violates" if witness is not None else "inconclusive"
+        return PreserverReport(verdict, "random", witness, samples, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -450,8 +436,7 @@ def s_shift_apply(X: RectMatrix, i: int, j: int) -> RectMatrix:
         raise ShapeError(f"row {i} outside 1..{n}")
     if not 1 <= j <= X.k:
         raise ShapeError(f"column {j} outside 1..{X.k}")
-    rows = [X.row(r) for r in range(i, n + 1)]
-    rows += [[-v for v in X.row(r)] for r in range(1, i)]
+    rows = semicyclic_shift(X, i).rows()
     if j != 1:
         for r in rows:
             r[0], r[j - 1] = r[j - 1], r[0]
@@ -542,44 +527,20 @@ def make_k2_counterexample(n: int, field: FieldSpec) -> LinearMapNK:
 def make_singular_preserver(n: int, k: int, field: FieldSpec) -> LinearMapNK:
     """A noninvertible determinant preserver X -> X - x[1,1] * J, available
     exactly when n + k is odd (then the all-ones matrix J has vanishing
-    interaction with every coefficient of det(V + t*J))."""
+    interaction with every coefficient of det(V + t*J)).  Written entry by
+    entry: vec index 0 is x[1,1], so entry (r, c) is [r = c] - [c = 0]."""
     if (n + k) % 2 == 0:
         raise ParityError(f"n + k = {n + k} must be odd")
     if k > n:
         raise ShapeError(f"{n}x{k}: need at least as many rows as columns")
-    J = ones(field, n, k)
-
-    def fn(X: RectMatrix) -> RectMatrix:
-        return X - J.scale(X.entry(1, 1))
-
-    return LinearMapNK.from_function(field, n, k, fn)
-
-
-# -- radical ----------------------------------------------------------------------
-
-
-def in_radical(W: RectMatrix) -> bool:
-    """True when det(V + t*W) = det(V) identically in t for every V: no column
-    of W is completable, completable sets being closed under subsets (`_completion_scan`)."""
-    if W.k > W.n:
-        raise ShapeError(f"{W.n}x{W.k}: need at least as many rows as columns")
-    cols, p = _raw_columns(W)
-    return _completion_scan(cols, W.n, W.k, 1, p) is None
-
-
-def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list[RectMatrix]:
-    """All matrices over GF(p) lying in the radical of the determinant,
-    enumerated in row-major lexicographic order: the k-th power of the
-    columns that pass `in_radical`.  The budget still counts p**(nk)."""
-    from .fields import gf
-
-    field = gf(p)
-    _guard_power(p, n * k, budget, "matrices")
-    if not 1 <= k <= n:
-        raise ShapeError(f"{n}x{k}: need n >= k >= 1")
-    good = [c for c in product(range(p), repeat=n) if _completion_scan([c], n, k, 1, p) is None]
-    flats = sorted(tuple(x for row in zip(*cs) for x in row) for cs in product(good, repeat=k))
-    return [RectMatrix._of(field, n, k, flat) for flat in flats]
+    _check_shape(n, k)
+    nk = n * k
+    zero, one = _zero_one(field)
+    minus = field.p - 1 if field.p else -one
+    ent = [zero] * (nk * nk)
+    for r in range(1, nk):
+        ent[r * nk], ent[r * nk + r] = minus, one
+    return LinearMapNK(n, k, RectMatrix._of(field, nk, nk, tuple(ent)))
 
 
 # -- factorisation ------------------------------------------------------------------
@@ -637,8 +598,6 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
     p**((nk)**2) maps, as a brute force would, and refuses before any work;
     at 1 x 1 it counts p**2, the entries of the scaled-code tables.
     """
-    from .fields import gf
-
     if not 1 <= k <= n:
         raise ShapeError(f"{n}x{k}: need n >= k >= 1")
     field = gf(p)

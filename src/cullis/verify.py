@@ -27,12 +27,14 @@ from .lambdapoly import (
     all_completions_vanish,
     diffdiff_rhs,
     diffsum_rhs,
+    in_radical,
     lambda_coeffs,
     make_b_diffdiff,
     make_b_diffsum,
     make_b_plainsum,
     max_deg_over_all_A,
     plainsum_rhs,
+    radical_enumerate,
 )
 from .matrix import (
     RectMatrix,
@@ -53,13 +55,11 @@ from .preserver import (
     detn2_partner,
     enumerate_preservers,
     factor_two_sided,
-    in_radical,
     is_preserver,
     make_k2_counterexample,
     make_s_shift,
     make_singular_preserver,
     make_two_sided,
-    radical_enumerate,
     s_shift_apply,
 )
 

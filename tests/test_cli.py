@@ -6,14 +6,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cullis import (RATIONALS, RectMatrix, basis_matrix, gf, make_s_shift, make_two_sided,
-                    random_matrix)
+from cullis import (RATIONALS, RectMatrix, basis_matrix, gf, make_k2_counterexample,
+                    make_s_shift, make_two_sided, random_matrix)
 from cullis import cli, jsonio
 from cullis.preserver import LinearMapNK
 import cullis.combinatorics as comb_mod
@@ -287,6 +288,43 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert not extra, extra
     assert cli.main(["preserver", "check", "--map", {T!r}, "--method", "exhaustive"]) == 0
     assert loaded("cullis.lanes") == ["cullis.lanes"]
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_degree_machinery_loads_only_for_its_commands(tmp_path):
+    # no `preserver` command but `radical` loads the completion scan, and
+    # `radical` loads neither the maps, their JSON documents nor the lanes
+    A = write_matrix(tmp_path, "a.json", random_matrix(gf(7), 4, 4, random.Random(5)))
+    B = write_matrix(tmp_path, "b.json", random_matrix(gf(7), 2, 2, random.Random(6)))
+    T = write_map(tmp_path, "t.json", make_s_shift(3, 1, 2, 1, gf(3)))
+    C = write_map(tmp_path, "c.json", make_k2_counterexample(4, gf(3)))
+    rng = random.Random(4)
+    V = write_map(tmp_path, "v.json", make_two_sided(random_matrix(gf(7), 4, 4, rng),
+                                                     random_matrix(gf(7), 2, 2, rng)))
+    calls = [["check", "--map", V], ["check", "--map", C],
+             ["check", "--map", T, "--method", "exhaustive"], ["factor", "--map", V],
+             ["make-two-sided", "--a", A, "--b", B],
+             ["make-s-shift", "--n", "4", "--k", "2", "--i", "2", "--j", "1"],
+             ["make-k2", "--n", "4", "--p", "3"], ["enumerate", "--n", "2", "--k", "1", "--p", "2"]]
+    code = f"""
+import contextlib, io, sys
+from cullis import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in {calls!r}:
+        assert cli.main(["preserver", *argv]) in (0, 1), argv
+        assert "cullis.lambdapoly" not in sys.modules, argv
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code = """
+import contextlib, io, sys
+from cullis import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["preserver", "radical", "--n", "4", "--k", "2", "--p", "3"]) == 0
+extra = [m for m in ("cullis.preserver", "cullis.jsonio", "cullis.lanes") if m in sys.modules]
+assert not extra and "cullis.lambdapoly" in sys.modules, extra
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -622,6 +660,21 @@ def run_with_env_budget(argv, budget, files=None):
         if budget is not None:
             os.environ["CULLIS_BUDGET"] = budget
         return run_in_process(argv, files or {})
+
+
+def test_cli_random_check_refuses_before_the_first_draw():
+    # no samples is a usage error, and the two dets per sample are counted
+    # against the operation budget before any matrix is drawn
+    doc = json.dumps(jsonio.map_to_dict(make_s_shift(4, 2, 2, 1, gf(5))))
+    argv = ["preserver", "check", "--map", "t.json", "--method", "random"]
+    for samples in ("-5", "0"):
+        assert run_with_env_budget(argv + ["--samples", samples], None, {"t.json": doc}) == (2, "")
+    start = time.perf_counter()
+    argv_big = argv + ["--samples", "100000000", "--budget", "10"]
+    assert run_with_env_budget(argv_big, None, {"t.json": doc}) == (3, "")
+    assert time.perf_counter() - start < 1
+    code, out = run_with_env_budget(argv + ["--samples", "50"], None, {"t.json": doc})
+    assert code == 0 and json.loads(out)["verdict"] == "inconclusive"
 
 
 def test_cli_constructions_refuse_over_budget_before_any_entry():

@@ -142,6 +142,14 @@ def test_is_preserver_methods_and_hierarchy():
         is_preserver(LinearMapNK.identity_map(Q, 4, 2), "exhaustive")
 
 
+def test_random_check_refuses_no_samples():
+    # sampling nothing is no check at all, not an inconclusive one
+    T = make_s_shift(4, 2, 2, 1, gf(5))
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            is_preserver(T, "random", samples=samples)
+
+
 def test_symbolic_small_field_fallback():
     # over GF(2) formal coefficients can differ while values agree; folding
     # by x**2 = x must still settle the question exactly, also for k > p
@@ -400,6 +408,17 @@ def test_singular_preserver_parity_guard():
         make_singular_preserver(4, 2, gf(3))
 
 
+def test_singular_preserver_is_its_unit_matrix_images():
+    # the raw entries written by make_singular_preserver, against the map
+    # built from X - x[1,1] * J on the unit matrices; GF(2) has -1 = 1
+    for F in (gf(2), gf(3), gf(7), Q):
+        for n in range(1, 8):
+            for k in range(1 + n % 2, n + 1, 2):
+                J = ones(F, n, k)
+                want = LinearMapNK.from_function(F, n, k, lambda X: X - J.scale(X.entry(1, 1)))
+                assert make_singular_preserver(n, k, F) == want, (F, n, k)
+
+
 def test_in_radical_examples():
     F = gf(5)
     assert in_radical(zeros(F, 4, 2))
@@ -654,6 +673,14 @@ def test_census_reaches_2x2_over_gf3():
     census = enumerate_preservers(2, 2, 3, budget=3 ** 16)
     assert census.count == 2 * 48 ** 2 // 2 ** 2 == 1152
     assert all(T.is_invertible() for T in census.maps)
+
+
+def test_k2_census_is_the_plus_type_orthogonal_group():
+    # det at 2x2 is a plus-type quadratic form on F**4, so its preservers are
+    # O+(4, p), of order 2 p**2 (p**2 - 1)**2 (Taylor, The Geometry of the
+    # Classical Groups, 1992): 72 at p = 2, 1152 at p = 3
+    for p in (2, 3):
+        assert enumerate_preservers(2, 2, p, budget=p ** 16).count == 2 * p**2 * (p**2 - 1) ** 2
 
 
 def first_violation_by_search(T):
