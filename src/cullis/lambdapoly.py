@@ -6,7 +6,9 @@ coefficient is multilinear in A's remaining columns, and summands for distinct
 S have disjoint monomial supports, so "vanishes for every A" can be decided
 exactly by sweeping standard basis vectors through the free column slots.
 The same completion scan at d = 1 decides the radical: W with
-det(V + t*W) = det(V) for every V (`in_radical`, `radical_enumerate`).
+det(V + t*W) = det(V) for every V (`in_radical`, `radical_enumerate`).  A
+single column's determinant is its alternating sum, so that case reads a
+table of prefix sums per row subset instead of taking determinants.
 
 Also houses the three completion constructors: fixed patterns B of unit
 columns such that det(X|B) collapses, for every X with two columns, to a
@@ -104,7 +106,26 @@ def _first_basis_rows(cols: list[list[int]], n: int, m: int, p: int | None):
     minus exactly that determinant; repeated basis columns give zero.  The
     first nonzero completion in lexicographic order of basis assignments is
     therefore R in increasing order.
+
+    One column's determinant is its alternating sum, so with
+    S[i] = sum of (-1)**j c_j over j < i, the rows outside
+    R = (r_1 < ... < r_m) give sum_t (-1)**t (S[r_(t+1)] - S[r_t + 1]) over
+    the m + 1 runs between R's rows (r_0 = -1, r_(m+1) = n): no determinant
+    is taken.  Two or more columns take `det_int` per R.
     """
+    if len(cols) == 1:
+        S = [0]
+        for i, c in enumerate(cols[0]):
+            S.append(S[-1] - c if i & 1 else S[-1] + c)
+        for R in combinations(range(n), m):
+            val, lo, sign = 0, 0, 1
+            for r in R:
+                val += sign * (S[r] - S[lo])
+                lo, sign = r + 1, -sign
+            val += sign * (S[n] - S[lo])
+            if val % p if p else val:
+                return R
+        return None
     rows = list(zip(*cols))
     d = len(cols)
     for R in combinations(range(n), m):

@@ -30,8 +30,9 @@ Run on the identity it fills the det table (`_det_table`); run on T, each
 block is compared with its slice of the table in one `==`, and the first
 differing byte is the witness.  The census fixes T's columns last
 coordinate first: each new column decides exactly the inputs whose first
-nonzero coordinate it owns, a contiguous run of codes, so a partial map is
-dropped at its first mismatch.
+nonzero coordinate it owns, a contiguous run of codes.  By homogeneity of
+det only the run's first scaling needs testing, and its candidates are
+filtered in bulk, one byte per candidate code.
 """
 
 from __future__ import annotations
@@ -591,12 +592,17 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
     in row-major lexicographic order of their matrices.
 
     The columns of T are fixed last coordinate first.  Once columns
-    m..nk-1 are fixed, the images of the inputs whose first nonzero
-    coordinate is m, codes p**(nk-1-m) .. p**(nk-m) - 1 in product order,
-    are a * col_m + (an image already known), and a branch is dropped at the
-    first of them whose image changes det.  The budget counts all
-    p**((nk)**2) maps, as a brute force would, and refuses before any work;
-    at 1 x 1 it counts p**2, the entries of the scaled-code tables.
+    m..nk-1 are fixed, the inputs whose first nonzero coordinate is m, codes
+    p**(nk-1-m) .. p**(nk-m) - 1 in product order, are a * e_m + z with z an
+    input already decided, and their images are a * col_m + y_z.  Since
+    det(aX) = a**k det(X) and T is linear, a * e_m + z passes exactly when
+    e_m + z / a does, so only a = 1 is tested: col_m = x survives when
+    det(x + y_z) = det(e_m + z) for every z.  Each such condition is one set
+    of candidate codes, built once per call at C speed as an int with one
+    byte per code; a level ANDs them, stops once nothing is left, and walks
+    the survivors with `bytes.find`.  The budget counts all p**((nk)**2)
+    maps, as a brute force would, and refuses before any work; at 1 x 1 it
+    counts p**2, the codes the sum tables `plus` can hold, p of p each.
     """
     if not 1 <= k <= n:
         raise ShapeError(f"{n}x{k}: need n >= k >= 1")
@@ -607,8 +613,8 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
     table = _det_table(n, k, p, budget)
     size = len(table)
     vectors = list(product(range(p), repeat=nk))
-    scaled = [_lift([[a * d % p for d in range(p)]] * nk, p) for a in range(p)]
     sums: dict[int, list[int]] = {}
+    sets: dict[tuple[int, int], int] = {}
 
     def plus(x: int) -> list[int]:
         """code(x + z) for every code z."""
@@ -617,32 +623,38 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
             r = sums[x] = _lift([[(a + d) % p for d in range(p)] for a in vectors[x]], p)
         return r
 
-    # the first input of each run is a * e_m, whose image a * col_m alone
-    # already rules out most columns
-    fits = {run: [x for x in range(size)
-                  if all(table[scaled[a][x]] == table[a * run] for a in range(1, p))]
-            for run in (p ** j for j in range(nk))}
     found = []
     cols = [0] * nk
 
     def extend(m: int, images: list[int]):
         # images[z]: code of T applied to the input with code z < p**(nk - m)
-        if m == 0:
-            found.append(tuple(vectors[cols[j]][r] for r in range(nk) for j in range(nk)))
-            return
         m -= 1
         run = len(images)
-        for x in fits[run]:
-            grown = images
-            for a in range(1, p):
-                new = list(map(plus(scaled[a][x]).__getitem__, images))
-                # in the table's own type: bytes, or a tuple from p = 17 on
-                if type(table)(map(table.__getitem__, new)) != table[a * run:(a + 1) * run]:
-                    break
-                grown = grown + new
-            else:
-                cols[m] = x
+        alive = -1
+        # z = 0 first: y_0 = 0, so det(x) alone rules out most columns
+        for y, t in zip(images, table[run:2 * run]):
+            passing = sets.get((y, t))
+            if passing is None:  # {x : det(x + y) = t}, byte x being 1 for a member
+                hits = bytes(map(t.__eq__, map(table.__getitem__, plus(y))))
+                passing = sets[y, t] = int.from_bytes(hits, "little")
+            alive &= passing
+            if not alive:
+                return
+        mask = alive.to_bytes(size, "little")
+        x = mask.find(1)
+        while x >= 0:
+            cols[m] = x
+            if m == 0:  # a leaf needs no images
+                found.append(tuple(chain.from_iterable(zip(*map(vectors.__getitem__, cols)))))
+            else:  # the images of a * e_m + z for a = 1..p-1, in code order
+                grown = images + list(map(plus(x).__getitem__, images))
+                for a in range(2, p):
+                    ax = 0
+                    for d in vectors[x]:
+                        ax = ax * p + a * d % p
+                    grown += map(plus(ax).__getitem__, images)
                 extend(m, grown)
+            x = mask.find(1, x + 1)
 
     extend(nk, [0])
     found.sort()

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cullis import (
     RATIONALS,
@@ -25,7 +27,7 @@ from cullis import (
     zeros,
 )
 from cullis import lambdapoly
-from cullis.determinant import sweep_count
+from cullis.determinant import det_int, sweep_count
 from cullis.lambdapoly import diffdiff_rhs, diffsum_rhs, plainsum_rhs
 
 Q = RATIONALS
@@ -176,6 +178,38 @@ def test_degree_scans_start_at_rank(monkeypatch):
     assert max_deg_over_all_A(zeros(F, 4, 3)) == 0 and scanned == [1]
     assert all(deg_witness(B, d) is None for d in range(2, 6)) and scanned == [1]
     assert deg_witness(low_degree_rank_two_matrix(F, 6), 2) is None and scanned == [1, 2]
+
+
+def first_basis_rows_by_dets(cols, n, m, p):
+    """The scan as it was before the one-column case read prefix sums:
+    `det_int` of the rows outside each m-subset R, in lexicographic order."""
+    rows = list(zip(*cols))
+    for R in combinations(range(n), m):
+        gone = set(R)
+        val = det_int([rows[i] for i in range(n) if i not in gone], len(cols))
+        if val % p if p else val:
+            return R
+    return None
+
+
+@st.composite
+def one_column_scans(draw):
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(0, n - 1))
+    p = draw(st.sampled_from([2, 3, 5, 7, None]))
+    entries = st.one_of(st.integers(0, (p or 7) - 1), st.integers(-9, 9),
+                        st.integers(-2 ** 70, 2 ** 70))
+    column = draw(st.one_of(st.just([1] * n), st.lists(entries, min_size=n, max_size=n)))
+    return column, n, m, p
+
+
+@given(case=one_column_scans())
+def test_one_column_scan_equals_determinants(case):
+    # the prefix-sum scan against a det_int of every complement, over
+    # p <= n, QQ (p = None), negative and big entries, and all-ones columns
+    column, n, m, p = case
+    want = first_basis_rows_by_dets([column], n, m, p)
+    assert lambdapoly._first_basis_rows([column], n, m, p) == want
 
 
 def test_deg_witness():

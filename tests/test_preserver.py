@@ -1,6 +1,8 @@
+import json
 import random
 from itertools import combinations, permutations, product
 from math import perm
+from pathlib import Path
 
 import pytest
 
@@ -675,12 +677,48 @@ def test_census_reaches_2x2_over_gf3():
     assert all(T.is_invertible() for T in census.maps)
 
 
+def test_width_one_censuses_beyond_brute_force():
+    # a width-one census is the stabiliser of the functional det_{n,1}, so
+    # it holds p**(n(n-1)) maps, each with the column condition; (2,1,17)
+    # takes a tuple det table
+    for n, k, p in ((2, 1, 5), (3, 1, 3), (2, 1, 17), (1, 1, 101)):
+        census = enumerate_preservers(n, k, p)  # inside the default budget
+        flats = [T.mat.values for T in census.maps]
+        assert census.count == len(flats) == p ** (n * (n - 1)), (n, k, p)
+        assert all(a < b for a, b in zip(flats, flats[1:])), (n, k, p)
+        assert all(check_k1_form(T) for T in census.maps), (n, k, p)
+
+
 def test_k2_census_is_the_plus_type_orthogonal_group():
     # det at 2x2 is a plus-type quadratic form on F**4, so its preservers are
     # O+(4, p), of order 2 p**2 (p**2 - 1)**2 (Taylor, The Geometry of the
     # Classical Groups, 1992): 72 at p = 2, 1152 at p = 3
     for p in (2, 3):
         assert enumerate_preservers(2, 2, p, budget=p ** 16).count == 2 * p**2 * (p**2 - 1) ** 2
+
+
+def test_bench_census_counts_follow_the_closed_forms():
+    # BENCH_census.json's times are for reading only; its counts are
+    # recomputed: p**(n(n-1)) maps at k = 1, |O+(4, p)| = 2 p**2 (p**2 - 1)**2
+    # at 2x2 and |O+(4, p)| p**12 at 3x2; p**(n-1) radical members at k = 1,
+    # p**k when n + k is odd and 1 (zero only) when it is even
+    bench = json.loads((Path(__file__).parents[1] / "BENCH_census.json").read_text())
+    shapes = []
+    for case in bench["cases"]:
+        n, k, p = case["n"], case["k"], case["p"]
+        shapes.append((case["case"], n, k, p))
+        if case["case"] == "census":
+            o4 = 2 * p ** 2 * (p ** 2 - 1) ** 2
+            want = p ** (n * (n - 1)) if k == 1 else o4 * (p ** 12 if n == 3 else 1)
+        elif case["case"] == "radical_enumerate":
+            want = p ** (n - 1) if k == 1 else p ** k if (n + k) % 2 else 1
+        else:  # in_radical of the all-ones matrix: n - k - 1 even
+            want = (n - k - 1) % 2 == 0
+        assert case["count"] == want, case
+    assert shapes == [("census", 2, 2, 2), ("census", 3, 1, 3), ("census", 2, 1, 17),
+                      ("census", 2, 2, 3), ("radical_enumerate", 3, 1, 5),
+                      ("radical_enumerate", 4, 2, 3), ("radical_enumerate", 8, 5, 5),
+                      ("in_radical of ones", 6, 3, 5), ("census", 3, 2, 2), ("census", 2, 2, 5)]
 
 
 def first_violation_by_search(T):
