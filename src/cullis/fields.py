@@ -142,7 +142,7 @@ class FieldSpec:
                             den.isdigit() or not slash):
                         d = int(den) if slash else 1
                         if d:  # a zero denominator takes element's error
-                            add(Fraction(int(num), d))
+                            add(Fraction(int(num), d) if slash else Fraction(int(num)))
                             continue
             elif t is int:
                 add(v % p if p else Fraction(v))

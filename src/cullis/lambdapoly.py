@@ -25,7 +25,7 @@ from math import perm
 from .determinant import _entry_weight, _guard, _guard_power, det_int, sweep, sweep_count
 from .errors import FieldMismatch, ShapeError, ShapeMismatch
 from .fields import FieldSpec, Scalar, gf
-from .matrix import RectMatrix, _zero_one, eliminate, from_raw, raw_rows
+from .matrix import RectMatrix, _units, eliminate, from_raw, raw_rows
 from .record import Record, set_field
 
 
@@ -185,11 +185,8 @@ def deg_witness(B: RectMatrix, d: int) -> RectMatrix | None:
     if found is None:
         return None
     S, R = found
-    zero, one = _zero_one(B.field)
-    values = [zero] * (n * k)
-    for j, t in zip([j for j in range(k) if j not in S], R):
-        values[t * k + j] = one
-    return RectMatrix._of(B.field, n, k, tuple(values))
+    free = [j for j in range(k) if j not in S]
+    return _units(B.field, n, k, [t * k + j for j, t in zip(free, R)])
 
 
 def all_completions_vanish(X: RectMatrix, k: int) -> bool:
@@ -270,15 +267,13 @@ def plainsum_rhs(X: RectMatrix, k: int) -> Scalar:
 
 def _pattern(field: FieldSpec, n: int, cols: list[list[int]], sign: int) -> RectMatrix:
     """The n x len(cols) matrix with ones at the 0-based rows cols[j] of
-    column j, and sign instead of one on the last column."""
+    column j, and sign (1 or -1) instead of one on the last column."""
     k = len(cols)
-    zero, one = _zero_one(field)
-    last = sign % field.p if field.p else one * sign
-    values = [zero] * (n * k)
-    for j, rows in enumerate(cols):
-        for i in rows:
-            values[i * k + j] = last if j == k - 1 else one
-    return RectMatrix._of(field, n, k, tuple(values))
+    cells = [i * k + j for j, rows in enumerate(cols) for i in rows]
+    if sign > 0:
+        return _units(field, n, k, cells)
+    split = len(cells) - len(cols[-1])  # the last column's cells come last
+    return _units(field, n, k, cells[:split], cells[split:])
 
 
 def make_b_diffdiff(n: int, k: int, l: int, field: FieldSpec) -> RectMatrix:

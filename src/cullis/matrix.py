@@ -26,7 +26,7 @@ the rank over QQ) and reduced mod p for the rank over GF(p).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import lcm, prod
 from operator import add, neg, sub
 from typing import Iterable, Sequence
@@ -173,19 +173,17 @@ class RectMatrix:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         if self.k != other.n:
             raise ShapeMismatch(f"{self.n}x{self.k} times {other.n}x{other.k}")
-        a, b = self.values, other.values
-        k, m = self.k, other.k
+        m = other.k
         zero = _zero_one(self.field)[0]
-        # other's rows as (column, value) pairs of its nonzero entries, so
-        # zero entries on either side cost nothing
-        rows = [[(c, y) for c, y in enumerate(b[t * m:(t + 1) * m]) if y] for t in range(k)]
+        # other's rows as (column, value) pairs of its nonzero entries, and
+        # self's rows read the same way, so zero entries on either side cost nothing
+        rows = [list(compress(enumerate(row), row)) for row in zip(*[iter(other.values)] * m)]
         out = []
-        for i in range(self.n):
+        for row in zip(*[iter(self.values)] * self.k):
             acc = [zero] * m
-            for t, x in enumerate(a[i * k:(i + 1) * k]):
-                if x:
-                    for c, y in rows[t]:
-                        acc[c] += x * y
+            for t, x in compress(enumerate(row), row):
+                for c, y in rows[t]:
+                    acc[c] += x * y
             out += acc
         return RectMatrix._of(self.field, self.n, m, _reduced(out, self.field.p))
 
@@ -222,8 +220,26 @@ class RectMatrix:
 # -- constructors -------------------------------------------------------------
 
 
+_QQ_ZERO_ONE = (Fraction(0), Fraction(1))
+
+
 def _zero_one(field: FieldSpec):
-    return (0, 1) if field.p else (Fraction(0), Fraction(1))
+    return (0, 1) if field.p else _QQ_ZERO_ONE
+
+
+def _units(field: FieldSpec, n: int, k: int, plus: Iterable[int],
+           minus: Iterable[int] = ()) -> RectMatrix:
+    """The n x k matrix with 1 at the row-major indices in plus, the field's
+    -1 at those in minus and 0 elsewhere."""
+    zero, one = _zero_one(field)
+    values = [zero] * (n * k)
+    for t in plus:
+        values[t] = one
+    if minus:
+        minus_one = field.p - 1 if field.p else -one
+        for t in minus:
+            values[t] = minus_one
+    return RectMatrix._of(field, n, k, tuple(values))
 
 
 def zeros(field: FieldSpec, n: int, k: int) -> RectMatrix:
@@ -238,19 +254,14 @@ def ones(field: FieldSpec, n: int, k: int) -> RectMatrix:
 
 def identity(field: FieldSpec, n: int) -> RectMatrix:
     _check_shape(n, n)
-    z, o = _zero_one(field)
-    return RectMatrix._of(field, n, n,
-                          tuple(o if i == j else z for i in range(n) for j in range(n)))
+    return _units(field, n, n, range(0, n * n, n + 1))
 
 
 def basis_matrix(field: FieldSpec, n: int, k: int, i: int, j: int) -> RectMatrix:
     """Unit matrix: 1 in row i, column j, zero elsewhere."""
     if not (1 <= i <= n and 1 <= j <= k):
         raise IndexOutOfRange(f"({i},{j}) outside {n}x{k}")
-    z, o = _zero_one(field)
-    ent = [z] * (n * k)
-    ent[(i - 1) * k + (j - 1)] = o
-    return RectMatrix._of(field, n, k, tuple(ent))
+    return _units(field, n, k, ((i - 1) * k + j - 1,))
 
 
 def basis_selector(field: FieldSpec, n: int, elems: Iterable[int]) -> RectMatrix:
@@ -261,9 +272,8 @@ def basis_selector(field: FieldSpec, n: int, elems: Iterable[int]) -> RectMatrix
             raise IndexOutOfRange(f"basis index {t} outside 1..{n}")
     if not elems:
         raise ShapeError("no columns given")
-    z, o = _zero_one(field)
-    return RectMatrix._of(field, n, len(elems),
-                          tuple(o if r == t else z for r in range(1, n + 1) for t in elems))
+    m = len(elems)
+    return _units(field, n, m, [(t - 1) * m + c for c, t in enumerate(elems)])
 
 
 def random_matrix(field: FieldSpec, n: int, k: int, rng) -> RectMatrix:

@@ -58,8 +58,8 @@ from .matrix import (
     RectMatrix,
     _check_shape,
     _unvec_values,
+    _units,
     _vec_values,
-    _zero_one,
     basis_matrix,
     basis_selector,
     identity,
@@ -111,15 +111,8 @@ class LinearMapNK:
             raise ShapeMismatch(f"{X.n}x{X.k} input for {self.n}x{self.k} map")
         if X.field != self.field:
             raise FieldMismatch(f"{X.field!r} vs {self.field!r}")
-        v = _vec_values(X)
-        ent = self.mat.values
-        nk, p = len(v), self.field.p
-        zero = _zero_one(self.field)[0]
-        # raw row times vec(X); zero products are skipped (maps are mostly
-        # sparse, and products of Fractions are costly)
-        out = [sum((e * x for e, x in zip(ent[r * nk:(r + 1) * nk], v) if e and x), zero)
-               for r in range(nk)]
-        return _unvec_values([y % p for y in out] if p else out, self.n, self.k, self.field)
+        column = RectMatrix._of(self.field, self.mat.n, 1, _vec_values(X))
+        return _unvec_values((self.mat @ column).values, self.n, self.k, self.field)
 
     def compose(self, other: "LinearMapNK") -> "LinearMapNK":
         """self after other."""
@@ -451,27 +444,26 @@ def make_s_shift(n: int, k: int, i: int, j: int, field: FieldSpec) -> LinearMapN
     """The semi-cyclic shift map as a linear endomorphism; invertible by
     construction, and determinant preserving whenever n + k is even.
 
-    `s_shift_apply` as a signed permutation of the unit matrices, written
-    entry by entry.  With 0-based indices, output entry (r, c) is input entry
-    ((r + i - 1) mod n, c'), c' being c after exchanging columns 0 and j - 1,
-    negated once if the row wrapped, once in the new first column when j > 1,
-    and once when n - i is odd.
+    `s_shift_apply` as a signed permutation of the unit matrices, given to
+    `matrix._units` as the indices of its entries 1 and -1.  With 0-based
+    indices, output entry (r, c) is input entry ((r + i - 1) mod n, c'), c'
+    being c after exchanging columns 0 and j - 1, negated once if the row
+    wrapped, once in the new first column when j > 1, and once when n - i is
+    odd.
     """
     if not 1 <= i <= n:
         raise ShapeError(f"row {i} outside 1..{n}")
     if not 1 <= j <= k:
         raise ShapeError(f"column {j} outside 1..{k}")
     nk = n * k
-    zero, one = _zero_one(field)
-    signs = (one, field.p - 1 if field.p else -one)
-    ent = [zero] * (nk * nk)
+    signed = ([], [])  # the indices of the entries 1 and -1
     for c in range(k):
         src = j - 1 if c == 0 else 0 if c == j - 1 else c
         flip = (n - i + (c == 0 and j > 1)) & 1
         for r in range(n):
             s = r + i - 1
-            ent[(c * n + r) * nk + src * n + s % n] = signs[flip ^ (s >= n)]
-    return LinearMapNK(n, k, RectMatrix._of(field, nk, nk, tuple(ent)))
+            signed[flip ^ (s >= n)].append((c * n + r) * nk + src * n + s % n)
+    return LinearMapNK(n, k, _units(field, nk, nk, *signed))
 
 
 def _corner_sums(X: RectMatrix) -> Scalar:
@@ -503,45 +495,38 @@ def make_k2_counterexample(n: int, field: FieldSpec) -> LinearMapNK:
     """The two-column determinant preserver that swaps opposite corner cells
     through signed sums; not expressible as X -> A @ X @ B.
 
-    `detn2_partner` written entry by entry.  With 0-based indices, every
-    output entry is its input entry except (0, 0) = d + x[n-1, 1] and
-    (n-1, 1) = -d + x[0, 0], where d has coefficient (-1)**(r+1) on x[r, 0]
-    and (-1)**(r+1+n) on x[r, 1] for the inner rows r = 1..n-2.
+    `detn2_partner` given to `matrix._units` as the indices of its entries
+    1 and -1.  With 0-based indices, every output entry is its input entry
+    except (0, 0) = d + x[n-1, 1] and (n-1, 1) = -d + x[0, 0], where d has
+    coefficient (-1)**(r+1) on x[r, 0] and (-1)**(r+1+n) on x[r, 1] for the
+    inner rows r = 1..n-2.
     """
     if n < 4:
         raise ShapeError(f"need at least 4 rows, got {n}")
     nk = 2 * n
-    zero, one = _zero_one(field)
-    signs = (one, field.p - 1 if field.p else -one)
-    ent = [zero] * (nk * nk)
-    for e in range(1, nk - 1):
-        ent[e * nk + e] = one
     last = (nk - 1) * nk  # the row of output entry (n-1, 1); (0, 0) is row 0
-    ent[nk - 1] = ent[last] = one
-    for r in range(1, n - 1):
-        for c, flip in ((r, r + 1), (n + r, r + 1 + n)):
-            ent[c] = signs[flip & 1]
-            ent[last + c] = signs[~flip & 1]
-    return LinearMapNK(n, 2, RectMatrix._of(field, nk, nk, tuple(ent)))
+    plus, minus = [*range(nk + 1, last, nk + 1), nk - 1, last], []
+    # d's coefficient on vec index c, an inner row's entry, is (-1)**(c+1)
+    for c in [*range(1, n - 1), *range(n + 1, nk - 1)]:
+        (plus if c & 1 else minus).append(c)
+        (minus if c & 1 else plus).append(last + c)
+    return LinearMapNK(n, 2, _units(field, nk, nk, plus, minus))
 
 
 def make_singular_preserver(n: int, k: int, field: FieldSpec) -> LinearMapNK:
     """A noninvertible determinant preserver X -> X - x[1,1] * J, available
     exactly when n + k is odd (then the all-ones matrix J has vanishing
-    interaction with every coefficient of det(V + t*J)).  Written entry by
-    entry: vec index 0 is x[1,1], so entry (r, c) is [r = c] - [c = 0]."""
+    interaction with every coefficient of det(V + t*J)).  Given to
+    `matrix._units` as the indices of its entries 1 and -1: vec index 0 is
+    x[1,1], so entry (r, c) is [r = c] - [c = 0]."""
     if (n + k) % 2 == 0:
         raise ParityError(f"n + k = {n + k} must be odd")
     if k > n:
         raise ShapeError(f"{n}x{k}: need at least as many rows as columns")
     _check_shape(n, k)
     nk = n * k
-    zero, one = _zero_one(field)
-    minus = field.p - 1 if field.p else -one
-    ent = [zero] * (nk * nk)
-    for r in range(1, nk):
-        ent[r * nk], ent[r * nk + r] = minus, one
-    return LinearMapNK(n, k, RectMatrix._of(field, nk, nk, tuple(ent)))
+    return LinearMapNK(n, k, _units(field, nk, nk, range(nk + 1, nk * nk, nk + 1),
+                                    range(nk, nk * nk, nk)))
 
 
 # -- factorisation ------------------------------------------------------------------

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -467,12 +468,21 @@ def test_cli_lambda_budget_env(tmp_path):
     assert run_cli("lambda", "--a", pa, "--b", pb).returncode == 0
 
 
-def test_cli_verify_paper_golden_digest():
-    # pins the whole default table for seed 0, byte for byte
-    proc = run_cli("verify-paper", "--seed", "0")
+VERIFY_PAPER_DIGESTS = {
+    0: "3d0452905060f1fbf48a4c89becd65c6b9f5f4d02943d20618b4d389f3a6f422",
+    1: "221a6a484ba8f59c3dcc2cadb92da0ebd7a77ab65f6a30dbf8e0e52a7bffdc0a",
+    7: "34458347cf241673ceb922ba549bbae3123c7ae802cc959e6ea36d1b5d7e8874",
+    42: "e85fd011f349223c4aa3ded792c1830038451da4dd50740853400f08a3e6efdc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_PAPER_DIGESTS))
+def test_cli_verify_paper_golden_digest(seed):
+    # pins the whole default table for each seed, byte for byte
+    proc = run_cli("verify-paper", "--seed", str(seed))
     assert proc.returncode == 0
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-    assert digest == "3d0452905060f1fbf48a4c89becd65c6b9f5f4d02943d20618b4d389f3a6f422"
+    assert digest == VERIFY_PAPER_DIGESTS[seed]
 
 
 def test_failing_report_digest(monkeypatch):

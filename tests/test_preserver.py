@@ -301,8 +301,9 @@ def test_shift_map_examples():
 
 
 def test_shift_map_is_its_unit_matrix_images():
-    # make_s_shift writes the signed permutation entry by entry
-    for F in (gf(5), Q):
+    # make_s_shift gives the signed permutation as index sets; over GF(2) the
+    # entry -1 is 1, over GF(2**127 - 1) it is a 127-bit residue
+    for F in (gf(5), Q, gf(2), gf(2**127 - 1)):
         for n, k in ((3, 1), (4, 2), (5, 3), (6, 4)):
             for i in range(1, n + 1):
                 for j in range(1, k + 1):
