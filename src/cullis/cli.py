@@ -85,7 +85,7 @@ def _guard_map_entries(n: int, k: int, budget: int | None) -> None:
 def _cmd_preserver(args) -> int:
     budget = _budget(args)
     sub = args.preserver_cmd
-    if sub == "radical":  # the completion scan alone: no map, no JSON document
+    if sub == "radical":  # the radical in closed form: no map, no JSON document
         from .lambdapoly import radical_enumerate
         from .matrix import ones
 

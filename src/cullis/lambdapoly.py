@@ -5,10 +5,10 @@ determinant with B's columns substituted at S and A's columns elsewhere.  Each
 coefficient is multilinear in A's remaining columns, and summands for distinct
 S have disjoint monomial supports, so "vanishes for every A" can be decided
 exactly by sweeping standard basis vectors through the free column slots.
-The same completion scan at d = 1 decides the radical: W with
-det(V + t*W) = det(V) for every V (`in_radical`, `radical_enumerate`).  A
-single column's determinant is its alternating sum, so that case reads a
-table of prefix sums per row subset instead of taking determinants.
+The same scan at d = 1 decides the radical: W with det(V + t*W) = det(V)
+for every V (`in_radical`, `radical_enumerate`).  A single column's
+determinant is its alternating sum, so that step has a closed form
+(`_radical_column`) and takes no determinant.
 
 Also houses the three completion constructors: fixed patterns B of unit
 columns such that det(X|B) collapses, for every X with two columns, to a
@@ -22,7 +22,8 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import perm
 
-from .determinant import _entry_weight, _guard, _guard_power, det_int, sweep, sweep_count
+from .determinant import (_entry_weight, _guard, _guard_power, _require_tall, det_int, sweep,
+                          sweep_count)
 from .errors import FieldMismatch, ShapeError, ShapeMismatch
 from .fields import FieldSpec, Scalar, gf
 from .matrix import RectMatrix, _units, eliminate, from_raw, raw_rows
@@ -68,8 +69,7 @@ def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> La
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
     if (A.n, A.k) != (B.n, B.k):
         raise ShapeMismatch(f"{A.n}x{A.k} vs {B.n}x{B.k}")
-    if A.k > A.n:
-        raise ShapeError(f"{A.n}x{A.k}: need at least as many rows as columns")
+    _require_tall(A)
     n, k = A.n, A.k
     steps = sweep_count(n, k)
     _guard(steps, budget)  # refuse before converting anything
@@ -106,34 +106,30 @@ def _first_basis_rows(cols: list[list[int]], n: int, m: int, p: int | None):
     minus exactly that determinant; repeated basis columns give zero.  The
     first nonzero completion in lexicographic order of basis assignments is
     therefore R in increasing order.
-
-    One column's determinant is its alternating sum, so with
-    S[i] = sum of (-1)**j c_j over j < i, the rows outside
-    R = (r_1 < ... < r_m) give sum_t (-1)**t (S[r_(t+1)] - S[r_t + 1]) over
-    the m + 1 runs between R's rows (r_0 = -1, r_(m+1) = n): no determinant
-    is taken.  Two or more columns take `det_int` per R.
     """
-    if len(cols) == 1:
-        S = [0]
-        for i, c in enumerate(cols[0]):
-            S.append(S[-1] - c if i & 1 else S[-1] + c)
-        for R in combinations(range(n), m):
-            val, lo, sign = 0, 0, 1
-            for r in R:
-                val += sign * (S[r] - S[lo])
-                lo, sign = r + 1, -sign
-            val += sign * (S[n] - S[lo])
-            if val % p if p else val:
-                return R
-        return None
     rows = list(zip(*cols))
-    d = len(cols)
     for R in combinations(range(n), m):
-        gone = set(R)
-        val = det_int([rows[i] for i in range(n) if i not in gone], d)
+        val = det_int([row for i, row in enumerate(rows) if i not in R], len(cols))
         if val % p if p else val:
             return R
     return None
+
+
+def _radical_column(c: list[int], n: int, k: int, p: int | None) -> bool:
+    """True when no k - 1 basis columns complete the raw column c of an
+    n x k matrix to a nonzero det (mod p when p is given): the d = 1 step of
+    `_completion_scan` in closed form.  For basis rows R that det is +- the
+    alternating sum of c over the n - k + 1 rows outside R, so at k = 1 c
+    passes when sum_i (-1)**i c_i = 0.  At k >= 2, with k - 2 rows S outside
+    r and r + 1, the sums for S + {r} and S + {r + 1} read the same rows in
+    the same places but c[r + 1] for c[r]: they differ by +-(c[r+1] - c[r]),
+    so a passing column is constant, and a constant column sums to zero over
+    n - k + 1 alternating rows exactly when n + k is odd, or it is zero."""
+    c = [x % p for x in c] if p else c
+    if k == 1:
+        s = sum(c[::2]) - sum(c[1::2])
+        return not (s % p if p else s)
+    return len(set(c)) == 1 and ((n + k) % 2 == 1 or c[0] == 0)
 
 
 def _raw_columns(X: RectMatrix) -> tuple[list[list[int]], int | None]:
@@ -159,30 +155,28 @@ def _completion_scan(cols: list[list[int]], n: int, k: int, d: int, p: int | Non
 def max_deg_over_all_A(B: RectMatrix) -> int:
     """Exact maximum over all A of the formal degree of det(A + t*B).
 
-    The first d, from rank(B) downward, at which `_completion_scan` finds d
-    columns of B that basis columns complete to a nonzero det; any more
-    columns of B than its rank are dependent.
+    The first d, from rank(B) down to 2, at which `_completion_scan` finds d
+    columns of B that basis columns complete to a nonzero det (any more
+    columns of B than its rank are dependent); else 1 when some column is
+    completable (`_radical_column`), else 0.
     """
-    if B.k > B.n:
-        raise ShapeError(f"{B.n}x{B.k}: need at least as many rows as columns")
+    _require_tall(B)
     cols, p = _raw_columns(B)
     top = eliminate([c[:] for c in cols], p)[0]
-    return next((d for d in range(top, 0, -1) if _completion_scan(cols, B.n, B.k, d, p)), 0)
+    d = next((d for d in range(top, 1, -1) if _completion_scan(cols, B.n, B.k, d, p)), 0)
+    return d or int(not all(_radical_column(c, B.n, B.k, p) for c in cols))
 
 
 def deg_witness(B: RectMatrix, d: int) -> RectMatrix | None:
     """An A made of basis columns whose degree-d coefficient against B is
     nonzero, or None when no A at all produces one."""
-    if B.k > B.n:
-        raise ShapeError(f"{B.n}x{B.k}: need at least as many rows as columns")
+    _require_tall(B)
     if not 2 <= d <= B.k:
         raise ShapeError(f"degree {d} outside 2..{B.k}")
     n, k = B.n, B.k
     cols, p = _raw_columns(B)
-    if d > eliminate([c[:] for c in cols], p)[0]:  # d dependent columns of B
-        return None
-    found = _completion_scan(cols, n, k, d, p)
-    if found is None:
+    found = d <= eliminate([c[:] for c in cols], p)[0] and _completion_scan(cols, n, k, d, p)
+    if not found:  # none, or d dependent columns of B
         return None
     S, R = found
     free = [j for j in range(k) if j not in S]
@@ -205,23 +199,25 @@ def all_completions_vanish(X: RectMatrix, k: int) -> bool:
 
 def in_radical(W: RectMatrix) -> bool:
     """True when det(V + t*W) = det(V) identically in t for every V: no column
-    of W is completable, completable sets being closed under subsets (`_completion_scan`)."""
-    if W.k > W.n:
-        raise ShapeError(f"{W.n}x{W.k}: need at least as many rows as columns")
+    of W is completable (`_radical_column`), completable sets being closed under subsets."""
+    _require_tall(W)
     cols, p = _raw_columns(W)
-    return _completion_scan(cols, W.n, W.k, 1, p) is None
+    return all(_radical_column(c, W.n, W.k, p) for c in cols)
 
 
 def radical_enumerate(n: int, k: int, p: int, budget: int | None = None) -> list[RectMatrix]:
     """All matrices over GF(p) lying in the radical of the determinant,
     enumerated in row-major lexicographic order: the k-th power of the
-    columns that pass `in_radical`.  The budget still counts p**(nk)."""
+    columns that pass `_radical_column`, listed directly.  The budget counts p**(nk)."""
     field = gf(p)
     _guard_power(p, n * k, budget, "matrices")
     if not 1 <= k <= n:
         raise ShapeError(f"{n}x{k}: need n >= k >= 1")
-    good = [c for c in product(range(p), repeat=n) if _completion_scan([c], n, k, 1, p) is None]
-    flats = sorted(tuple(x for row in zip(*cs) for x in row) for cs in product(good, repeat=k))
+    if k == 1:  # the first n - 1 entries, the last setting the alternating sum to 0
+        flats = [(*head, (-1) ** n * (sum(head[::2]) - sum(head[1::2])) % p)
+                 for head in product(range(p), repeat=n - 1)]
+    else:  # constant columns, one row of k constants n times; nonzero at odd n + k only
+        flats = [row * n for row in product(range(p if (n + k) % 2 else 1), repeat=k)]
     return [RectMatrix._of(field, n, k, flat) for flat in flats]
 
 

@@ -19,7 +19,7 @@ the first nonzero one gives the witness.  Any other map takes the row sweep
 once into M = s T (`_cleared`), the sweep expands s**k D and the weights
 come as q w_d.  A nonzero multiple is zero exactly where D is, so verdict
 and witness are D's own.  Invertibility is a rank test by `matrix.eliminate`.
-The radical of det is decided beside the completion scan it runs on, not here.
+The radical of det is decided in `lambdapoly`, in closed form beside the completion scan.
 
 The exhaustive routines index the matrices over GF(p) by the base-p code of
 vec(X), so code i is the i-th vector in product order.  One lane kernel,
@@ -515,8 +515,8 @@ def make_k2_counterexample(n: int, field: FieldSpec) -> LinearMapNK:
 
 def make_singular_preserver(n: int, k: int, field: FieldSpec) -> LinearMapNK:
     """A noninvertible determinant preserver X -> X - x[1,1] * J, available
-    exactly when n + k is odd (then the all-ones matrix J has vanishing
-    interaction with every coefficient of det(V + t*J)).  Given to
+    exactly when n + k is odd, when the all-ones J is in the radical (its
+    columns are constant: `lambdapoly._radical_column`).  Given to
     `matrix._units` as the indices of its entries 1 and -1: vec index 0 is
     x[1,1], so entry (r, c) is [r = c] - [c = 0]."""
     if (n + k) % 2 == 0:
@@ -649,8 +649,10 @@ def enumerate_preservers(n: int, k: int, p: int, budget: int | None = None) -> C
 
 def check_k1_form(T: LinearMapNK) -> bool:
     """For single-column maps X -> A @ X: true when every column of A has
-    alternating sum (-1)**(i-1), which characterises preservation."""
+    alternating sum (-1)**(i-1) (mod p), which characterises preservation."""
     if T.k != 1:
         raise ShapeError(f"map acts on width {T.k}, expected 1")
-    return all(sum((-1) ** r * v for r, v in enumerate(T.mat.column(i))) == (-1) ** (i - 1)
-               for i in range(1, T.n + 1))
+    n, p = T.n, T.field.p
+    cols = [T.mat.values[i::n] for i in range(n)]
+    gaps = (sum(c[::2]) - sum(c[1::2]) - (-1) ** i for i, c in enumerate(cols))
+    return not any(g % p if p else g for g in gaps)

@@ -15,9 +15,11 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# the exhaustive check against brute force on many drawn maps, for CI on
+# the exhaustive check against brute force on many drawn maps, and the
+# radical's closed form per column against the determinant scan, for CI on
 # every Python:
 #   pytest --hypothesis-profile exhaustive tests/test_exhaustive.py::test_exhaustive_equals_brute_force_on_drawn_maps
+#   pytest --hypothesis-profile exhaustive tests/test_lambdapoly.py::test_one_column_scan_equals_determinants
 settings.register_profile(
     "exhaustive",
     max_examples=500,

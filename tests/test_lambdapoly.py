@@ -174,15 +174,15 @@ def test_degree_scans_start_at_rank(monkeypatch):
     B = rank_le1(F, 7, 5, rng)
     while B.is_zero():
         B = rank_le1(F, 7, 5, rng)
-    assert max_deg_over_all_A(B) == 1 and scanned == [1]
-    assert max_deg_over_all_A(zeros(F, 4, 3)) == 0 and scanned == [1]
-    assert all(deg_witness(B, d) is None for d in range(2, 6)) and scanned == [1]
-    assert deg_witness(low_degree_rank_two_matrix(F, 6), 2) is None and scanned == [1, 2]
+    assert max_deg_over_all_A(B) == 1 and scanned == []
+    assert max_deg_over_all_A(zeros(F, 4, 3)) == 0 and scanned == []
+    assert all(deg_witness(B, d) is None for d in range(2, 6)) and scanned == []
+    assert deg_witness(low_degree_rank_two_matrix(F, 6), 2) is None and scanned == [2]
 
 
 def first_basis_rows_by_dets(cols, n, m, p):
-    """The scan as it was before the one-column case read prefix sums:
-    `det_int` of the rows outside each m-subset R, in lexicographic order."""
+    """The completion scan by determinants: `det_int` of the rows outside
+    each m-subset R, in lexicographic order."""
     rows = list(zip(*cols))
     for R in combinations(range(n), m):
         gone = set(R)
@@ -195,21 +195,28 @@ def first_basis_rows_by_dets(cols, n, m, p):
 @st.composite
 def one_column_scans(draw):
     n = draw(st.integers(1, 9))
-    m = draw(st.integers(0, n - 1))
+    k = draw(st.integers(1, n))
     p = draw(st.sampled_from([2, 3, 5, 7, None]))
     entries = st.one_of(st.integers(0, (p or 7) - 1), st.integers(-9, 9),
                         st.integers(-2 ** 70, 2 ** 70))
-    column = draw(st.one_of(st.just([1] * n), st.lists(entries, min_size=n, max_size=n)))
-    return column, n, m, p
+    column = draw(st.lists(entries, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["any", "constant", "zero alternating sum"]))
+    if kind == "constant":
+        column = [column[0]] * n
+    elif kind == "zero alternating sum":  # move the last entry to cancel the sum
+        s = sum(column[::2]) - sum(column[1::2])
+        column[-1] += s if n % 2 == 0 else -s
+    return column, n, k, p
 
 
 @given(case=one_column_scans())
 def test_one_column_scan_equals_determinants(case):
-    # the prefix-sum scan against a det_int of every complement, over
-    # p <= n, QQ (p = None), negative and big entries, and all-ones columns
-    column, n, m, p = case
-    want = first_basis_rows_by_dets([column], n, m, p)
-    assert lambdapoly._first_basis_rows([column], n, m, p) == want
+    # the closed form against a det_int of every complement, over p <= n,
+    # QQ (p = None), negative and big entries, constant columns and columns
+    # of zero alternating sum
+    column, n, k, p = case
+    want = first_basis_rows_by_dets([column], n, k - 1, p) is None
+    assert lambdapoly._radical_column(column, n, k, p) == want
 
 
 def test_deg_witness():

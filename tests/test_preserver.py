@@ -496,13 +496,15 @@ def test_radical_matches_brute_force():
 
 def test_radical_closed_form_sizes():
     # too large for the brute force: p**(n-1) for k = 1, p**k for k >= 2
-    # with n + k odd, and only zero for n + k even
+    # with n + k odd, and only zero for n + k even, up to (13, 6, 5), whose
+    # 5**6 members are found among 5**13 columns
     for (n, k, p), size in (((5, 3, 3), 1), ((6, 3, 3), 27), ((6, 4, 2), 1), ((7, 4, 2), 16),
-                            ((5, 1, 7), 7 ** 4)):
+                            ((5, 1, 7), 7 ** 4), ((13, 6, 5), 5 ** 6), ((12, 6, 5), 1)):
         members = radical_enumerate(n, k, p, budget=p ** (n * k))
         assert len(members) == size, (n, k, p)
         assert members[0].is_zero()
-        assert ((n + k) % 2 == 1) == any(w == ones(gf(p), n, k) for w in members)
+        J = ones(gf(p), n, k)
+        assert ((n + k) % 2 == 1) == any(w == J for w in members)
 
 
 def test_in_radical_is_degree_zero():
