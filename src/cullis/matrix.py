@@ -40,8 +40,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import FieldSpec, Scalar
-
-_set = object.__setattr__
+from .record import Record, set_field
 
 
 def _check_shape(n: int, k: int):
@@ -55,7 +54,7 @@ def _reduced(values, p: int | None) -> tuple:
     return tuple(x % p for x in values) if p else tuple(values)
 
 
-class RectMatrix:
+class RectMatrix(Record):
     """An n-by-k matrix over a fixed field, stored as raw values row-major."""
 
     __slots__ = ("n", "k", "values", "field")
@@ -69,24 +68,21 @@ class RectMatrix:
             if not isinstance(e, Scalar) or (e.field is not field and e.field != field):
                 raise FieldMismatch(f"entry {e!r} does not belong to {field!r}")
             values.append(e.value)
-        _set(self, "field", field)
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "values", tuple(values))
+        set_field(self, "field", field)
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "values", tuple(values))
 
     @classmethod
     def _of(cls, field: FieldSpec, n: int, k: int, values: tuple) -> "RectMatrix":
         """Trusted constructor: values is a tuple of n * k canonical raw
         values of field, row-major, and n, k >= 1."""
         self = object.__new__(cls)
-        _set(self, "field", field)
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "values", values)
+        set_field(self, "field", field)
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "values", values)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RectMatrix is immutable")
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "RectMatrix":
@@ -215,6 +211,9 @@ class RectMatrix:
             for i in range(self.n)
         )
         return f"RectMatrix({self.n}x{self.k} over {self.field!r}: {body})"
+
+    def __reduce__(self):
+        return RectMatrix._of, (self.field, self.n, self.k, self.values)
 
 
 # -- constructors -------------------------------------------------------------

@@ -44,8 +44,8 @@ from itertools import chain, combinations, product
 from math import lcm, perm
 
 from . import combinatorics as comb_mod
-from .determinant import (DEFAULT_TERM_GUARD, _cheaper, _guard, _guard_power, det, det_int,
-                          semicyclic_shift)
+from .determinant import (DEFAULT_TERM_GUARD, _cheaper, _guard, _guard_power, _require_tall, det,
+                          det_int, semicyclic_shift)
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
@@ -71,21 +71,22 @@ from .matrix import (
 from .record import Record, set_field
 
 
-class LinearMapNK:
+class LinearMapNK(Record):
     """A linear map on n x k matrices, as a square matrix on vec(X)."""
 
-    __slots__ = ("n", "k", "field", "mat")
+    __slots__ = ("n", "k", "mat")
 
     def __init__(self, n: int, k: int, mat: RectMatrix):
+        _check_shape(n, k)
         if mat.n != n * k or mat.k != n * k:
             raise ShapeMismatch(f"map matrix {mat.n}x{mat.k} for shape {n}x{k}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "field", mat.field)
-        object.__setattr__(self, "mat", mat)
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "mat", mat)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMapNK is immutable")
+    @property
+    def field(self) -> FieldSpec:
+        return self.mat.field
 
     @classmethod
     def identity_map(cls, field: FieldSpec, n: int, k: int) -> "LinearMapNK":
@@ -122,16 +123,6 @@ class LinearMapNK:
 
     def is_invertible(self) -> bool:
         return rank(self.mat) == self.n * self.k
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearMapNK)
-            and (self.n, self.k) == (other.n, other.k)
-            and self.mat == other.mat
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.mat))
 
     def __repr__(self):
         return f"LinearMapNK({self.n}x{self.k} over {self.field!r})"
@@ -400,8 +391,7 @@ def is_preserver(
     ValueError, and the two `det` calls per sample are counted against the
     operation budget before the first draw.
     """
-    if T.k > T.n:
-        raise ShapeError(f"{T.n}x{T.k}: need at least as many rows as columns")
+    _require_tall(T)
     if method == "exhaustive":
         return _is_preserver_exhaustive(T, budget)
     if method == "symbolic":

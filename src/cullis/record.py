@@ -2,11 +2,17 @@
 `inspect`: about 10 ms of every command's start-up (Python 3.11, 2-core
 x86-64, no bytecode cache).
 
-A record lists its fields in `__slots__`, in order, and its own `__init__`
+Every value type of the package except `Scalar` is a record.  A record
+lists its two or more fields in `__slots__`, in order, and its own `__init__`
 sets each of them once through `set_field`.  As for a frozen dataclass,
 equality and hash go by the field values, the repr is `Name(field=value, ...)`,
-and assigning or deleting an attribute raises AttributeError.
+assigning or deleting an attribute raises AttributeError, and copy, deepcopy
+and pickle rebuild a record from its field values (`__reduce__`).  A subclass
+may bring its own equality, hash, repr or `__reduce__`, as the fields and
+matrices do, but never its own assignment.
 """
+
+from operator import attrgetter
 
 set_field = object.__setattr__
 
@@ -16,17 +22,15 @@ class Record:
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        cls._values = staticmethod(attrgetter(*cls.__slots__))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == other._values(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -39,4 +43,4 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)

@@ -2,19 +2,27 @@
 records behave as the frozen dataclasses they replaced."""
 
 import copy
+import pickle
 import sys
+from fractions import Fraction
 
 import pytest
 
 import cullis
 from cullis import (
+    RATIONALS,
     Census,
+    FieldSpec,
     Injection,
     KSubset,
     LambdaPoly,
+    LinearMapNK,
     PreserverReport,
+    RectMatrix,
+    enumerate_preservers,
     gf,
     identity,
+    is_preserver,
     make_two_sided,
 )
 
@@ -53,7 +61,22 @@ RECORDS = [
     (Census(0, ()), Census(count=0, maps=()), Census(1, (make_two_sided(identity(F, 1),
                                                                         identity(F, 1)),)),
      "Census(count=0, maps=())"),
+    (gf(5), FieldSpec(kind="prime", p=5), gf(7), "GF(5)"),
+    (RATIONALS, FieldSpec("rational"), gf(5), "QQ"),
+    (RectMatrix.from_rows(F, [[1, 2], [3, 4]]),
+     RectMatrix(field=F, n=2, k=2, entries=[F.element(v) for v in (1, 2, 3, 4)]),
+     RectMatrix.from_rows(F, [[1, 2], [3, 0]]), "RectMatrix(2x2 over GF(5): 1 2; 3 4)"),
+    (RectMatrix.from_rows(RATIONALS, [["1/2"], ["-3"]]),
+     RectMatrix.from_columns(RATIONALS, [[Fraction(1, 2), -3]]),
+     RectMatrix.from_rows(RATIONALS, [["1/2"], ["3"]]), "RectMatrix(2x1 over QQ: 1/2; -3)"),
+    (LinearMapNK.identity_map(F, 2, 1), LinearMapNK(n=2, k=1, mat=identity(F, 2)),
+     LinearMapNK(2, 1, identity(F, 2).scale(2)), "LinearMapNK(2x1 over GF(5))"),
 ]
+
+
+def round_trips(value):
+    """copy, deepcopy and a pickle round trip of value."""
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
 
 
 @pytest.mark.parametrize("record, same, other, text", RECORDS,
@@ -63,13 +86,40 @@ def test_records_keep_their_dataclass_behaviour(record, same, other, text):
     assert record == same and hash(record) == hash(same)
     assert record != other and record != tuple(getattr(record, f) for f in fields)
     assert repr(record) == text
-    assert copy.copy(record) == record
+    for twin in round_trips(record):
+        assert twin == record and hash(twin) == hash(record)
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
-    with pytest.raises(AttributeError):
-        delattr(record, fields[0])
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
     assert repr(record) == text
+
+
+def test_copies_keep_fields_interned_and_hashes_unchanged():
+    M = RectMatrix.from_rows(F, [[1, 2], [3, 4]])
+    Q = RectMatrix.from_rows(RATIONALS, [["1/2"], ["-3"]])
+    T = LinearMapNK(2, 1, identity(F, 2).scale(2))
+    for field in (F, gf(2**127 - 1), RATIONALS, FieldSpec("prime", 5)):
+        interned = RATIONALS if field.p is None else gf(field.p)
+        assert all(twin is interned for twin in round_trips(field))
+    for value in (M, Q, T, F.one, RATIONALS.element("-2/3")):
+        for twin in round_trips(value):
+            assert twin == value and hash(twin) == hash(value)
+            assert twin.field is value.field
+    assert hash(F) == hash(("prime", 5)) and hash(RATIONALS) == hash(("rational", None))
+    assert hash(M) == hash((M.n, M.k, M.values)) and hash(Q) == hash((Q.n, Q.k, Q.values))
+    assert hash(T) == hash((T.n, T.k, T.mat)) and T.field is F
+    # results that hold maps and matrices survive as well
+    report = is_preserver(T)
+    census = enumerate_preservers(2, 1, 3)
+    assert report.verdict == "violates" and census.count == 9
+    for result in (report, census):
+        for twin in round_trips(result):
+            assert twin == result and hash(twin) == hash(result)
+    assert all(twin.witness.field is F for twin in round_trips(report))
+    assert all(twin.maps[-1].field is gf(3) for twin in round_trips(census))
 
 
 def test_report_defaults_and_field_order():

@@ -199,13 +199,22 @@ def test_cli_enumerate_shape_and_budget():
     assert proc.returncode == 0 and json.loads(proc.stdout) == {"count": 1152}
 
 
-def test_cli_shape_needs_a_column():
+def test_cli_shape_needs_a_column(tmp_path):
     # k < 1 is a shape error, not a message leaked from math.perm or itertools
     for cmd in (["enumerate", "--n", "0", "--k", "0"], ["enumerate", "--n", "2", "--k", "0"],
                 ["radical", "--n", "2", "--k", "0"]):
         proc = run_cli("preserver", *cmd, "--p", "2")
         assert proc.returncode == 2 and proc.stdout == "", cmd
         assert "need n >= k >= 1" in proc.stderr, cmd
+    # so is a map document whose negative sides multiply to its matrix's size
+    doc = jsonio.map_to_dict(LinearMapNK.identity_map(gf(5), 4, 1))
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({**doc, "n": -2, "k": -2}))
+    for cmd in (["check", "--method", "symbolic"], ["check", "--method", "exhaustive"],
+                ["factor"]):
+        proc = run_cli("preserver", *cmd, "--map", str(path))
+        assert proc.returncode == 2 and proc.stdout == "", cmd
+        assert "matrix shape -2x-2 must be at least 1x1" in proc.stderr, cmd
 
 
 def test_cli_check_violates_carries_witness(tmp_path):
@@ -264,23 +273,27 @@ before = set(sys.modules)
 def loaded(*names):
     return [m for m in names if m in sys.modules and m not in before]
 
+def package(*names):
+    # the README's module table: exactly these submodules are loaded
+    got = sorted(m[len("cullis."):] for m in sys.modules if m.startswith("cullis."))
+    assert got == sorted(names), got
+
 import cullis
-assert not [m for m in sys.modules if m.startswith("cullis.")], sorted(sys.modules)
+package()
 from cullis import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         cli.main(["--help"])
     except SystemExit as exc:
         assert exc.code == 0
-    extra = loaded("cullis.fields", "cullis.matrix", "cullis.determinant")
-    assert not extra, extra
+    package("cli", "errors")
     assert cli.main(["det", "--input", {X!r}]) == 0
-    extra = loaded("cullis.preserver", "cullis.lambdapoly", "cullis.sympoly", "cullis.verify",
-                   "dataclasses", "inspect")
+    det_modules = ("cli", "errors", "fields", "record", "matrix", "determinant", "jsonio")
+    package(*det_modules)
+    extra = loaded("dataclasses", "inspect")
     assert not extra, extra
     assert cli.main(["lambda", "--a", {X!r}, "--b", {X!r}]) == 0
-    extra = loaded("cullis.preserver", "cullis.sympoly", "cullis.verify")
-    assert not extra, extra
+    package(*det_modules, "lambdapoly")
     # a two-sided map is decided, and its witness found, without the
     # expander; the lane kernel loads with the first exhaustive check
     assert cli.main(["preserver", "check", "--map", {T!r}]) == 0

@@ -467,6 +467,9 @@ def test_zero_width_is_a_shape_error():
         radical_enumerate(2, 0, 2)
     with pytest.raises(BudgetExceeded):
         radical_enumerate(2, 0, 2, budget=0)
+    # a map's sides are checked before n * k is matched with its matrix
+    with pytest.raises(ShapeError, match="matrix shape -2x-2 must be at least 1x1"):
+        LinearMapNK(-2, -2, identity(gf(5), 4))
 
 
 def brute_force_radical(n, k, p):
