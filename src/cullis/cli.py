@@ -106,7 +106,7 @@ def _cmd_preserver(args) -> int:
 
     if sub == "check":
         T = jsonio.map_from_dict(_read_json(args.map))
-        if args.p is not None and (T.field.kind != "prime" or T.field.p != args.p):
+        if args.p is not None and T.field is not _field_from_args(args):
             T = jsonio.coerce_map_to_prime(T, args.p)
         report = is_preserver(T, method=args.method, budget=budget,
                               samples=args.samples, seed=args.seed)

@@ -3,7 +3,8 @@
 Scalars carry their field with them and are kept in a unique canonical form:
 residues in [0, p) for GF(p), reduced fractions with positive denominator for
 the rationals.  Equality and hashing are therefore structural, so scalars can
-be used as dict keys and set members.
+be used as dict keys and set members.  Fields are interned, one `FieldSpec`
+per modulus, so two fields are equal exactly when they are the same object.
 """
 
 from __future__ import annotations
@@ -52,28 +53,29 @@ def is_prime(n: int) -> bool:
 class FieldSpec(Record):
     """Ground field descriptor: GF(p) for a prime p, or the rationals.
 
-    Copies and unpickled fields are the interned `gf(p)` or `RATIONALS`."""
+    Each field is one object, built and copied through `__new__`:
+    `FieldSpec("prime", p)` is `gf(p)`, `FieldSpec("rational")` is `RATIONALS`."""
 
     __slots__ = ("kind", "p")
+    _fields: dict = {}  # the one object per field, keyed by p (None for QQ)
 
-    _prime_cache: dict[int, "FieldSpec"] = {}
-
-    def __init__(self, kind: str, p: int | None = None):
+    def __new__(cls, kind: str, p: int | None = None):
         if kind == "prime":
-            if p is None or not is_prime(p):
+            # a bool or a float is no modulus; a known prime skips the test
+            if type(p) is not int or (p not in cls._fields and not is_prime(p)):
                 raise ValueError(f"modulus {p!r} is not prime")
         elif kind != "rational":
             raise ValueError(f"unknown field kind {kind!r}")
-        set_field(self, "kind", kind)
-        set_field(self, "p", p)
+        elif p is not None:
+            raise ValueError(f"the rationals take no modulus, got {p!r}")
+        if p not in cls._fields:
+            field = object.__new__(cls)
+            set_field(field, "kind", kind)
+            set_field(field, "p", p)
+            cls._fields.setdefault(p, field)
+        return cls._fields[p]
 
-    # every matrix operation compares fields; Record's equality takes 3.5x as long
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
+    __eq__ = object.__eq__
 
     def __hash__(self):
         return hash((self.kind, self.p))
@@ -81,13 +83,10 @@ class FieldSpec(Record):
     def __repr__(self):
         return f"GF({self.p})" if self.kind == "prime" else "QQ"
 
-    def __reduce__(self):
-        return (gf, (self.p,)) if self.kind == "prime" else "RATIONALS"
-
     def element(self, value) -> "Scalar":
         """Coerce an int, Fraction, decimal/fraction string, or Scalar."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self:
                 raise FieldMismatch(f"scalar from {value.field} used in {self}")
             return value
         if self.kind == "prime":
@@ -178,12 +177,8 @@ def _check_exponent(text: str):
 
 
 def gf(p: int) -> FieldSpec:
-    """The prime field GF(p); instances are interned per modulus."""
-    spec = FieldSpec._prime_cache.get(p)
-    if spec is None:
-        spec = FieldSpec("prime", p)
-        FieldSpec._prime_cache[p] = spec
-    return spec
+    """The prime field GF(p), the one object for modulus p."""
+    return FieldSpec("prime", p)
 
 
 RATIONALS = FieldSpec("rational")
@@ -201,7 +196,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.field is self.field or other.field == self.field:
+            if other.field is self.field:
                 return other
             raise FieldMismatch(f"{self.field} vs {other.field}")
         return self.field.element(other)
@@ -272,3 +267,6 @@ class Scalar:
 
     def __repr__(self):
         return f"{self.value} in {self.field!r}"
+
+    def __reduce__(self):
+        return Scalar, (self.value, self.field)

@@ -65,7 +65,7 @@ class RectMatrix(Record):
             raise LengthMismatch(f"{len(entries)} entries for a {n}x{k} matrix")
         values = []
         for e in entries:
-            if not isinstance(e, Scalar) or (e.field is not field and e.field != field):
+            if not isinstance(e, Scalar) or e.field is not field:
                 raise FieldMismatch(f"entry {e!r} does not belong to {field!r}")
             values.append(e.value)
         set_field(self, "field", field)
@@ -197,7 +197,7 @@ class RectMatrix(Record):
     def __eq__(self, other):
         return (
             isinstance(other, RectMatrix)
-            and self.field == other.field
+            and self.field is other.field
             and (self.n, self.k) == (other.n, other.k)
             and self.values == other.values
         )

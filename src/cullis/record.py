@@ -4,12 +4,13 @@ x86-64, no bytecode cache).
 
 Every value type of the package except `Scalar` is a record.  A record
 lists its two or more fields in `__slots__`, in order, and its own `__init__`
-sets each of them once through `set_field`.  As for a frozen dataclass,
-equality and hash go by the field values, the repr is `Name(field=value, ...)`,
-assigning or deleting an attribute raises AttributeError, and copy, deepcopy
-and pickle rebuild a record from its field values (`__reduce__`).  A subclass
-may bring its own equality, hash, repr or `__reduce__`, as the fields and
-matrices do, but never its own assignment.
+sets each of them once through `set_field`; `FieldSpec`, which interns every
+field, does so in `__new__` instead.  As for a frozen dataclass, equality and
+hash go by the field values, the repr is `Name(field=value, ...)`, assigning
+or deleting an attribute raises AttributeError, and copy, deepcopy and pickle
+rebuild a record from its field values (`__reduce__`).  A subclass may bring
+its own equality, hash, repr or `__reduce__`, as the fields and matrices do,
+but never its own assignment.
 """
 
 from operator import attrgetter

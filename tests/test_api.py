@@ -75,8 +75,10 @@ RECORDS = [
 
 
 def round_trips(value):
-    """copy, deepcopy and a pickle round trip of value."""
-    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+    """copy, deepcopy and a pickle round trip of value under every protocol."""
+    return (copy.copy(value), copy.deepcopy(value),
+            *(pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)))
 
 
 @pytest.mark.parametrize("record, same, other, text", RECORDS,
@@ -101,10 +103,12 @@ def test_copies_keep_fields_interned_and_hashes_unchanged():
     M = RectMatrix.from_rows(F, [[1, 2], [3, 4]])
     Q = RectMatrix.from_rows(RATIONALS, [["1/2"], ["-3"]])
     T = LinearMapNK(2, 1, identity(F, 2).scale(2))
-    for field in (F, gf(2**127 - 1), RATIONALS, FieldSpec("prime", 5)):
+    for field in (F, gf(2**127 - 1), RATIONALS, FieldSpec("prime", 5), FieldSpec("rational")):
         interned = RATIONALS if field.p is None else gf(field.p)
+        assert field is interned
         assert all(twin is interned for twin in round_trips(field))
-    for value in (M, Q, T, F.one, RATIONALS.element("-2/3")):
+    poly = LambdaPoly((F.one, F.element(3)), F)
+    for value in (M, Q, T, F.one, RATIONALS.element("-2/3"), poly):
         for twin in round_trips(value):
             assert twin == value and hash(twin) == hash(value)
             assert twin.field is value.field

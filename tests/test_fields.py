@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cullis import FieldMismatch, RATIONALS, ZeroInverse, gf, jsonio
+from cullis import FieldMismatch, FieldSpec, RATIONALS, ZeroInverse, gf, jsonio
 from cullis.fields import MAX_EXPONENT, is_prime
 
 
@@ -28,10 +28,15 @@ def test_field_spec_equality_and_interning():
     assert gf(5) is gf(5)
     assert gf(5) == gf(5) and gf(5) != gf(7)
     assert RATIONALS != gf(5)
+    assert FieldSpec("prime", 5) is gf(5) and FieldSpec(kind="rational") is RATIONALS
     with pytest.raises(ValueError):
         gf(6)
     with pytest.raises(ValueError):
         gf(1)
+    # a rational field with a modulus, a float or bool modulus, a composite, an unknown kind
+    for args in (("rational", 5), ("prime", 5.0), ("prime", True), ("prime", 4), ("gfp", 5)):
+        with pytest.raises(ValueError):
+            FieldSpec(*args)
 
 
 def test_primality_check():
