@@ -33,7 +33,6 @@ def time_tree() -> dict:
     from cullis import LinearMapNK, gf, is_preserver
     from cullis import preserver
 
-    fill = getattr(preserver, "_filled_table", None) or preserver._build_det_table
     out = {}
     for n, k, p in CASES:
         T = LinearMapNK.identity_map(gf(p), n, k)
@@ -43,7 +42,7 @@ def time_tree() -> dict:
             t0 = perf_counter()
             is_preserver(T, "exhaustive")
             t1 = perf_counter()
-            fill.cache_clear()
+            preserver._filled_table.cache_clear()
             preserver._det_table(n, k, p)
             check.append(t1 - t0)
             table.append(perf_counter() - t1)

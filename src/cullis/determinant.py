@@ -15,16 +15,18 @@ runs whichever of two routes needs fewer multiplications, counted from
 
 * the row sweep (`sweep`), O(n k 2^k), for tall shapes: rows 1..n are placed
   in order, with one signed partial sum per set of used columns;
-* `matrix.eliminate`, the fraction-free (Bareiss) elimination that `rank`
-  also runs, exact on the integers and only for n = k and n = k + 1: on X,
-  or on det[X | 1] (Laplace along the ones column gives exactly the
+* `_elim`, the fraction-free (Bareiss) elimination `matrix.eliminate` that
+  `rank` also runs, exact on the integers and only for n = k and n = k + 1:
+  on X, or on det[X | 1] (Laplace along the ones column gives exactly the
   alternating minor sum).  Every shape with n >= k + 2 takes the sweep.
   `det` is also the square determinant for the rest of the package;
   `det_square`, elimination on scalars, only serves the `det_minorsum`
   oracle.
 
-Every budget check is `_guard`, against the caller's budget or else one of
-the three defaults below (`_guard_power` when the cost is p**e).
+`_cheaper(n, k)` hands back the kernel and its exact count; each call, or
+each scan of one shape, checks that count once, before any work, and the
+kernels check nothing.  Every budget check is `_guard`, against the caller's
+budget or else one of the three defaults below (`_guard_power` for p**e).
 
 The sweep's moves for a shape are a cached plan (`sweep_plan`) shared by every
 coefficient type: integers here, det(A + tB) packed into one integer in
@@ -113,12 +115,11 @@ def sweep_plan(n: int, k: int) -> tuple[tuple[tuple[int, int, int, int], ...], .
     return tuple(plan)
 
 
-def sweep(rows, k: int, budget: int | None = None) -> int:
+def sweep(rows, k: int) -> int:
     """Rectangular determinant of an integer matrix (a sequence of n rows of
-    k ints) by the row sweep, exactly; refuses past the budget before the
-    plan is built."""
+    k ints) by the row sweep, exactly.  Unchecked: callers check its count,
+    `sweep_count(n, k)`, through `det_int` or `_cheaper` first."""
     n = len(rows)
-    _guard(sweep_count(n, k), budget)
     val = [0] * (1 << k)
     val[0] = 1
     for row, moves in zip(rows, sweep_plan(n, k)):
@@ -137,42 +138,36 @@ def sweep(rows, k: int, budget: int | None = None) -> int:
 # -- elimination -----------------------------------------------------------------
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (rows are modified)."""
-    r, d = eliminate(m)
-    return d if r == len(m) else 0
+def _elim(rows, k: int) -> int:
+    """Rectangular determinant of an integer matrix with n <= k + 1 rows by
+    exact (Bareiss) elimination on X, or on [X | 1] at n = k + 1; unchecked."""
+    n = len(rows)
+    r, d = eliminate([list(row) + [1] * (n - k) for row in rows])
+    return d if r == n else 0
 
 
 def elim_count(n: int) -> int:
-    """Multiplications `_bareiss` makes on an n x n matrix with no zero
-    pivot, two per updated entry: 2 * (1**2 + ... + (n-1)**2)."""
+    """Multiplications `_elim` makes on n rows with no zero pivot, two per
+    updated entry: 2 * (1**2 + ... + (n-1)**2)."""
     return (n - 1) * n * (2 * n - 1) // 3
 
 
 @lru_cache(maxsize=256)
-def _cheaper(n: int, k: int) -> tuple[str, int]:
+def _cheaper(n: int, k: int):
+    """The kernel for an n x k input, `sweep` or `_elim` (n <= k + 1 only),
+    whichever makes fewer multiplications, and that exact count."""
     sweep_steps = sweep_count(n, k)
     if n <= k + 1 and elim_count(n) < sweep_steps:
-        return "elim", elim_count(n)
-    return "sweep", sweep_steps
-
-
-def route(n: int, k: int, budget: int | None = None) -> str:
-    """The route `det` takes on an n x k input, "sweep" or "elim", whichever
-    takes fewer multiplications (one per sweep move, `elim_count` for
-    elimination, which only n <= k + 1 can take); raises ResourceGuard when
-    that count exceeds the budget."""
-    name, steps = _cheaper(n, k)
-    _guard(steps, budget)
-    return name
+        return _elim, elim_count(n)
+    return sweep, sweep_steps
 
 
 def det_int(rows, k: int, budget: int | None = None) -> int:
-    """Exact rectangular determinant of an integer matrix given by its rows."""
-    n = len(rows)
-    if route(n, k, budget) == "sweep":
-        return sweep(rows, k, budget)
-    return _bareiss([list(r) + [1] * (n - k) for r in rows])
+    """Exact rectangular determinant of integer rows by `_cheaper`'s kernel,
+    refused (ResourceGuard) before any work when its count exceeds budget."""
+    kernel, steps = _cheaper(len(rows), k)
+    _guard(steps, budget)
+    return kernel(rows, k)
 
 
 def det_definition(X: RectMatrix, budget: int | None = None) -> Scalar:
@@ -303,11 +298,11 @@ def det(X: RectMatrix, budget: int | None = None) -> Scalar:
     returns the same value on the same input.
     """
     _require_tall(X)
-    steps = _cheaper(X.n, X.k)[1]
+    kernel, steps = _cheaper(X.n, X.k)
     _guard(steps, budget)  # refuse before converting anything
     (rows,), scale = raw_rows(X)
     _guard(steps * _entry_weight(rows, X.field.p), budget, what="entry-weighted steps")
-    return from_raw(X.field, det_int(rows, X.k, budget), scale)
+    return from_raw(X.field, kernel(rows, X.k), scale)
 
 
 def det_product_rhs(X: RectMatrix, Y: RectMatrix, budget: int | None = None) -> Scalar:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import perm
 
-from .determinant import (_entry_weight, _guard, _guard_power, _require_tall, det_int, sweep,
+from .determinant import (_cheaper, _entry_weight, _guard, _guard_power, _require_tall, sweep,
                           sweep_count)
 from .errors import FieldMismatch, ShapeError, ShapeMismatch
 from .fields import FieldSpec, Scalar, gf
@@ -63,7 +63,7 @@ def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> La
     which are read back as signed base-2**w digits.  The budget bounds the
     sweep's moves, as for `det`: once on their count, then, after
     `raw_rows`, on their count times ceil(b / 64) ** 2, b the bit length of
-    the largest packed entry.
+    the largest packed entry.  Every shape sweeps: elimination is slower.
     """
     if A.field != B.field:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
@@ -79,7 +79,7 @@ def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> La
     w = ((perm(n, k) << k) * top ** k).bit_length() + 1
     rows = [[a + (b << w) for a, b in zip(ra, rb)] for ra, rb in zip(arows, brows)]
     _guard(steps * _entry_weight(rows, None), budget, what="entry-weighted steps")
-    packed = sweep(rows, k, budget)
+    packed = sweep(rows, k)
     return LambdaPoly(tuple(from_raw(A.field, c, scale) for c in _digits(packed, w, k + 1)),
                       A.field)
 
@@ -105,11 +105,13 @@ def _first_basis_rows(cols: list[list[int]], n: int, m: int, p: int | None):
     any positions gives, by cofactor expansion along those columns, plus or
     minus exactly that determinant; repeated basis columns give zero.  The
     first nonzero completion in lexicographic order of basis assignments is
-    therefore R in increasing order.
+    therefore R in increasing order; one count check serves every subset.
     """
     rows = list(zip(*cols))
+    kernel, steps = _cheaper(n - m, len(cols))
+    _guard(steps, None)
     for R in combinations(range(n), m):
-        val = det_int([row for i, row in enumerate(rows) if i not in R], len(cols))
+        val = kernel([row for i, row in enumerate(rows) if i not in R], len(cols))
         if val % p if p else val:
             return R
     return None

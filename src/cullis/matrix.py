@@ -304,10 +304,10 @@ def submatrix_keep(A: RectMatrix, rows: Iterable[int], cols: Iterable[int]) -> R
 
 def submatrix_drop(A: RectMatrix, rows: Iterable[int], cols: Iterable[int]) -> RectMatrix:
     """A(rows|cols): strike out the listed rows and columns (either may be empty)."""
-    rows = _check_indices(rows, A.n, "row")
-    cols = _check_indices(cols, A.k, "column")
-    keep_r = [i for i in range(1, A.n + 1) if i not in set(rows)]
-    keep_c = [j for j in range(1, A.k + 1) if j not in set(cols)]
+    rows = set(_check_indices(rows, A.n, "row"))
+    cols = set(_check_indices(cols, A.k, "column"))
+    keep_r = [i for i in range(1, A.n + 1) if i not in rows]
+    keep_c = [j for j in range(1, A.k + 1) if j not in cols]
     if not keep_r or not keep_c:
         raise EmptyResult("cannot strike out every row or every column")
     return submatrix_keep(A, keep_r, keep_c)

@@ -188,21 +188,24 @@ def _rows(flat: list, width: int) -> list[list]:
 
 
 def _sign_weights(a: list[list[int]], b: list[list[int]], q: int, k: int, p: int | None):
-    """q * w_d = det(b) * det(a[:, d]) - sgn(d) * q for the column k-subsets
-    d of the n x n integer rows a, in lexicographic order, lazily (one
-    `det_int` of an n x k matrix per subset); residues over GF(p), integers
-    over QQ (p None).  For X -> A X B with A = a and det(B) = det(b) / q,
-    every w_d is 0 exactly when the map preserves det, and
-    D = sum_d w_d det(X_d).  q is a nonzero integer, also mod p, so q * w_d
-    is zero exactly when w_d is and no inverse of q is needed."""
+    """(d, q * w_d), q * w_d = det(b) * det(a[:, d]) - sgn(d) * q, for the
+    column k-subsets d of the n x n integer rows a, in lexicographic order,
+    lazily (one n x k determinant per subset, one count check for all);
+    residues over GF(p), integers over QQ (p None).  For X -> A X B with
+    A = a and det(B) = det(b) / q, every w_d is 0 exactly when the map
+    preserves det, and D = sum_d w_d det(X_d).  q is a nonzero integer, also
+    mod p, so q * w_d is zero exactly when w_d is; no inverse of q is needed."""
     db = det_int(b, k)
     if p:
         db %= p
     cols = list(zip(*a))
+    kernel, steps = _cheaper(len(a), k)
+    if db:
+        _guard(steps, None)
     for d in combinations(range(1, len(a) + 1), k):
-        x = det_int(list(zip(*(cols[c - 1] for c in d))), k) if db else 0
+        x = kernel(list(zip(*(cols[c - 1] for c in d))), k) if db else 0
         w = db * x - comb_mod.sgn_of_subset(d) * q
-        yield w % p if p else w
+        yield d, (w % p if p else w)
 
 
 def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
@@ -214,7 +217,7 @@ def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
     p = A.field.p
     a, sa = _cleared(A.values, p)
     b, sb = _cleared(B.values, p)
-    return not any(_sign_weights(_rows(a, n), _rows(b, k), (sa * sb) ** k, k, p))
+    return not any(w for _, w in _sign_weights(_rows(a, n), _rows(b, k), (sa * sb) ** k, k, p))
 
 
 def _kronecker(m: list[int], s: int, n: int, k: int, p: int | None):
@@ -359,8 +362,7 @@ def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverRepor
         return _sweep_report(T, budget)
     _guard(perm(n, k), budget, DEFAULT_TERM_GUARD, BudgetExceeded, f"terms of D at {n}x{k}")
     a, b, c = split
-    weights = _sign_weights(a, b, c ** k, k, p)
-    d = next((d for d, w in zip(combinations(range(1, n + 1), k), weights) if w), None)
+    d = next((d for d, w in _sign_weights(a, b, c ** k, k, p) if w), None)
     if d is None:
         return PreserverReport("preserves", "symbolic")
     return PreserverReport("violates", "symbolic", basis_selector(T.field, n, d))

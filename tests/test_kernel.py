@@ -16,6 +16,8 @@ from cullis import (
     RATIONALS,
     RectMatrix,
     ResourceGuard,
+    all_completions_vanish,
+    check_sign_condition,
     deg_witness,
     det,
     det_definition,
@@ -23,15 +25,18 @@ from cullis import (
     det_minorsum,
     enumerate_preservers,
     gf,
+    identity,
     is_preserver,
     lambda_coeffs,
     random_matrix,
     unvec,
 )
+from cullis import determinant, lambdapoly, preserver, sympoly
 from cullis.determinant import (
-    _bareiss,
+    _cheaper,
+    _elim,
+    det_int,
     elim_count,
-    route,
     sweep,
     sweep_count,
     sweep_plan,
@@ -90,7 +95,7 @@ def test_sweep_and_elimination_agree_on_integers(shape, rng):
     want = oracle_det(rows)
     assert sweep(rows, k) == want
     if n <= k + 1:
-        assert _bareiss([r + [1] * (n - k) for r in rows]) == want
+        assert _elim(rows, k) == want
 
 
 class Counted(int):
@@ -113,7 +118,7 @@ def test_elim_count_is_the_multiplications_of_elimination():
     for size in range(1, 11):
         m = [[Counted(rng.randrange(1, 10**6)) for _ in range(size)] for _ in range(size)]
         Counted.muls = 0
-        assert _bareiss(m) != 0
+        assert _elim(m, size) != 0
         assert Counted.muls == elim_count(size)
 
 
@@ -124,14 +129,14 @@ def test_plan_size_is_the_counted_size():
 
 
 def test_dispatcher_picks_elimination_near_square_and_the_sweep_when_tall():
-    assert route(8, 8) == "elim"
-    assert route(10, 9) == "elim"
-    assert route(12, 6) == "sweep"
-    assert route(11, 5) == "sweep"
-    assert route(6, 4) == "sweep"
+    assert _cheaper(8, 8) == (_elim, elim_count(8))
+    assert _cheaper(10, 9) == (_elim, elim_count(10))
+    assert _cheaper(12, 6) == (sweep, sweep_count(12, 6))
+    assert _cheaper(11, 5)[0] is sweep
+    assert _cheaper(6, 4)[0] is sweep
     assert (sweep_count(12, 6), elim_count(8), elim_count(10)) == (1344, 280, 570)
     # elimination is only for n <= k + 1, however wide the shape
-    assert route(13, 11) == "sweep" and route(14, 12) == "sweep"
+    assert _cheaper(13, 11)[0] is sweep and _cheaper(14, 12)[0] is sweep
 
 
 def test_det_budget_is_the_chosen_routes_exact_count():
@@ -154,6 +159,38 @@ def test_refused_det_builds_no_plan():
         det(X, budget=sweep_count(15, 7) - 1)
     assert sweep_plan.cache_info().misses == before
     assert sweep_plan.cache_info().maxsize is not None
+
+
+def test_each_call_checks_one_count_and_each_scan_one_shape(monkeypatch):
+    # every module that imports `_guard` calls the counting one; the kernels
+    # check nothing themselves
+    gates = []
+    real = determinant._guard
+
+    def counted(*args, **kwargs):
+        gates.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (determinant, lambdapoly, preserver, sympoly):
+        monkeypatch.setattr(module, "_guard", counted)
+
+    def count(call, *args):
+        gates.clear()
+        call(*args)
+        return len(gates)
+
+    rng = random.Random(5)
+    F, G = gf(10007), gf(5)
+    X = random_matrix(F, 12, 6, rng)
+    # det: the count before `raw_rows`, then the entry-weighted count
+    assert count(det, X) == 2 and gates == [1344, 1344]
+    assert count(det_int, raw(X), 6) == 1
+    assert count(lambda_coeffs, X, random_matrix(F, 12, 6, rng)) == 2
+    # det(b), then one check for all 15 column subsets of the 6x4 shape
+    assert count(check_sign_condition, identity(G, 6), identity(G, 4)) == 2
+    # 35 row subsets of one 4x2 shape
+    rank_one = RectMatrix.from_rows(G, [[i, 2 * i] for i in range(7)])
+    assert count(all_completions_vanish, rank_one, 5) == 1
 
 
 # -- det(A + tB) ---------------------------------------------------------------------
