@@ -6,7 +6,9 @@ sum over all injections sigma of [k] into [n] of
 sgn(sigma) * x[sigma(1),1] * ... * x[sigma(k),k].  It equals the alternating
 sum of maximal square minors and the Laplace expansion along any column.
 Those three defining routes (`det_definition`, `det_minorsum`, `det_laplace`)
-work on scalars and stay as independent test oracles and `--algo` choices.
+stay as independent test oracles and `--algo` choices.  Each reads X once
+through `raw_rows`, runs on plain integers and returns through `from_raw`:
+the conversion is all they share with `det`.
 
 The hot path is `det`.  It converts X to raw integers once
 (`matrix.raw_rows`: residues over GF(p), column-cleared integers over QQ) and
@@ -20,8 +22,8 @@ runs whichever of two routes needs fewer multiplications, counted from
   on X, or on det[X | 1] (Laplace along the ones column gives exactly the
   alternating minor sum).  Every shape with n >= k + 2 takes the sweep.
   `det` is also the square determinant for the rest of the package;
-  `det_square`, elimination on scalars, only serves the `det_minorsum`
-  oracle.
+  `det_square`, its own fraction-free elimination on integers, only serves
+  the `det_minorsum` oracle.
 
 `_cheaper(n, k)` hands back the kernel and its exact count; each call, or
 each scan of one shape, checks that count once, before any work, and the
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, perm
+from math import comb, perm, prod
 
 from .errors import (BudgetExceeded, FieldMismatch, IndexOutOfRange, ResourceGuard, ShapeError,
                      ShapeMismatch)
@@ -171,113 +173,114 @@ def det_int(rows, k: int, budget: int | None = None) -> int:
 
 
 def det_definition(X: RectMatrix, budget: int | None = None) -> Scalar:
-    """Signed sum over all n!/(n-k)! injections (the defining formula)."""
+    """Signed sum over all n!/(n-k)! injections (the defining formula), on
+    the raw rows: for each row k-subset, with its sign, every ordering of it
+    onto the k columns, with the sign of that ordering.  The k! orderings and
+    their signs are listed once."""
     from . import combinatorics as comb_mod  # oracle routes only: `det` never loads it
 
     _require_tall(X)
     n, k = X.n, X.k
     _guard(perm(n, k) * k, budget)
-    ent = X.entries
-    total = X.field.zero
-    for images in permutations(range(1, n + 1), k):
-        prod = X.field.one
-        for j, i in enumerate(images):
-            x = ent[(i - 1) * k + j]
-            if not x.value:
-                prod = None
-                break
-            prod = prod * x
-        if prod is None:
-            continue
-        s = comb_mod.perm_sign_of(images) * comb_mod.sgn_of_subset(sorted(images))
-        total = total + prod if s > 0 else total - prod
-    return total
+    (rows,), scale = raw_rows(X)
+    # an ordering as the flat indices, into the k x k block of the subset's
+    # rows, of the entries it multiplies; split by its sign
+    plus, minus = [], []
+    for order in permutations(range(k)):
+        at = tuple(i * k + j for j, i in enumerate(order))
+        (plus if comb_mod.perm_sign_of(order) > 0 else minus).append(at)
+    total = 0
+    for subset in combinations(range(1, n + 1), k):
+        get = [x for i in subset for x in rows[i - 1]].__getitem__
+        acc = sum(prod(map(get, at)) for at in plus) - sum(prod(map(get, at)) for at in minus)
+        total += acc if comb_mod.sgn_of_subset(subset) > 0 else -acc
+    return from_raw(X.field, total, scale)
 
 
 def det_laplace(X: RectMatrix, j: int = 1, budget: int | None = None) -> Scalar:
-    """Laplace expansion along column j, memoized on surviving index sets."""
+    """Laplace expansion along column j, then along the first remaining
+    column, on the raw rows, memoized on the surviving (rows, columns) index
+    sets; each memo entry is reduced mod p over GF(p)."""
     _require_tall(X)
     if not 1 <= j <= X.k:
         raise IndexOutOfRange(f"column {j} outside 1..{X.k}")
     n, k = X.n, X.k
     _guard(comb(n, k) * n * k, budget)
-    ent = X.entries
-    field = X.field
-    zero = field.zero
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], Scalar] = {}
+    (rows,), scale = raw_rows(X)
+    columns = list(zip(*rows))
+    p = X.field.p
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
-    def expand(rows: tuple[int, ...], cols: tuple[int, ...], along: int) -> Scalar:
-        # along: 0-based position within cols to expand on
+    def expand(live: tuple[int, ...], cols: tuple[int, ...], along: int) -> int:
+        # live: the surviving rows, 0-based like cols; along: the position
+        # within cols to expand on
         if len(cols) == 1:
-            c = cols[0]
-            acc = zero
-            for pos, r in enumerate(rows):
-                x = ent[(r - 1) * k + (c - 1)]
-                if x.value:
-                    acc = acc + x if pos % 2 == 0 else acc - x
-            return acc
-        key = (rows, cols)
+            get = columns[cols[0]].__getitem__
+            return sum(map(get, live[::2])) - sum(map(get, live[1::2]))
+        key = (live, cols)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        c = cols[along]
+        col = columns[cols[along]]
         rest = cols[:along] + cols[along + 1 :]
-        acc = zero
-        for pos, r in enumerate(rows):
-            x = ent[(r - 1) * k + (c - 1)]
-            if not x.value:
+        acc = 0
+        for pos, r in enumerate(live):
+            x = col[r]
+            if not x:
                 continue
-            minor = expand(rows[:pos] + rows[pos + 1 :], rest, 0)
-            term = x * minor
-            acc = acc + term if (pos + along) % 2 == 0 else acc - term
+            term = x * expand(live[:pos] + live[pos + 1 :], rest, 0)
+            if (pos + along) & 1:
+                acc -= term
+            else:
+                acc += term
+        if p:
+            acc %= p
         memo[key] = acc
         return acc
 
-    return expand(tuple(range(1, n + 1)), tuple(range(1, k + 1)), j - 1)
+    return from_raw(X.field, expand(tuple(range(n)), tuple(range(k)), j - 1), scale)
 
 
-def det_square(rows: list[list[Scalar]]) -> Scalar:
-    """Ordinary determinant of a square scalar array by Gaussian elimination,
-    for the `det_minorsum` oracle only (`det` serves every other caller)."""
-    m = [list(r) for r in rows]
+def det_square(rows) -> int:
+    """Ordinary determinant of a square integer array (a sequence of rows of
+    ints) by fraction-free (Bareiss) elimination, exactly.  For the
+    `det_minorsum` oracle only, and written out here rather than shared with
+    `det`'s kernels, so that the oracle stays independent of them."""
+    m = [list(row) for row in rows]
     size = len(m)
-    field = m[0][0].field
-    sign = 1
-    for c in range(size):
-        piv = next((i for i in range(c, size) if m[i][c].value), None)
+    sign, prev = 1, 1
+    for c in range(size - 1):
+        piv = next((i for i in range(c, size) if m[i][c]), None)
         if piv is None:
-            return field.zero
+            return 0
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
-        inv = m[c][c].inverse()
-        for i in range(c + 1, size):
-            if m[i][c].value:
-                f = m[i][c] * inv
-                for jj in range(c, size):
-                    m[i][jj] = m[i][jj] - f * m[c][jj]
-    prod = m[0][0]
-    for c in range(1, size):
-        prod = prod * m[c][c]
-    return prod if sign > 0 else -prod
+        top = m[c]
+        pc = top[c]
+        for row in m[c + 1 :]:
+            f = row[c]
+            for jj in range(c + 1, size):
+                row[jj] = (row[jj] * pc - f * top[jj]) // prev
+        prev = pc
+    return sign * m[-1][-1]
 
 
 def det_minorsum(X: RectMatrix, budget: int | None = None) -> Scalar:
-    """Alternating sum of maximal k-by-k minors over all row k-subsets."""
+    """Alternating sum of maximal k-by-k minors over all row k-subsets, each
+    minor by `det_square` on the raw rows."""
     from . import combinatorics as comb_mod
 
     _require_tall(X)
     n, k = X.n, X.k
     _guard(comb(n, k) * k ** 3, budget)
-    ent = X.entries
-    total = X.field.zero
-    for rows in combinations(range(1, n + 1), k):
-        minor = det_square([[ent[(r - 1) * k + j] for j in range(k)] for r in rows])
-        if not minor.value:
-            continue
-        s = comb_mod.sgn_of_subset(rows)
-        total = total + minor if s > 0 else total - minor
-    return total
+    (rows,), scale = raw_rows(X)
+    total = 0
+    for subset in combinations(range(1, n + 1), k):
+        minor = det_square([rows[i - 1] for i in subset])
+        if minor:
+            total += minor if comb_mod.sgn_of_subset(subset) > 0 else -minor
+    return from_raw(X.field, total, scale)
 
 
 def _entry_weight(rows, p: int | None) -> int:

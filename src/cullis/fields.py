@@ -239,7 +239,7 @@ class Scalar:
             raise ZeroInverse(f"zero has no inverse in {self.field}")
         f = self.field
         if f.kind == "prime":
-            return Scalar(pow(self.value, f.p - 2, f.p), f)
+            return Scalar(pow(self.value, -1, f.p), f)
         return Scalar(1 / self.value, f)
 
     def __truediv__(self, other):

@@ -16,13 +16,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # the exhaustive check against brute force on many drawn maps, the
-# radical's closed form per column against the determinant scan, and `det`
-# against the defining routes and the sweep against elimination, for CI on
-# every Python:
+# radical's closed form per column against the determinant scan, `det`
+# against the defining routes, the sweep against elimination, and the
+# defining routes and their integer `det_square` against the oracles, for CI
+# on every Python:
 #   pytest --hypothesis-profile exhaustive tests/test_exhaustive.py::test_exhaustive_equals_brute_force_on_drawn_maps
 #   pytest --hypothesis-profile exhaustive tests/test_lambdapoly.py::test_one_column_scan_equals_determinants
 #   pytest --hypothesis-profile exhaustive tests/test_kernel.py::test_det_equals_every_defining_route_and_the_oracle
 #   (and ::test_sweep_and_elimination_agree_on_integers)
+#   pytest --hypothesis-profile exhaustive tests/test_determinant.py::test_det_square_equals_the_leibniz_sum
+#   (and ::test_each_route_equals_the_oracle_with_the_fields_value_type)
 settings.register_profile(
     "exhaustive",
     max_examples=500,

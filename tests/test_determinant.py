@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import product
+from math import comb, perm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cullis import (
     RATIONALS,
@@ -22,7 +26,8 @@ from cullis import (
     semicyclic_shift,
     zeros,
 )
-from oracles import oracle_det
+from cullis.determinant import det_square
+from oracles import oracle_det, oracle_square_det
 
 Q = RATIONALS
 
@@ -214,3 +219,68 @@ def test_det_budget_charges_entry_size():
     # the route is still chosen on the unweighted count
     X = random_matrix(Q, 12, 6, random.Random(3))
     assert det(X) == det_laplace(X)
+
+
+# -- the defining routes on raw integers, differentially ---------------------------
+
+
+@st.composite
+def square_int_rows(draw):
+    """A square integer array up to 6x6 with entries up to 2**200 in size,
+    often with zeros on the leading diagonal so that pivots must be sought."""
+    size = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200))
+    rows = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    for i in range(draw(st.integers(0, size))):
+        rows[i][i] = 0
+    return rows
+
+
+@given(square_int_rows())
+def test_det_square_equals_the_leibniz_sum(rows):
+    copy = [list(row) for row in rows]
+    got = det_square(rows)
+    assert type(got) is int and got == oracle_square_det(rows)
+    assert rows == copy  # the input is left as it was
+
+
+ROUTE_FIELDS = (gf(2), gf(3), gf(2 ** 127 - 1), Q)
+
+
+@st.composite
+def route_matrices(draw):
+    """A tall matrix up to 6x4 over GF(2), GF(3) (so p <= k happens),
+    GF(2**127 - 1) or QQ with denominators up to 10**6."""
+    field = draw(st.sampled_from(ROUTE_FIELDS))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 4)))
+    if field.p:
+        entry = st.one_of(st.just(0), st.integers(0, field.p - 1))
+    else:
+        entry = st.one_of(st.just(Fraction(0)), st.builds(
+            Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    return RectMatrix.from_rows(field, rows)
+
+
+@given(route_matrices())
+def test_each_route_equals_the_oracle_with_the_fields_value_type(X):
+    want = oracle_det([list(X.values[i * X.k:(i + 1) * X.k]) for i in range(X.n)], X.field.p)
+    kind = int if X.field.p else Fraction
+    got = [det_definition(X), det_minorsum(X)]
+    got += [det_laplace(X, j) for j in range(1, X.k + 1)]
+    for d in got:
+        assert d.field is X.field and type(d.value) is kind and d.value == want
+
+
+def test_routes_refuse_at_their_counts_with_the_same_message():
+    X = random_matrix(gf(7), 7, 4, random.Random(11))
+    n, k = X.n, X.k
+    for route, count in ((det_definition, perm(n, k) * k),
+                         (lambda X, budget: det_laplace(X, 2, budget), comb(n, k) * n * k),
+                         (det_minorsum, comb(n, k) * k ** 3)):
+        with pytest.raises(ResourceGuard) as refused:
+            route(X, budget=count - 1)
+        assert str(refused.value) == f"{count} elementary steps exceed budget {count - 1}"
+        assert route(X, budget=count) == det(X)

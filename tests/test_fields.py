@@ -24,6 +24,18 @@ def test_zero_has_no_inverse():
         RATIONALS.element(0).inverse()
 
 
+@given(st.sampled_from((2, 5, 2 ** 127 - 1)).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, p - 1))))
+def test_inverse_times_itself_is_one(case):
+    p, x = case
+    F = gf(p)
+    inv = F.element(x).inverse()
+    assert type(inv.value) is int and 0 < inv.value < p
+    assert F.element(x) * inv == F.one
+    with pytest.raises(ZeroInverse):
+        F.element(p).inverse()  # p reduces to zero
+
+
 def test_field_spec_equality_and_interning():
     assert gf(5) is gf(5)
     assert gf(5) == gf(5) and gf(5) != gf(7)

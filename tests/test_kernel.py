@@ -1,10 +1,14 @@
 """The row-sweep kernel and raw elimination behind `det`, `lambda_coeffs`,
 the degree sweeps and the exhaustive tables, checked against the defining
-routes and the package-free oracles."""
+routes and the package-free oracles; the defining routes' own work, counted."""
 
+import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb, perm
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -31,7 +35,7 @@ from cullis import (
     random_matrix,
     unvec,
 )
-from cullis import determinant, lambdapoly, preserver, sympoly
+from cullis import determinant, fields, lambdapoly, preserver, sympoly
 from cullis.determinant import (
     _cheaper,
     _elim,
@@ -191,6 +195,74 @@ def test_each_call_checks_one_count_and_each_scan_one_shape(monkeypatch):
     # 35 row subsets of one 4x2 shape
     rank_one = RectMatrix.from_rows(G, [[i, 2 * i] for i in range(7)])
     assert count(all_completions_vanish, rank_one, 5) == 1
+
+
+# -- the defining routes' work --------------------------------------------------------
+
+
+ROUTES = {"definition": det_definition, "laplace": det_laplace, "minorsum": det_minorsum}
+
+
+def scalars_built(monkeypatch, call, *args):
+    """The `Scalar`s built while call(*args) runs."""
+    built = []
+    init = fields.Scalar.__init__
+
+    def counting(self, *a):
+        built.append(1)
+        init(self, *a)
+
+    with monkeypatch.context() as m:
+        m.setattr(fields.Scalar, "__init__", counting)
+        call(*args)
+    return len(built)
+
+
+def memo_size(X):
+    """The entries in `det_laplace`'s memo (along column 1) when it returns."""
+    sizes = []
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code is det_laplace.__code__:
+            sizes.append(len(frame.f_locals["memo"]))
+
+    sys.setprofile(watch)
+    try:
+        det_laplace(X)
+    finally:
+        sys.setprofile(None)
+    return sizes[0]
+
+
+def test_defining_routes_build_only_their_result(monkeypatch):
+    # the routes run on raw integers: the one Scalar is the result, not one
+    # per arithmetic step
+    rng = random.Random(12)
+    for field in (Q, gf(7)):
+        X = random_matrix(field, 6, 4, rng)
+        for route in ROUTES.values():
+            assert scalars_built(monkeypatch, route, X) == 1
+
+
+def test_bench_oracle_counts_are_recounted(monkeypatch):
+    # BENCH_oracles.json's times are for reading only; its counts are
+    # recounted here on the same matrices, drawn from a seed named after the
+    # case: every injection and every row k-subset once per matrix, the
+    # Laplace memo read when the route returns, and the Scalars built
+    bench = json.loads((Path(__file__).parents[1] / "BENCH_oracles.json").read_text())
+    draws = bench["draws"]
+    assert len(bench["cases"]) == 12
+    for case in bench["cases"]:
+        n, k, label = case["n"], case["k"], case["field"]
+        field = Q if label == "QQ" else gf(int(label[3:-1]))
+        rng = random.Random(f"{n}x{k}/{label}")
+        mats = [random_matrix(field, n, k, rng) for _ in range(draws)]
+        assert case["injections"] == draws * perm(n, k)
+        assert case["minors"] == draws * comb(n, k)
+        assert case["laplace_memo_entries"] == sum(memo_size(X) for X in mats)
+        assert case["scalars_after"] == {
+            name: sum(scalars_built(monkeypatch, route, X) for X in mats)
+            for name, route in ROUTES.items()}
 
 
 # -- det(A + tB) ---------------------------------------------------------------------
