@@ -3,11 +3,13 @@
     python bench/census.py --before OLD/src --after src > BENCH_census.json
 
 Times `enumerate_preservers` on small shapes, `radical_enumerate`, and
-`in_radical` of the 6x3 all-ones matrix over GF(5), in fresh child processes
-that alternate between the two source trees.  Each of the CHILDREN children
-per tree runs every case REPS times and reports the median; the file holds
-the median over the children.  The two large censuses, (3,2,2) and (2,2,5),
-run once per tree, in one child each.  The counts (maps per census, members
+`in_radical` of the 6x3 all-ones matrix over GF(5), in fresh child processes,
+one pair per round, one child per source tree; the tree whose child runs
+first alternates from pair to pair.  Each of the CHILDREN children per tree
+runs every case REPS times and reports the median; the file holds the
+median over the children.  The two large censuses, (3,2,2) and (2,2,5),
+run once per tree, in one more pair of children, whose order continues the
+alternation.  The counts (maps per census, members
 per radical, the `in_radical` verdict) are what the children return; both
 trees must agree on them, and tests check them against closed forms.
 """
@@ -73,6 +75,12 @@ def child(tree: str, large: bool) -> list:
     return json.loads(proc.stdout)
 
 
+def sides(pair: int) -> tuple[str, str]:
+    """The two trees in the order pair number `pair` runs them: the tree
+    that goes first alternates from pair to pair."""
+    return ("before", "after") if pair % 2 == 0 else ("after", "before")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", help="src directory of the old tree")
@@ -84,10 +92,10 @@ def main() -> int:
         print(json.dumps(time_tree(args.time == "large")))
         return 0
     runs: dict[str, list] = {"before": [], "after": []}
-    for _ in range(CHILDREN):
-        for side in ("before", "after"):
+    for pair in range(CHILDREN):
+        for side in sides(pair):
             runs[side].append(child(getattr(args, side), False))
-    large = {side: [child(getattr(args, side), True)] for side in ("before", "after")}
+    large = {side: [child(getattr(args, side), True)] for side in sides(CHILDREN)}
     rows = []
     for group in (runs, large):
         for i, (case, n, k, p, _, count) in enumerate(group["after"][0]):

@@ -5,9 +5,10 @@
 Times `det_definition`, `det_laplace` (along column 1) and `det_minorsum` on
 DRAWS matrices of each shape of the `determinant-algorithm-agreement` check,
 over GF(5), GF(7) and QQ, and that whole check as `verify-paper --seed 0`
-runs it, in fresh child processes that alternate between the two source
-trees.  Each of the CHILDREN children per tree runs every case REPS times
-and reports the median; the file holds the median over the children.
+runs it, in fresh child processes, one pair per round, one child per
+source tree; the tree whose child runs first alternates from pair to pair.
+Each of the CHILDREN children per tree runs every case REPS times and
+reports the median; the file holds the median over the children.
 
 The counts are per case, summed over its DRAWS matrices: the injections
 `det_definition` visits, the minors `det_minorsum` takes, the entries the
@@ -130,6 +131,12 @@ def counts(n: int, k: int, label: str) -> dict:
             "laplace_memo_entries": sum(memo_entries(X) for X in mats)}
 
 
+def sides(pair: int) -> tuple[str, str]:
+    """The two trees in the order pair number `pair` runs them: the tree
+    that goes first alternates from pair to pair."""
+    return ("before", "after") if pair % 2 == 0 else ("after", "before")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", help="src directory of the old tree")
@@ -140,8 +147,8 @@ def main() -> int:
         print(json.dumps(time_tree()))
         return 0
     runs: dict[str, list] = {"before": [], "after": []}
-    for _ in range(CHILDREN):
-        for side in ("before", "after"):
+    for pair in range(CHILDREN):
+        for side in sides(pair):
             env = dict(os.environ, PYTHONPATH=os.path.abspath(getattr(args, side)))
             proc = subprocess.run([sys.executable, __file__, "--time", "1"],
                                   env=env, capture_output=True, text=True, check=True)

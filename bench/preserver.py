@@ -4,8 +4,9 @@
 
 Times `is_preserver(identity, "exhaustive")` (every input is swept, the det
 table already built) and a cold fill of the det table, for each case, in
-fresh child processes that alternate between the two source trees.  Each of
-the CHILDREN children per tree runs every case REPS times and reports the
+fresh child processes, one pair per round, one child per source tree; the
+tree whose child runs first alternates from pair to pair.  Each of the
+CHILDREN children per tree runs every case REPS times and reports the
 median; the file holds the median over the children.  The counts (inputs
 swept, blocks, lane products per block) are read off the `--after` tree:
 they follow from `sweep_plan` and the block rule alone, so tests can gate
@@ -61,6 +62,12 @@ def counts(n: int, k: int, p: int) -> dict:
                                            for src, *_ in moves if src)}
 
 
+def sides(pair: int) -> tuple[str, str]:
+    """The two trees in the order pair number `pair` runs them: the tree
+    that goes first alternates from pair to pair."""
+    return ("before", "after") if pair % 2 == 0 else ("after", "before")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", help="src directory of the old tree")
@@ -71,8 +78,8 @@ def main() -> int:
         print(json.dumps(time_tree()))
         return 0
     runs: dict[str, list] = {"before": [], "after": []}
-    for _ in range(CHILDREN):
-        for side in ("before", "after"):
+    for pair in range(CHILDREN):
+        for side in sides(pair):
             env = dict(os.environ, PYTHONPATH=os.path.abspath(getattr(args, side)))
             proc = subprocess.run([sys.executable, __file__, "--time", "1"],
                                   env=env, capture_output=True, text=True, check=True)

@@ -309,8 +309,8 @@ def det(X: RectMatrix, budget: int | None = None) -> Scalar:
 
 
 def det_product_rhs(X: RectMatrix, Y: RectMatrix, budget: int | None = None) -> Scalar:
-    """Expansion of det(X @ Y) as sum over column l-subsets d of X of
-    det(X restricted to columns d) * det(rows d of Y)."""
+    """Expansion of det(X @ Y) as sum over column l-subsets d of X of the raw
+    values det(X restricted to columns d) * det(rows d of Y)."""
     if X.field != Y.field:
         raise FieldMismatch(f"{X.field!r} vs {Y.field!r}")
     n, k, l = X.n, X.k, Y.k
@@ -318,21 +318,19 @@ def det_product_rhs(X: RectMatrix, Y: RectMatrix, budget: int | None = None) -> 
         raise ShapeMismatch(f"{n}x{k} times {Y.n}x{l}")
     if not (1 <= l <= k <= n):
         raise ShapeError(f"need 1 <= {l} <= {k} <= {n}")
-    total = X.field.zero
+    total = 0
     all_rows = range(1, n + 1)
     for d in combinations(range(1, k + 1), l):
-        yd = det(submatrix_keep(Y, d, range(1, l + 1)))
-        if not yd.value:
-            continue
-        xd = det(submatrix_keep(X, all_rows, d), budget)
-        total = total + xd * yd
-    return total
+        yd = det(submatrix_keep(Y, d, range(1, l + 1))).value
+        if yd:
+            total += det(submatrix_keep(X, all_rows, d), budget).value * yd
+    return X.field.element(total)
 
 
 def semicyclic_shift(X: RectMatrix, i: int) -> RectMatrix:
-    """Rows i..n followed by the negated rows 1..i-1 (same column order)."""
+    """Rows i..n followed by the negated rows 1..i-1 (same column order): a
+    slice of the raw values and a negated slice."""
     if not 1 <= i <= X.n:
         raise IndexOutOfRange(f"row {i} outside 1..{X.n}")
-    rows = [X.row(r) for r in range(i, X.n + 1)]
-    rows += [[-v for v in X.row(r)] for r in range(1, i)]
-    return RectMatrix.from_rows(X.field, rows)
+    cut = (i - 1) * X.k
+    return X._like(X.values[cut:] + tuple(-x for x in X.values[:cut]))

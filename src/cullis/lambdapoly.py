@@ -47,11 +47,12 @@ class LambdaPoly(Record):
         return 0
 
     def evaluate(self, lam) -> Scalar:
-        lam = self.field.element(lam)
-        acc = self.field.zero
+        """The value at lam, by Horner's rule on the raw values."""
+        (lam,) = self.field.raw_values((lam,))
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * lam + c
-        return acc
+            acc = acc * lam + c.value
+        return self.field.element(acc)
 
 
 def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> LambdaPoly:
@@ -230,37 +231,40 @@ def _det2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _rows2(X: RectMatrix) -> list:
+def _rows2(X: RectMatrix, ok: bool, need: str) -> tuple[list[tuple], tuple]:
+    """The rows of a two-column X as pairs of raw values, and row1 - row2;
+    ShapeError unless ok, the argument range its constructor accepts."""
     if X.k != 2:
         raise ShapeError(f"expected two columns, got {X.k}")
-    return X.rows()
+    if not ok:
+        raise ShapeError(f"need {need}")
+    r = list(zip(X.values[::2], X.values[1::2]))
+    return r, (r[0][0] - r[1][0], r[0][1] - r[1][1])
 
 
 def diffdiff_rhs(X: RectMatrix, l: int) -> Scalar:
-    """det2 of (row1 - row2) against (row l - row l+1)."""
-    r = _rows2(X)
-    u = [r[0][0] - r[1][0], r[0][1] - r[1][1]]
-    v = [r[l - 1][0] - r[l][0], r[l - 1][1] - r[l][1]]
-    return _det2(u, v)
+    """det2 of (row1 - row2) against (row l - row l+1), for 2 < l < n."""
+    r, u = _rows2(X, 2 < l < X.n, f"2 < l < n, got l={l}")
+    return X.field.element(_det2(u, (r[l - 1][0] - r[l][0], r[l - 1][1] - r[l][1])))
 
 
 def diffsum_rhs(X: RectMatrix, k: int) -> Scalar:
-    """Alternating sum over l = 3..n-k+3 of det2 of (row1 - row2) against row l."""
-    r = _rows2(X)
-    u = [r[0][0] - r[1][0], r[0][1] - r[1][1]]
-    return sum((-1) ** l * _det2(u, r[l - 1]) for l in range(3, len(r) - k + 4))
+    """Alternating sum over l = 3..n-k+3 of det2 of (row1 - row2) against
+    row l, for 3 <= k <= n."""
+    r, u = _rows2(X, X.n >= k >= 3, f"n >= k >= 3, got n={X.n}, k={k}")
+    return X.field.element(sum((-1) ** l * _det2(u, r[l - 1]) for l in range(3, X.n - k + 4)))
 
 
 def plainsum_rhs(X: RectMatrix, k: int) -> Scalar:
     """The truncated two-column determinant expansion on rows 1..n-k+2:
-    det2(r1, r2) plus signed cross terms against and among rows 3..n-k+2."""
-    r = _rows2(X)
-    m = len(r) - k + 2
-    u = [r[0][0] - r[1][0], r[0][1] - r[1][1]]
-    return (_det2(r[0], r[1])
-            + sum((-1) ** l * _det2(u, r[l - 1]) for l in range(3, m + 1))
-            - sum((-1) ** (l + mm) * _det2(r[l - 1], r[mm - 1])
-                  for l in range(3, m + 1) for mm in range(l + 1, m + 1)))
+    det2(r1, r2) plus signed cross terms against and among rows 3..n-k+2,
+    for 2 <= k <= n."""
+    r, u = _rows2(X, X.n >= k >= 2, f"n >= k >= 2, got n={X.n}, k={k}")
+    m = X.n - k + 2
+    return X.field.element(_det2(r[0], r[1])
+                           + sum((-1) ** l * _det2(u, r[l - 1]) for l in range(3, m + 1))
+                           - sum((-1) ** (l + mm) * _det2(r[l - 1], r[mm - 1])
+                                 for l in range(3, m + 1) for mm in range(l + 1, m + 1)))
 
 
 def _pattern(field: FieldSpec, n: int, cols: list[list[int]], sign: int) -> RectMatrix:

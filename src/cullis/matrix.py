@@ -7,8 +7,11 @@ over QQ).  `values` is public.  `entries`, `entry`, `row`, `column` and
 `rows` wrap these values as `Scalar`s when called, for callers that want
 field elements.  The public constructor takes Scalars and checks them;
 `from_rows` and the JSON reader coerce plain values in one pass
-(`FieldSpec.raw_values`), and the kernels build their results with the
-trusted constructor `RectMatrix._of`, so no Scalar is made inside a kernel.
+(`FieldSpec.raw_values`), and every function that returns a matrix builds
+it from raw values with the trusted constructor `RectMatrix._of`.  A
+`Scalar` is built only at the API boundary: by those accessors (and
+`columns` and `vec`), by `from_raw` and `FieldSpec.element` for a scalar
+result or argument, by `Scalar`'s own arithmetic, and in `verify`'s checks.
 
 All public indices are 1-based.  Row and column selections follow the
 keep/drop convention: `submatrix_keep` retains the listed indices in

@@ -53,7 +53,7 @@ from .errors import (
     ShapeError,
     ShapeMismatch,
 )
-from .fields import FieldSpec, Scalar, gf
+from .fields import FieldSpec, gf
 from .matrix import (
     RectMatrix,
     _check_shape,
@@ -416,20 +416,17 @@ def is_preserver(
 def s_shift_apply(X: RectMatrix, i: int, j: int) -> RectMatrix:
     """Semi-cyclic shift with sign corrections, applied directly to X:
     rows i..n then negated rows 1..i-1, columns 1 and j exchanged, the new
-    first column negated unless j = 1, everything scaled by (-1)**(n-i)."""
-    n = X.n
+    first column negated unless j = 1, everything scaled by (-1)**(n-i).
+    The exchange and the signs act on `semicyclic_shift`'s raw values."""
+    n, k = X.n, X.k
     if not 1 <= i <= n:
         raise ShapeError(f"row {i} outside 1..{n}")
-    if not 1 <= j <= X.k:
-        raise ShapeError(f"column {j} outside 1..{X.k}")
-    rows = semicyclic_shift(X, i).rows()
+    if not 1 <= j <= k:
+        raise ShapeError(f"column {j} outside 1..{k}")
+    values = list(semicyclic_shift(X, i).values)
     if j != 1:
-        for r in rows:
-            r[0], r[j - 1] = r[j - 1], r[0]
-            r[0] = -r[0]
-    if (n - i) & 1:
-        rows = [[-v for v in r] for r in rows]
-    return RectMatrix.from_rows(X.field, rows)
+        values[::k], values[j - 1::k] = [-x for x in values[j - 1::k]], values[::k]
+    return X._like(values if (n - i) % 2 == 0 else [-x for x in values])
 
 
 def make_s_shift(n: int, k: int, i: int, j: int, field: FieldSpec) -> LinearMapNK:
@@ -458,29 +455,20 @@ def make_s_shift(n: int, k: int, i: int, j: int, field: FieldSpec) -> LinearMapN
     return LinearMapNK(n, k, _units(field, nk, nk, *signed))
 
 
-def _corner_sums(X: RectMatrix) -> Scalar:
-    """S1 + (-1)**n * S2 with S1, S2 the alternating sums of the inner rows
-    of the two columns; the parity twist keeps the rewrite identity exact for
-    odd row counts as well."""
-    s1, s2 = (sum(((-1) ** r * X.entry(r, j) for r in range(2, X.n)), X.field.zero)
-              for j in (1, 2))
-    return s1 + s2 if X.n % 2 == 0 else s1 - s2
-
-
 def detn2_partner(X: RectMatrix) -> RectMatrix:
     """The corner-swapped partner of a two-column matrix: replaces the (1,1)
     entry by D + x[n,2] and the (n,2) entry by -D + x[1,1], where D is the
-    signed corner sum; has the same determinant as X."""
+    signed corner sum S1 + (-1)**n * S2 of the raw alternating sums of the
+    inner rows of the two columns (the parity twist keeps the identity exact
+    for odd n); has the same determinant as X."""
     if X.k != 2:
         raise ShapeError(f"expected two columns, got {X.k}")
     if X.n < 2:
         raise ShapeError("need at least two rows")
-    n = X.n
-    d = _corner_sums(X)
-    rows = X.rows()
-    rows[0] = [d + X.entry(n, 2), X.entry(1, 2)]
-    rows[n - 1] = [X.entry(n, 1), -d + X.entry(1, 1)]
-    return RectMatrix.from_rows(X.field, rows)
+    v = X.values
+    s1, s2 = (sum(inner[::2]) - sum(inner[1::2]) for inner in (v[2:-2:2], v[3:-2:2]))
+    d = s1 - s2 if X.n & 1 else s1 + s2
+    return X._like((d + v[-1], *v[1:-1], v[0] - d))
 
 
 def make_k2_counterexample(n: int, field: FieldSpec) -> LinearMapNK:

@@ -498,6 +498,22 @@ def test_cli_verify_paper_golden_digest(seed):
     assert digest == VERIFY_PAPER_DIGESTS[seed]
 
 
+# the filtered tables that perfbench's cli-batch workload runs, at seed 5
+FILTERED_VERIFY_PAPER_DIGESTS = {
+    "--p 7": "c30c7f4dfc4e19781c41941af9a5edf295bd5c6bc105c5dea5d0ad950801d6d3",
+    "--shapes 6x2": "4f700bfb57b7719085e787157b7839685d89e9bde1ec1ac51926616f84d16a4b",
+    "--shapes 3x2 --p 3,5": "f7de69c9995a20daa954f273839ad4e2915bd20988affc36c1bdb92594a16fed",
+}
+
+
+@pytest.mark.parametrize("filters", sorted(FILTERED_VERIFY_PAPER_DIGESTS))
+def test_cli_verify_paper_filtered_digest(filters):
+    proc = run_cli("verify-paper", "--seed", "5", *filters.split())
+    assert proc.returncode == 0
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == FILTERED_VERIFY_PAPER_DIGESTS[filters]
+
+
 def test_failing_report_digest(monkeypatch):
     # every row of the seed-0 table passes, so its digest cannot see the order
     # in which checks draw; this pins a report whose witnesses are those draws

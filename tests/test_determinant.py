@@ -160,15 +160,16 @@ def test_right_multiplication_scaling():
 
 def test_semicyclic_invariance():
     rng = random.Random(8)
-    for (n, k) in [(4, 2), (5, 3), (6, 2)]:
-        for _ in range(8):
-            X = random_matrix(gf(7), n, k, rng)
-            base = det(X)
-            for i in range(1, n + 1):
-                v = det(semicyclic_shift(X, i))
-                if ((n - i) * k) % 2:
-                    v = -v
-                assert v == base
+    for field in (gf(7), Q, gf(2), gf(2 ** 127 - 1)):
+        for (n, k) in [(4, 2), (5, 3), (6, 2)]:
+            for _ in range(8):
+                X = random_matrix(field, n, k, rng)
+                base = det(X)
+                for i in range(1, n + 1):
+                    v = det(semicyclic_shift(X, i))
+                    if ((n - i) * k) % 2:
+                        v = -v
+                    assert v == base
 
 
 def test_ones_column_parity():

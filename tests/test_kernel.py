@@ -27,12 +27,22 @@ from cullis import (
     det_definition,
     det_laplace,
     det_minorsum,
+    det_product_rhs,
+    detn2_partner,
     enumerate_preservers,
     gf,
+    hjoin,
     identity,
     is_preserver,
     lambda_coeffs,
+    make_b_diffdiff,
+    make_b_diffsum,
+    make_b_plainsum,
+    make_k2_counterexample,
+    make_s_shift,
     random_matrix,
+    s_shift_apply,
+    semicyclic_shift,
     unvec,
 )
 from cullis import determinant, fields, lambdapoly, preserver, sympoly
@@ -46,6 +56,7 @@ from cullis.determinant import (
     sweep_plan,
 )
 from cullis import lanes
+from cullis.lambdapoly import diffdiff_rhs, diffsum_rhs, plainsum_rhs
 from cullis.preserver import _det_table, _filled_table
 from oracles import oracle_det
 
@@ -242,6 +253,55 @@ def test_defining_routes_build_only_their_result(monkeypatch):
         X = random_matrix(field, 6, 4, rng)
         for route in ROUTES.values():
             assert scalars_built(monkeypatch, route, X) == 1
+
+
+SCALAR_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__neg__", "__truediv__", "inverse")
+
+
+@pytest.mark.parametrize("field", [gf(5), Q], ids=str)
+def test_shift_corner_swap_and_completion_helpers_take_no_scalar_arithmetic(monkeypatch, field):
+    # the semi-cyclic shifts, the corner swap, the completion identities,
+    # Horner and the product expansion run on raw values: with Scalar
+    # arithmetic raising, each gives the value of an independent
+    # construction and builds no Scalar (matrix results), its result, or
+    # its det results and its result (det_product_rhs)
+    rng = random.Random(13)
+    n = 6
+    X, B = random_matrix(field, n, 4, rng), random_matrix(field, n, 4, rng)
+    Y, Z = random_matrix(field, 4, 3, rng), random_matrix(field, n, 2, rng)
+    poly, lam = lambda_coeffs(X, B), field.element(3)
+    rows = X.rows()
+    dets = []
+
+    def counted_det(*args, **kwargs):
+        dets.append(1)
+        return det(*args, **kwargs)
+
+    cases = [  # (call, args, the value it must give, the Scalars it builds besides det's)
+        (semicyclic_shift, (X, 3),
+         RectMatrix.from_rows(field, rows[2:] + [[-v for v in r] for r in rows[:2]]), 0),
+        (s_shift_apply, (X, 3, 2), make_s_shift(n, 4, 3, 2, field).apply(X), 0),
+        (s_shift_apply, (X, 2, 1), make_s_shift(n, 4, 2, 1, field).apply(X), 0),
+        (detn2_partner, (Z,), make_k2_counterexample(n, field).apply(Z), 0),
+        (diffdiff_rhs, (Z, 3), det(hjoin(Z, make_b_diffdiff(n, 5, 3, field))), 1),
+        (diffsum_rhs, (Z, 4), det(hjoin(Z, make_b_diffsum(n, 4, field))), 1),
+        (plainsum_rhs, (Z, 4), det(hjoin(Z, make_b_plainsum(n, 4, field))), 1),
+        (poly.evaluate, (lam,), det(X + B.scale(lam)), 1),
+        (poly.evaluate, (3,), det(X + B.scale(lam)), 1),
+        (det_product_rhs, (X, Y), det(X @ Y), 1),
+    ]
+    with monkeypatch.context() as m:
+        for name in SCALAR_ARITHMETIC:
+            m.setattr(fields.Scalar, name, lambda *a, name=name: pytest.fail(f"Scalar.{name}"))
+        m.setattr(determinant, "det", counted_det)
+        for call, args, want, extra in cases:
+            got = []
+            dets.clear()
+            built = scalars_built(monkeypatch, lambda: got.append(call(*args)))
+            assert got == [want], call.__name__
+            assert built == len(dets) + extra, call.__name__
+    assert dets  # det_product_rhs went through the counted det
 
 
 def test_bench_oracle_counts_are_recounted(monkeypatch):

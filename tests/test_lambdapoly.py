@@ -31,6 +31,8 @@ from cullis.determinant import det_int, sweep_count
 from cullis.lambdapoly import diffdiff_rhs, diffsum_rhs, plainsum_rhs
 
 Q = RATIONALS
+# the completion identities hold over every field; GF(2) has -1 = 1
+IDENTITY_FIELDS = (gf(7), Q, gf(2), gf(2 ** 127 - 1))
 
 
 def mat(rows, field=Q):
@@ -246,14 +248,14 @@ def admissible_diffdiff(max_n):
 
 
 def test_diffdiff_identity():
-    F = gf(7)
     rng = random.Random(25)
-    for (n, k, l) in [(6, 4, 3), (6, 4, 5), (7, 5, 4), (4, 4, 3), (8, 6, 3)]:
-        B = make_b_diffdiff(n, k, l, F)
-        assert (B.n, B.k) == (n, k - 2)
-        for _ in range(25):
-            X = random_matrix(F, n, 2, rng)
-            assert det(hjoin(X, B)) == diffdiff_rhs(X, l)
+    for F in IDENTITY_FIELDS:
+        for (n, k, l) in [(6, 4, 3), (6, 4, 5), (7, 5, 4), (4, 4, 3), (8, 6, 3)]:
+            B = make_b_diffdiff(n, k, l, F)
+            assert (B.n, B.k) == (n, k - 2)
+            for _ in range(25):
+                X = random_matrix(F, n, 2, rng)
+                assert det(hjoin(X, B)) == diffdiff_rhs(X, l)
 
 
 def test_diffdiff_degenerate_inputs():
@@ -273,15 +275,15 @@ def test_diffdiff_degenerate_inputs():
 
 
 def test_diffsum_identity():
-    F = gf(7)
     rng = random.Random(27)
-    for (n, k) in [(6, 4), (5, 3), (3, 3), (8, 5)]:
-        B = make_b_diffsum(n, k, F)
-        for _ in range(25):
-            X = random_matrix(F, n, 2, rng)
-            assert det(hjoin(X, B)) == diffsum_rhs(X, k)
-    with pytest.raises(ShapeError):
-        make_b_diffsum(4, 2, F)
+    for F in IDENTITY_FIELDS:
+        for (n, k) in [(6, 4), (5, 3), (3, 3), (8, 5)]:
+            B = make_b_diffsum(n, k, F)
+            for _ in range(25):
+                X = random_matrix(F, n, 2, rng)
+                assert det(hjoin(X, B)) == diffsum_rhs(X, k)
+        with pytest.raises(ShapeError):
+            make_b_diffsum(4, 2, F)
 
 
 def test_diffsum_vanishes_on_proportional_rows():
@@ -325,14 +327,14 @@ def test_completion_identity_exact_on_every_basis_pair():
 
 
 def test_plainsum_identity():
-    F = gf(7)
     rng = random.Random(29)
-    for (n, k) in [(6, 4), (4, 3), (8, 5), (3, 3)]:
-        B = make_b_plainsum(n, k, F)
-        for _ in range(25):
-            X = random_matrix(F, n, 2, rng)
-            assert det(hjoin(X, B)) == plainsum_rhs(X, k)
-    assert det(hjoin(zeros(F, 6, 2), make_b_plainsum(6, 4, F))).value == 0
+    for F in IDENTITY_FIELDS:
+        for (n, k) in [(6, 4), (4, 3), (8, 5), (3, 3)]:
+            B = make_b_plainsum(n, k, F)
+            for _ in range(25):
+                X = random_matrix(F, n, 2, rng)
+                assert det(hjoin(X, B)) == plainsum_rhs(X, k)
+        assert det(hjoin(zeros(F, 6, 2), make_b_plainsum(6, 4, F))).value == 0
 
 
 def test_plainsum_degenerate_width_two():
@@ -345,15 +347,40 @@ def test_plainsum_degenerate_width_two():
 
 
 def test_plainsum_equals_truncated_determinant():
-    F = gf(7)
     rng = random.Random(31)
     from cullis import submatrix_keep
 
-    for (n, k) in [(6, 4), (7, 3)]:
-        for _ in range(10):
-            X = random_matrix(F, n, 2, rng)
-            truncated = submatrix_keep(X, range(1, n - k + 3), [1, 2])
-            assert plainsum_rhs(X, k) == det(truncated)
+    for F in IDENTITY_FIELDS:
+        for (n, k) in [(6, 4), (7, 3)]:
+            for _ in range(10):
+                X = random_matrix(F, n, 2, rng)
+                truncated = submatrix_keep(X, range(1, n - k + 3), [1, 2])
+                assert plainsum_rhs(X, k) == det(truncated)
+
+
+def test_completion_identities_refuse_out_of_range_arguments():
+    # each identity is stated only where its completion exists, and refuses
+    # exactly the arguments its constructor refuses: 2 < l < n for diffdiff,
+    # 3 <= k <= n for diffsum, 2 <= k <= n for plainsum
+    F = gf(7)
+    X = random_matrix(F, 5, 2, random.Random(33))
+
+    def accepted(call, args):
+        ok = []
+        for a in range(-1, 8):
+            try:
+                call(*args(a))
+            except ShapeError:
+                continue
+            ok.append(a)
+        return ok
+
+    assert accepted(diffdiff_rhs, lambda l: (X, l)) == [3, 4]
+    assert accepted(make_b_diffdiff, lambda l: (5, 4, l, F)) == [3, 4]
+    assert accepted(diffsum_rhs, lambda k: (X, k)) == [3, 4, 5]
+    assert accepted(make_b_diffsum, lambda k: (5, k, F)) == [3, 4, 5]
+    assert accepted(plainsum_rhs, lambda k: (X, k)) == [2, 3, 4, 5]
+    assert accepted(make_b_plainsum, lambda k: (5, k, F)) == [2, 3, 4, 5]
 
 
 def test_all_completions_vanish():

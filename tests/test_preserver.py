@@ -377,10 +377,11 @@ def test_corner_swap_rejects_small_n():
 
 def test_detn2_identity():
     rng = random.Random(12)
-    for n in (4, 5, 6):
-        for _ in range(25):
-            X = random_matrix(gf(7), n, 2, rng)
-            assert det(X) == det(detn2_partner(X))
+    for field in (gf(7), Q, gf(2), gf(2 ** 127 - 1)):
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(25):
+                X = random_matrix(field, n, 2, rng)
+                assert det(X) == det(detn2_partner(X))
     for X in (zeros(Q, 5, 2), ones(Q, 5, 2)):
         assert det(X) == det(detn2_partner(X))
     partner = detn2_partner(ones(Q, 4, 2))
