@@ -27,13 +27,13 @@ runs whichever of two routes needs fewer multiplications, counted from
 
 `_cheaper(n, k)` hands back the kernel and its exact count; each call, or
 each scan of one shape, checks that count once, before any work, and the
-kernels check nothing.  Every budget check is `_guard`, against the caller's
-budget or else one of the three defaults below (`_guard_power` for p**e).
+kernels check nothing.  `det`, `det_int`, `det_product_rhs`, `lambda_coeffs`
+(on det(A + tB) packed into integers), the completion scans and the sign
+weights all take their kernel from it.  Every budget check is `_guard`,
+against the caller's budget or else a default below (`_guard_power` for p**e).
 
-The sweep's moves for a shape are a cached plan (`sweep_plan`) shared by every
-coefficient type: integers here, det(A + tB) packed into one integer in
-`lambdapoly`, sparse polynomials in `sympoly`, and the exhaustive tables in
-`preserver`.
+The sweep's cached plan (`sweep_plan`) is walked, with coefficients of its
+own, by `sympoly` (sparse polynomials) and `lanes` (the exhaustive tables).
 """
 
 from __future__ import annotations
@@ -318,10 +318,11 @@ def det_product_rhs(X: RectMatrix, Y: RectMatrix, budget: int | None = None) -> 
         raise ShapeMismatch(f"{n}x{k} times {Y.n}x{l}")
     if not (1 <= l <= k <= n):
         raise ShapeError(f"need 1 <= {l} <= {k} <= {n}")
+    _guard(comb(k, l) * (_cheaper(n, l)[1] + _cheaper(l, l)[1]), budget)  # every minor's det
     total = 0
     all_rows = range(1, n + 1)
     for d in combinations(range(1, k + 1), l):
-        yd = det(submatrix_keep(Y, d, range(1, l + 1))).value
+        yd = det(submatrix_keep(Y, d, range(1, l + 1)), budget).value
         if yd:
             total += det(submatrix_keep(X, all_rows, d), budget).value * yd
     return X.field.element(total)

@@ -1,5 +1,9 @@
 """The formal polynomial det(A + t*B) and the rank/degree machinery built on it.
 
+`lambda_coeffs` is `det` of A + t*B packed into one integer matrix, by the
+kernel `_cheaper` picks: on packed rows `_elim` wins from 8x8 up (a sixth to a
+ninth of the sweep's time at 12x12), and over GF(2**127 - 1) loses below 8x8.
+
 The coefficient of t**d is a sum over d-subsets S of column positions of the
 determinant with B's columns substituted at S and A's columns elsewhere.  Each
 coefficient is multilinear in A's remaining columns, and summands for distinct
@@ -22,8 +26,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import perm
 
-from .determinant import (_cheaper, _entry_weight, _guard, _guard_power, _require_tall, sweep,
-                          sweep_count)
+from .determinant import _cheaper, _entry_weight, _guard, _guard_power, _require_tall
 from .errors import FieldMismatch, ShapeError, ShapeMismatch
 from .fields import FieldSpec, Scalar, gf
 from .matrix import RectMatrix, _units, eliminate, from_raw, raw_rows
@@ -56,15 +59,12 @@ class LambdaPoly(Record):
 
 
 def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> LambdaPoly:
-    """Formal coefficients of det(A + t*B) in t, from one row sweep.
+    """Formal coefficients of det(A + t*B) in t: `det` of one packed matrix.
 
-    Each entry a + t*b is packed into the integer a + b * 2**w.  Packing is a
-    ring map from integer polynomials in t, so the integer sweep computes the
-    packed det(A + t*B); w leaves room for every coefficient with its sign,
-    which are read back as signed base-2**w digits.  The budget bounds the
-    sweep's moves, as for `det`: once on their count, then, after
-    `raw_rows`, on their count times ceil(b / 64) ** 2, b the bit length of
-    the largest packed entry.  Every shape sweeps: elimination is slower.
+    Each entry a + t*b is packed into the integer a + b * 2**w, a ring map
+    from integer polynomials in t, so `_cheaper(n, k)`'s kernel on the packed
+    rows gives det(A + t*B) packed; w leaves room for each signed base-2**w
+    digit.  The budget is checked as in `det`, on the packed entries' weight.
     """
     if A.field != B.field:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
@@ -72,7 +72,7 @@ def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> La
         raise ShapeMismatch(f"{A.n}x{A.k} vs {B.n}x{B.k}")
     _require_tall(A)
     n, k = A.n, A.k
-    steps = sweep_count(n, k)
+    kernel, steps = _cheaper(n, k)
     _guard(steps, budget)  # refuse before converting anything
     (arows, brows), scale = raw_rows(A, B)
     top = max(1, max(abs(x) for rows in (arows, brows) for row in rows for x in row))
@@ -80,9 +80,8 @@ def lambda_coeffs(A: RectMatrix, B: RectMatrix, budget: int | None = None) -> La
     w = ((perm(n, k) << k) * top ** k).bit_length() + 1
     rows = [[a + (b << w) for a, b in zip(ra, rb)] for ra, rb in zip(arows, brows)]
     _guard(steps * _entry_weight(rows, None), budget, what="entry-weighted steps")
-    packed = sweep(rows, k)
-    return LambdaPoly(tuple(from_raw(A.field, c, scale) for c in _digits(packed, w, k + 1)),
-                      A.field)
+    coeffs = _digits(kernel(rows, k), w, k + 1)
+    return LambdaPoly(tuple(from_raw(A.field, c, scale) for c in coeffs), A.field)
 
 
 def _digits(packed: int, w: int, count: int) -> list[int]:

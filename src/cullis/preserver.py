@@ -391,7 +391,7 @@ def is_preserver(
     depends on `seed`.  `random` draws `samples` matrices from `seed` and
     can only return `violates` or `inconclusive`; samples below 1 raise
     ValueError, and the two `det` calls per sample are counted against the
-    operation budget before the first draw.
+    operation budget before the first draw, and each runs under it.
     """
     _require_tall(T)
     if method == "exhaustive":
@@ -404,7 +404,7 @@ def is_preserver(
         _guard(2 * samples * _cheaper(T.n, T.k)[1], budget)  # two dets per sample
         rng = random.Random(seed)
         draws = (random_matrix(T.field, T.n, T.k, rng) for _ in range(samples))
-        witness = next((X for X in draws if det(T.apply(X)) != det(X)), None)
+        witness = next((X for X in draws if det(T.apply(X), budget) != det(X, budget)), None)
         verdict = "violates" if witness is not None else "inconclusive"
         return PreserverReport(verdict, "random", witness, samples, seed)
     raise ValueError(f"unknown method {method!r}")

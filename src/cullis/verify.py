@@ -487,10 +487,9 @@ def _chk_k1_census(shapes, primes, rng):
     census = enumerate_preservers(3, 1, 2)
     if census.count != 64:
         return _w("unexpected census size", size=census.count)
-    F = gf(2)
     for flat in product(range(2), repeat=9):
-        rows = [[F.element(x) for x in flat[r * 3 : (r + 1) * 3]] for r in range(3)]
-        T = LinearMapNK(3, 1, RectMatrix.from_rows(F, rows))
+        rows = [flat[r * 3 : (r + 1) * 3] for r in range(3)]
+        T = LinearMapNK(3, 1, RectMatrix.from_rows(gf(2), rows))
         if check_k1_form(T) != is_preserver(T, "exhaustive").preserves:
             return _w("column condition and preservation disagree",
                       rows=[[str(v) for v in r] for r in rows])

@@ -17,13 +17,14 @@ settings.register_profile(
 )
 # the exhaustive check against brute force on many drawn maps, the
 # radical's closed form per column against the determinant scan, `det`
-# against the defining routes, the sweep against elimination, and the
-# defining routes and their integer `det_square` against the oracles, for CI
-# on every Python:
+# against the defining routes, the sweep against elimination, `lambda_coeffs`
+# against column substitution, and the defining routes and their integer
+# `det_square` against the oracles, for CI on every Python:
 #   pytest --hypothesis-profile exhaustive tests/test_exhaustive.py::test_exhaustive_equals_brute_force_on_drawn_maps
 #   pytest --hypothesis-profile exhaustive tests/test_lambdapoly.py::test_one_column_scan_equals_determinants
 #   pytest --hypothesis-profile exhaustive tests/test_kernel.py::test_det_equals_every_defining_route_and_the_oracle
-#   (and ::test_sweep_and_elimination_agree_on_integers)
+#   (and ::test_sweep_and_elimination_agree_on_integers,
+#   ::test_lambda_coeffs_equals_column_substitution_and_evaluation)
 #   pytest --hypothesis-profile exhaustive tests/test_determinant.py::test_det_square_equals_the_leibniz_sum
 #   (and ::test_each_route_equals_the_oracle_with_the_fields_value_type)
 settings.register_profile(

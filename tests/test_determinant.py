@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from itertools import product
 from math import comb, perm
@@ -26,7 +27,7 @@ from cullis import (
     semicyclic_shift,
     zeros,
 )
-from cullis.determinant import det_square
+from cullis.determinant import _cheaper, det_square
 from oracles import oracle_det, oracle_square_det
 
 Q = RATIONALS
@@ -149,6 +150,33 @@ def test_product_expansion_random():
         X = random_matrix(field, n, k, rng)
         Y = random_matrix(field, k, l, rng)
         assert det(X @ Y) == det_product_rhs(X, Y)
+
+
+def test_product_expansion_counts_every_minor_before_the_first():
+    # C(k, l) minors of X and of Y, each at its chosen route's count, checked
+    # once against the caller's budget: 40x20 by 20x10 is about 2.9 * 10**10
+    # steps, refused at once rather than run pair by pair
+    rng = random.Random(16)
+    F = gf(10007)
+    X, Y = random_matrix(F, 5, 3, rng), random_matrix(F, 3, 2, rng)
+    whole = comb(3, 2) * (_cheaper(5, 2)[1] + _cheaper(2, 2)[1])
+    assert det_product_rhs(X, Y, budget=whole) == det(X @ Y)
+    with pytest.raises(ResourceGuard, match=f"^{whole} elementary steps"):
+        det_product_rhs(X, Y, budget=whole - 1)
+    X, Y = random_matrix(F, 40, 20, rng), random_matrix(F, 20, 10, rng)
+    whole = comb(20, 10) * (_cheaper(40, 10)[1] + _cheaper(10, 10)[1])
+
+    def too_long(signum, frame):
+        raise TimeoutError("det_product_rhs ran instead of refusing")
+
+    before = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ResourceGuard, match=f"^{whole} elementary steps exceed budget 1000000"):
+            det_product_rhs(X, Y, budget=10**6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
 
 
 def test_right_multiplication_scaling():

@@ -330,7 +330,7 @@ def test_bench_oracle_counts_are_recounted(monkeypatch):
 
 def lambda_by_column_substitution(A, B):
     """The coefficient of t**d is the sum over d-subsets S of columns of det
-    with B's columns at S and A's elsewhere."""
+    with B's columns at S and A's elsewhere, each by the minor-sum oracle."""
     k = A.k
     acols, bcols = A.columns(), B.columns()
     out = []
@@ -338,19 +338,67 @@ def lambda_by_column_substitution(A, B):
         acc = A.field.zero
         for S in combinations(range(k), d):
             cols = [bcols[j] if j in S else acols[j] for j in range(k)]
-            acc = acc + det_definition(RectMatrix.from_columns(A.field, cols))
+            acc = acc + det_minorsum(RectMatrix.from_columns(A.field, cols))
         out.append(acc)
     return out
 
 
-@given(tall_matrices(max_n=5), st.randoms(use_true_random=False))
-def test_lambda_coeffs_equals_column_substitution_and_evaluation(A, rng):
-    B = random_matrix(A.field, A.n, A.k, rng)
+@st.composite
+def near_square_matrices(draw):
+    """An n x k matrix with n = k or k + 1, up to 9x8, the shapes where
+    `_cheaper` can pick elimination: over GF(2), GF(3) (so p <= k),
+    GF(2**127 - 1) or QQ with numerators of about 200 bits."""
+    field = draw(st.sampled_from((gf(2), gf(3), gf(2**127 - 1), Q)))
+    k = draw(st.integers(1, 8))
+    n = k + draw(st.integers(0, 1))
+    if field.kind == "prime":
+        entry = st.integers(0, field.p - 1)
+    else:
+        entry = st.builds(Fraction, st.integers(-2**200, 2**200), st.integers(1, 9))
+    return RectMatrix.from_rows(field, draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                                                     min_size=n, max_size=n)))
+
+
+@pytest.mark.parametrize("matrices", [tall_matrices(max_n=5), near_square_matrices()],
+                         ids=["tall", "near-square"])
+@given(data=st.data())
+def test_lambda_coeffs_equals_column_substitution_and_evaluation(matrices, data):
+    A = data.draw(matrices)
+    B = random_matrix(A.field, A.n, A.k, data.draw(st.randoms(use_true_random=False)))
     for left, right in ((A, B), (B, A), (A, A)):
         poly = lambda_coeffs(left, right)
         assert list(poly.coeffs) == lambda_by_column_substitution(left, right)
         for lam in range(left.k + 1):
             assert poly.evaluate(lam) == det(left + right.scale(lam))
+
+
+@pytest.mark.parametrize("shape, kernel", [((12, 6), sweep), ((8, 8), _elim), ((9, 8), _elim),
+                                           ((1, 1), _elim)], ids=["12x6", "8x8", "9x8", "1x1"])
+def test_lambda_coeffs_takes_dets_kernel_and_count(monkeypatch, shape, kernel):
+    # det(A + tB) is `det` of one packed matrix: the kernel `_cheaper` hands
+    # `det` runs, and the budget refuses both at the same count
+    ran = []
+
+    def spying(n, k):
+        chosen, steps = _cheaper(n, k)
+
+        def run(rows, width):
+            ran.append((chosen, steps))
+            return chosen(rows, width)
+
+        return run, steps
+
+    for module in (determinant, lambdapoly):
+        monkeypatch.setattr(module, "_cheaper", spying)
+    rng = random.Random(14)
+    A, B = random_matrix(gf(10007), *shape, rng), random_matrix(gf(10007), *shape, rng)
+    det(A)
+    lambda_coeffs(A, B)
+    steps = _cheaper(*shape)[1]
+    assert ran == [(kernel, steps)] * 2
+    for call in (lambda: det(A, budget=steps - 1), lambda: lambda_coeffs(A, B, budget=steps - 1)):
+        with pytest.raises(ResourceGuard, match=f"^{steps} elementary steps"):
+            call()
 
 
 def test_lambda_coeffs_large_entries():

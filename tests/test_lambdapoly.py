@@ -27,7 +27,7 @@ from cullis import (
     zeros,
 )
 from cullis import lambdapoly
-from cullis.determinant import det_int, sweep_count
+from cullis.determinant import _cheaper, det_int, sweep_count
 from cullis.lambdapoly import diffdiff_rhs, diffsum_rhs, plainsum_rhs
 
 Q = RATIONALS
@@ -71,14 +71,15 @@ def huge_rational_pair(n, k, rng):
 def test_lambda_budget_charges_packed_entry_size(monkeypatch):
     A, B = huge_rational_pair(12, 6, random.Random(12))
 
-    def no_sweep(*args):
-        raise AssertionError("the sweep ran")
+    def no_work(*args):
+        raise AssertionError("the kernel ran")
 
-    monkeypatch.setattr(lambdapoly, "sweep", no_sweep)
+    # the kernel `_cheaper` hands back never runs; its count is the real one
+    monkeypatch.setattr(lambdapoly, "_cheaper", lambda n, k: (no_work, _cheaper(n, k)[1]))
     with pytest.raises(ResourceGuard, match="entry-weighted steps"):
         lambda_coeffs(A, B)
     # the unweighted count still refuses before anything is converted
-    monkeypatch.setattr(lambdapoly, "raw_rows", no_sweep)
+    monkeypatch.setattr(lambdapoly, "raw_rows", no_work)
     with pytest.raises(ResourceGuard, match="elementary steps"):
         lambda_coeffs(A, B, budget=sweep_count(12, 6) - 1)
 

@@ -40,6 +40,8 @@ from cullis import (
     unvec,
     zeros,
 )
+from cullis import preserver
+from cullis.determinant import _cheaper
 from cullis.preserver import _cleared, _kronecker, _sweep_report
 from oracles import oracle_det
 
@@ -150,6 +152,20 @@ def test_random_check_refuses_no_samples():
     for samples in (0, -5):
         with pytest.raises(ValueError):
             is_preserver(T, "random", samples=samples)
+
+
+def test_random_check_runs_each_det_under_the_callers_budget(monkeypatch):
+    budgets = []
+
+    def recording(X, budget=None):
+        budgets.append(budget)
+        return det(X, budget)
+
+    monkeypatch.setattr(preserver, "det", recording)
+    T = LinearMapNK.identity_map(gf(10007), 6, 4)
+    b = 2 * 3 * _cheaper(6, 4)[1]
+    assert is_preserver(T, "random", budget=b, samples=3).verdict == "inconclusive"
+    assert budgets == [b] * 6
 
 
 def test_symbolic_small_field_fallback():
