@@ -76,17 +76,17 @@ def scalars_built(call, *args) -> int:
 
 def memo_entries(X) -> int:
     """Entries in `det_laplace`'s memo when it returns on X."""
-    from cullis import determinant
+    from cullis import det_laplace
 
     sizes = []
 
     def watch(frame, event, arg):
-        if event == "return" and frame.f_code is determinant.det_laplace.__code__:
+        if event == "return" and frame.f_code is det_laplace.__code__:
             sizes.append(len(frame.f_locals["memo"]))
 
     sys.setprofile(watch)
     try:
-        determinant.det_laplace(X)
+        det_laplace(X)
     finally:
         sys.setprofile(None)
     return sizes[0]

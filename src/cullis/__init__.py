@@ -8,8 +8,7 @@ so `import cullis` loads no submodule and each command pays only for what it run
 
 _HOMES = {
     "combinatorics": ("Injection", "KSubset", "injections", "k_subsets", "sgn_injection"),
-    "determinant": ("det", "det_definition", "det_laplace", "det_minorsum", "det_product_rhs",
-                    "semicyclic_shift"),
+    "determinant": ("det", "det_product_rhs", "semicyclic_shift"),
     "errors": ("BudgetExceeded", "CullisError", "EmptyResult", "FieldMismatch",
                "IndexOutOfRange", "LengthMismatch", "ParityError", "ResourceGuard",
                "ShapeError", "ShapeMismatch", "ZeroInverse"),
@@ -24,6 +23,7 @@ _HOMES = {
                   "check_sign_condition", "detn2_partner", "enumerate_preservers",
                   "factor_two_sided", "is_preserver", "make_k2_counterexample", "make_s_shift",
                   "make_singular_preserver", "make_two_sided", "s_shift_apply"),
+    "routes": ("det_definition", "det_laplace", "det_minorsum"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -38,28 +38,48 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _cmd_det(args) -> int:
+def _read_matrix(path: str):
+    """The matrix document at path: read first, then `jsonio` is loaded to
+    decode it, and no kernel yet, so a malformed document costs neither."""
+    doc = _read_json(path)
     from . import jsonio
-    from .determinant import det, det_definition, det_laplace, det_minorsum
 
-    X = jsonio.matrix_from_dict(_read_json(args.input))
+    return jsonio.matrix_from_dict(doc)
+
+
+def _read_map(path: str):
+    """The map document at path, read and decoded as by `_read_matrix`."""
+    doc = _read_json(path)
+    from . import jsonio
+
+    return jsonio.map_from_dict(doc)
+
+
+# the oracle routes `det --algo` names, by their function in `routes`
+_ROUTES = {"def": "det_definition", "laplace": "det_laplace", "minorsum": "det_minorsum"}
+
+
+def _cmd_det(args) -> int:
+    X = _read_matrix(args.input)
     budget = _budget(args)
-    algo = {
-        "auto": det,
-        "def": det_definition,
-        "laplace": det_laplace,
-        "minorsum": det_minorsum,
-    }[args.algo]
+    if args.algo == "auto":
+        from .determinant import det as algo
+    else:
+        from . import routes
+
+        algo = getattr(routes, _ROUTES[args.algo])
+    from . import jsonio
+
     _emit({"det": jsonio.scalar_to_str(algo(X, budget=budget))})
     return 0
 
 
 def _cmd_lambda(args) -> int:
+    A = _read_matrix(args.a)
+    B = _read_matrix(args.b)
     from . import jsonio
     from .lambdapoly import lambda_coeffs
 
-    A = jsonio.matrix_from_dict(_read_json(args.a))
-    B = jsonio.matrix_from_dict(_read_json(args.b))
     poly = lambda_coeffs(A, B, _budget(args))
     _emit({"coeffs": [jsonio.scalar_to_str(c) for c in poly.coeffs],
            "degree": poly.degree()})
@@ -93,19 +113,11 @@ def _cmd_preserver(args) -> int:
         J = ones(_field_from_args(args), args.n, args.k)
         _emit({"size": len(members), "contains_ones": any(w == J for w in members)})
         return 0
-    from . import jsonio
-    from .preserver import (
-        _check_factors,
-        enumerate_preservers,
-        factor_two_sided,
-        is_preserver,
-        make_k2_counterexample,
-        make_s_shift,
-        make_two_sided,
-    )
-
     if sub == "check":
-        T = jsonio.map_from_dict(_read_json(args.map))
+        T = _read_map(args.map)
+        from . import jsonio
+        from .preserver import is_preserver
+
         if args.p is not None and T.field is not _field_from_args(args):
             T = jsonio.coerce_map_to_prime(T, args.p)
         report = is_preserver(T, method=args.method, budget=budget,
@@ -119,22 +131,34 @@ def _cmd_preserver(args) -> int:
         _emit(payload)
         return 1 if report.verdict == "violates" else 0
     if sub == "make-two-sided":
-        A = jsonio.matrix_from_dict(_read_json(args.a))
-        B = jsonio.matrix_from_dict(_read_json(args.b))
+        A = _read_matrix(args.a)
+        B = _read_matrix(args.b)
+        from . import jsonio
+        from .preserver import _check_factors, make_two_sided
+
         _guard_map_entries(*_check_factors(A, B), budget)
         _emit(jsonio.map_to_dict(make_two_sided(A, B)))
         return 0
     if sub == "make-s-shift":
         _guard_map_entries(args.n, args.k, budget)
+        from . import jsonio
+        from .preserver import make_s_shift
+
         _emit(jsonio.map_to_dict(make_s_shift(args.n, args.k, args.i, args.j,
                                               _field_from_args(args))))
         return 0
     if sub == "make-k2":
         _guard_map_entries(args.n, 2, budget)
+        from . import jsonio
+        from .preserver import make_k2_counterexample
+
         _emit(jsonio.map_to_dict(make_k2_counterexample(args.n, _field_from_args(args))))
         return 0
     if sub == "factor":
-        T = jsonio.map_from_dict(_read_json(args.map))
+        T = _read_map(args.map)
+        from . import jsonio
+        from .preserver import factor_two_sided
+
         fact = factor_two_sided(T)
         if fact is None:
             _emit({"factorable": False})
@@ -144,6 +168,8 @@ def _cmd_preserver(args) -> int:
                "B": jsonio.matrix_to_dict(B)})
         return 0
     if sub == "enumerate":
+        from .preserver import enumerate_preservers
+
         census = enumerate_preservers(args.n, args.k, args.p, budget)
         _emit({"count": census.count})
         return 0
@@ -178,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = subs.add_parser("det", help="determinant of a matrix JSON file")
     p_det.add_argument("--input", required=True, help="matrix JSON path, or - for stdin")
-    p_det.add_argument("--algo", choices=("auto", "def", "laplace", "minorsum"),
-                       default="auto")
+    p_det.add_argument("--algo", choices=("auto", *_ROUTES), default="auto")
     p_det.add_argument("--budget", type=int)
     p_det.set_defaults(fn=_cmd_det)
 

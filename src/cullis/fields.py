@@ -5,11 +5,13 @@ residues in [0, p) for GF(p), reduced fractions with positive denominator for
 the rationals.  Equality and hashing are therefore structural, so scalars can
 be used as dict keys and set members.  Fields are interned, one `FieldSpec`
 per modulus, so two fields are equal exactly when they are the same object.
+
+`fractions` is imported only where a rational value is handled: in the
+rationals' branches below, and through `rational` for every other module, so
+a command over GF(p) loads none of `fractions`, `decimal` or `numbers`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import FieldMismatch, ZeroInverse
 from .record import Record, set_field
@@ -92,21 +94,25 @@ class FieldSpec(Record):
         if self.kind == "prime":
             if isinstance(value, str):
                 value = int(value.strip(), 10)
-            if isinstance(value, Fraction):
+            elif not isinstance(value, int):
+                import fractions
+
+                if not isinstance(value, fractions.Fraction):
+                    raise TypeError(f"cannot coerce {value!r} into {self}")
                 if value.denominator != 1:
                     raise ValueError(f"{value} is not an integer residue")
                 value = value.numerator
-            if not isinstance(value, int):
-                raise TypeError(f"cannot coerce {value!r} into {self}")
             return Scalar(value % self.p, self)
+        import fractions
+
         if isinstance(value, (int, str)):
             if isinstance(value, str) and ("e" in value or "E" in value):
                 _check_exponent(value)
             try:
-                value = Fraction(value)
+                value = fractions.Fraction(value)
             except ZeroDivisionError:
                 raise ValueError(f"{value!r} has a zero denominator") from None
-        if not isinstance(value, Fraction):
+        if not isinstance(value, fractions.Fraction):
             raise TypeError(f"cannot coerce {value!r} into {self}")
         return Scalar(value, self)
 
@@ -130,6 +136,10 @@ class FieldSpec(Record):
         out = []
         add = out.append
         p = self.p
+        if not p:
+            import fractions
+
+            Fraction = fractions.Fraction
         for v in items:
             t = type(v)
             if t is str:
@@ -160,11 +170,19 @@ class FieldSpec(Record):
         """Draw a raw value from `rng`; small mixed-sign fractions over QQ."""
         if self.kind == "prime":
             return rng.randrange(self.p)
-        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
+        return rational(rng.randrange(-9, 10), rng.randrange(1, 10))
 
     def random_element(self, rng) -> "Scalar":
         """`random_value` as a scalar."""
         return Scalar(self.random_value(rng), self)
+
+
+def rational(numerator: int, denominator: int = 1):
+    """numerator / denominator as a raw rational value; `fractions` is
+    imported on the first call."""
+    import fractions
+
+    return fractions.Fraction(numerator, denominator)
 
 
 def _check_exponent(text: str):

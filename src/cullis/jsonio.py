@@ -123,9 +123,9 @@ def map_to_dict(T: LinearMapNK) -> dict:
 
 
 def map_from_dict(d) -> LinearMapNK:
-    from .preserver import LinearMapNK
-
     n, k, mat = _read(d, "mat", "map", lambda n, k: (n * k, n * k))
+    from .preserver import LinearMapNK  # once the document is read: a malformed one never loads it
+
     return LinearMapNK(n, k, mat)
 
 

@@ -28,7 +28,7 @@ the rank over QQ) and reduced mod p for the rank over GF(p).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cache
 from itertools import chain, compress
 from math import lcm, prod
 from operator import add, neg, sub
@@ -42,7 +42,7 @@ from .errors import (
     ShapeError,
     ShapeMismatch,
 )
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, rational
 from .record import Record, set_field
 
 
@@ -222,11 +222,14 @@ class RectMatrix(Record):
 # -- constructors -------------------------------------------------------------
 
 
-_QQ_ZERO_ONE = (Fraction(0), Fraction(1))
+@cache
+def _qq_zero_one():
+    return rational(0), rational(1)
 
 
 def _zero_one(field: FieldSpec):
-    return (0, 1) if field.p else _QQ_ZERO_ONE
+    """The field's raw zero and one; the rationals' pair is built once, on first use."""
+    return (0, 1) if field.p else _qq_zero_one()
 
 
 def _units(field: FieldSpec, n: int, k: int, plus: Iterable[int],
@@ -383,7 +386,7 @@ def from_raw(field: FieldSpec, value: int, scale: int) -> Scalar:
     """The scalar value / scale (mod p over GF(p)), as left by `raw_rows`."""
     if field.kind == "prime":
         return Scalar(value % field.p, field)
-    return Scalar(Fraction(value, scale), field)
+    return Scalar(rational(value, scale), field)
 
 
 def eliminate(m: list[list[int]], p: int | None = None) -> tuple[int, int]:

@@ -37,13 +37,10 @@ filtered in bulk, one byte per candidate code.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm, perm
 
-from . import combinatorics as comb_mod
 from .determinant import (DEFAULT_TERM_GUARD, _cheaper, _guard, _guard_power, _require_tall, det,
                           det_int, semicyclic_shift)
 from .errors import (
@@ -53,7 +50,7 @@ from .errors import (
     ShapeError,
     ShapeMismatch,
 )
-from .fields import FieldSpec, gf
+from .fields import FieldSpec, gf, rational
 from .matrix import (
     RectMatrix,
     _check_shape,
@@ -195,6 +192,8 @@ def _sign_weights(a: list[list[int]], b: list[list[int]], q: int, k: int, p: int
     A = a and det(B) = det(b) / q, every w_d is 0 exactly when the map
     preserves det, and D = sum_d w_d det(X_d).  q is a nonzero integer, also
     mod p, so q * w_d is zero exactly when w_d is; no inverse of q is needed."""
+    from . import combinatorics as comb_mod  # the subset signs: no other map command loads them
+
     db = det_int(b, k)
     if p:
         db %= p
@@ -402,7 +401,9 @@ def is_preserver(
         if samples < 1:
             raise ValueError(f"{samples} samples: need at least one")
         _guard(2 * samples * _cheaper(T.n, T.k)[1], budget)  # two dets per sample
-        rng = random.Random(seed)
+        from random import Random
+
+        rng = Random(seed)
         draws = (random_matrix(T.field, T.n, T.k, rng) for _ in range(samples))
         witness = next((X for X in draws if det(T.apply(X), budget) != det(X, budget)), None)
         verdict = "violates" if witness is not None else "inconclusive"
@@ -534,8 +535,8 @@ def factor_two_sided(T: LinearMapNK) -> tuple[RectMatrix, RectMatrix] | None:
         A = [x * ia % p for row in a for x in row]
         B = [x * bc % p for row in b for x in row]
     else:
-        A = [Fraction(x, alpha) for row in a for x in row]
-        B = [Fraction(x * alpha, c) for row in b for x in row]
+        A = [rational(x, alpha) for row in a for x in row]
+        B = [rational(x * alpha, c) for row in b for x in row]
     return RectMatrix._of(field, n, n, tuple(A)), RectMatrix._of(field, k, k, tuple(B))
 
 

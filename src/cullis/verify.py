@@ -13,14 +13,7 @@ from itertools import product
 
 from . import jsonio
 from .combinatorics import k_subsets
-from .determinant import (
-    det,
-    det_definition,
-    det_laplace,
-    det_minorsum,
-    det_product_rhs,
-    semicyclic_shift,
-)
+from .determinant import det, det_product_rhs, semicyclic_shift
 from .errors import ParityError
 from .fields import RATIONALS, gf
 from .lambdapoly import (
@@ -62,6 +55,7 @@ from .preserver import (
     make_two_sided,
     s_shift_apply,
 )
+from .routes import det_definition, det_laplace, det_minorsum
 
 _REGISTRY = []
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from cullis import (RATIONALS, RectMatrix, basis_matrix, gf, make_k2_counterexample,
                     make_s_shift, make_two_sided, random_matrix)
+import cullis
 from cullis import cli, jsonio
 from cullis.preserver import LinearMapNK
 import cullis.combinatorics as comb_mod
@@ -255,56 +257,92 @@ def test_cli_verify_paper_filter_selecting_nothing_exits_2():
         assert proc.stderr.startswith("error:"), args
 
 
+# run in a fresh process: `import cullis`, which loads no submodule, then
+# one command, then its exit code, the package's submodules it loaded and
+# which of the watched standard modules it loaded
+LOADS = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import cullis
+bare = [m for m in sys.modules if m.startswith("cullis.")]
+assert not bare, f"import cullis loaded {bare}"
+from cullis import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+new = set(sys.modules) - before
+watched = ("dataclasses", "decimal", "fractions", "inspect", "numbers")
+print(json.dumps([code, sorted(m[len("cullis."):] for m in new if m.startswith("cullis.")),
+                  sorted(m for m in new if m in watched)]))
+"""
+
+
 def test_verify_table_loads_only_for_verify_paper(tmp_path):
-    # so is the polynomial expander, which only symbolic checks of maps that
-    # do not factor need, and the lane kernel, which only exhaustive checks
-    # and censuses need; and
-    # `import cullis` loads no submodule, each command only the modules it
-    # runs, and no record loads `dataclasses` (which imports `inspect`)
-    X = write_matrix(tmp_path, "x.json", random_matrix(gf(7), 4, 2, random.Random(3)))
+    # the README's module table: each command loads exactly these
+    # submodules.  The verification table loads only for verify-paper, the
+    # oracle routes only for --algo def|laplace|minorsum, the polynomial
+    # expander only for symbolic checks of maps that do not factor, the
+    # lane kernel only for exhaustive checks and censuses, and the subset
+    # signs only for the routes and the sign weights.  A document that does
+    # not parse loads no module, one that does not decode no kernel.  The
+    # rationals' modules load only for a rational value, and no record
+    # loads `dataclasses` (which imports `inspect`).
+    F = gf(7)
+    X = write_matrix(tmp_path, "x.json", random_matrix(F, 4, 2, random.Random(3)))
+    XQ = write_matrix(tmp_path, "xq.json", random_matrix(RATIONALS, 4, 2, random.Random(3)))
     T = write_map(tmp_path, "t.json", make_s_shift(3, 1, 2, 1, gf(3)))
     rng = random.Random(4)
-    V = write_map(tmp_path, "v.json", make_two_sided(random_matrix(gf(7), 4, 4, rng),
-                                                     random_matrix(gf(7), 2, 2, rng)))
-    code = f"""
-import contextlib, io, sys
-before = set(sys.modules)
+    A, B = random_matrix(F, 4, 4, rng), random_matrix(F, 2, 2, rng)
+    V = write_map(tmp_path, "v.json", make_two_sided(A, B))
+    A, B = write_matrix(tmp_path, "a.json", A), write_matrix(tmp_path, "b.json", B)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"n": 2, "k": 1, "field": ')
+    undecodable = tmp_path / "float.json"
+    undecodable.write_text(bad_doc('{"type": "gfp", "p": 7}', "2.5"))
+    bad_map = tmp_path / "bad_map.json"
+    bad_map.write_text('{"n": 2, "k": 1, "field": {"type": "gfp", "p": 5}, "mat": [["1"]]}')
+    front = ("cli", "errors")
+    decode = front + ("fields", "record", "matrix", "jsonio")
+    det_modules = decode + ("determinant",)
+    maps = det_modules + ("preserver",)
+    every = [m.name for m in pkgutil.iter_modules(cullis.__path__) if m.name != "__main__"]
+    cases = [  # (argv, exit code, the submodules loaded, the watched modules loaded)
+        (["--help"], 0, front, []),
+        (["det", "--input", X], 0, det_modules, []),
+        (["det", "--input", XQ], 0, det_modules, ["decimal", "fractions", "numbers"]),
+        (["det", "--input", str(broken)], 2, front, []),
+        (["det", "--input", str(undecodable)], 2, decode, []),
+        (["lambda", "--a", X, "--b", X], 0, det_modules + ("lambdapoly",), []),
+        (["preserver", "check", "--map", T], 0, maps + ("combinatorics",), []),
+        (["preserver", "check", "--map", V], 1, maps + ("combinatorics",), []),
+        (["preserver", "check", "--map", T, "--method", "exhaustive"], 0, maps + ("lanes",), []),
+        (["preserver", "check", "--map", str(bad_map)], 2, decode, []),
+        (["preserver", "factor", "--map", V], 0, maps, []),
+        (["preserver", "make-two-sided", "--a", A, "--b", B], 0, maps, []),
+        (["preserver", "make-s-shift", "--n", "4", "--k", "2", "--i", "2", "--j", "1", "--p", "5"],
+         0, maps, []),
+        (["preserver", "make-k2", "--n", "4", "--p", "3"], 0, maps, []),
+        (["preserver", "enumerate", "--n", "2", "--k", "1", "--p", "3"], 0,
+         front + ("fields", "record", "matrix", "determinant", "preserver", "lanes"), []),
+        (["verify-paper"], 0, every, ["decimal", "fractions", "numbers"]),
+    ]
+    cases += [(["det", "--input", X, "--algo", algo], 0, det_modules + ("routes", "combinatorics"),
+               []) for algo in ("def", "laplace", "minorsum")]
+    for argv, code, modules, watched in cases:
+        proc = subprocess.run([sys.executable, "-c", LOADS, *argv], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [code, sorted(modules), watched], argv
 
-def loaded(*names):
-    return [m for m in names if m in sys.modules and m not in before]
 
-def package(*names):
-    # the README's module table: exactly these submodules are loaded
-    got = sorted(m[len("cullis."):] for m in sys.modules if m.startswith("cullis."))
-    assert got == sorted(names), got
-
-import cullis
-package()
-from cullis import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        cli.main(["--help"])
-    except SystemExit as exc:
-        assert exc.code == 0
-    package("cli", "errors")
-    assert cli.main(["det", "--input", {X!r}]) == 0
-    det_modules = ("cli", "errors", "fields", "record", "matrix", "determinant", "jsonio")
-    package(*det_modules)
-    extra = loaded("dataclasses", "inspect")
-    assert not extra, extra
-    assert cli.main(["lambda", "--a", {X!r}, "--b", {X!r}]) == 0
-    package(*det_modules, "lambdapoly")
-    # a two-sided map is decided, and its witness found, without the
-    # expander; the lane kernel loads with the first exhaustive check
-    assert cli.main(["preserver", "check", "--map", {T!r}]) == 0
-    assert cli.main(["preserver", "check", "--map", {V!r}]) == 1
-    extra = loaded("cullis.sympoly", "cullis.lanes", "cullis.verify")
-    assert not extra, extra
-    assert cli.main(["preserver", "check", "--map", {T!r}, "--method", "exhaustive"]) == 0
-    assert loaded("cullis.lanes") == ["cullis.lanes"]
-"""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def test_bench_startup_modules_are_recounted():
+    # BENCH_startup.json's times are for reading only; the exit code and the
+    # modules of each command in it are recounted for this tree
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "startup.py")
+    proc = subprocess.run([sys.executable, script, "--check"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_degree_machinery_loads_only_for_its_commands(tmp_path):

@@ -27,7 +27,8 @@ from cullis import (
     semicyclic_shift,
     zeros,
 )
-from cullis.determinant import _cheaper, det_square
+from cullis.determinant import _cheaper
+from cullis.routes import det_square
 from oracles import oracle_det, oracle_square_det
 
 Q = RATIONALS

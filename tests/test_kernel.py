@@ -45,7 +45,7 @@ from cullis import (
     semicyclic_shift,
     unvec,
 )
-from cullis import determinant, fields, lambdapoly, preserver, sympoly
+from cullis import determinant, fields, lambdapoly, preserver, routes, sympoly
 from cullis.determinant import (
     _cheaper,
     _elim,
@@ -186,7 +186,7 @@ def test_each_call_checks_one_count_and_each_scan_one_shape(monkeypatch):
         gates.append(args[0])
         return real(*args, **kwargs)
 
-    for module in (determinant, lambdapoly, preserver, sympoly):
+    for module in (determinant, lambdapoly, preserver, routes, sympoly):
         monkeypatch.setattr(module, "_guard", counted)
 
     def count(call, *args):
