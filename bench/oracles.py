@@ -5,10 +5,9 @@
 Times `det_definition`, `det_laplace` (along column 1) and `det_minorsum` on
 DRAWS matrices of each shape of the `determinant-algorithm-agreement` check,
 over GF(5), GF(7) and QQ, and that whole check as `verify-paper --seed 0`
-runs it, in fresh child processes, one pair per round, one child per
-source tree; the tree whose child runs first alternates from pair to pair.
-Each of the CHILDREN children per tree runs every case REPS times and
-reports the median; the file holds the median over the children.
+runs it, in CHILDREN pairs of child processes (`harness`).  Each child runs
+every case REPS times and reports the median; the file holds the median
+over the children.
 
 The counts are per case, summed over its DRAWS matrices: the injections
 `det_definition` visits, the minors `det_minorsum` takes, the entries the
@@ -20,16 +19,13 @@ tree's Scalars.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
 import statistics
-import subprocess
 import sys
 from math import comb, perm
 from time import perf_counter
+
+import harness
 
 SHAPES = ((3, 2), (4, 2), (5, 3), (6, 4))
 FIELDS = ("GF(5)", "GF(7)", "QQ")
@@ -131,53 +127,30 @@ def counts(n: int, k: int, label: str) -> dict:
             "laplace_memo_entries": sum(memo_entries(X) for X in mats)}
 
 
-def sides(pair: int) -> tuple[str, str]:
-    """The two trees in the order pair number `pair` runs them: the tree
-    that goes first alternates from pair to pair."""
-    return ("before", "after") if pair % 2 == 0 else ("after", "before")
-
-
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", help="src directory of the old tree")
-    ap.add_argument("--after", help="src directory of the new tree")
-    ap.add_argument("--time", help=argparse.SUPPRESS)  # child mode: time the tree on sys.path
-    args = ap.parse_args()
-    if args.time:
-        print(json.dumps(time_tree()))
-        return 0
-    runs: dict[str, list] = {"before": [], "after": []}
-    for pair in range(CHILDREN):
-        for side in sides(pair):
-            env = dict(os.environ, PYTHONPATH=os.path.abspath(getattr(args, side)))
-            proc = subprocess.run([sys.executable, __file__, "--time", "1"],
-                                  env=env, capture_output=True, text=True, check=True)
-            runs[side].append(json.loads(proc.stdout))
-    sys.path.insert(0, os.path.abspath(args.after))
+    trees = harness.trees(__doc__, {"all": time_tree})
+    runs = harness.pairs(CHILDREN, lambda side: harness.child(trees[side], "all"))
+    sys.path.insert(0, trees["after"])
     cases = []
     for n, k in SHAPES:
         for label in FIELDS:
             key = f"{n}x{k}/{label}"
             row = {"n": n, "k": k, "field": label, **counts(n, k, label)}
-            for side in ("before", "after"):
+            for side in harness.SIDES:
                 row[f"scalars_{side}"] = runs[side][0]["scalars"][key]
-                row[f"ms_{side}"] = {route: round(statistics.median(
-                    r["cases"][key][route] for r in runs[side]), 4) for route in ROUTES}
+                row[f"ms_{side}"] = {route: harness.median(
+                    runs[side], lambda r: r["cases"][key][route], 4) for route in ROUTES}
             cases.append(row)
-    print(json.dumps({
-        "layer": "determinant.oracles",
-        "what": "ms per call of det_definition, det_laplace (column 1) and det_minorsum "
-                f"on {DRAWS} drawn matrices per case, and of the {ROW} check at seed 0 "
-                f"(agreement_row_ms); medians of {CHILDREN} alternating child processes "
-                f"x {REPS} runs.  Counts are summed over the {DRAWS} matrices",
-        "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                    "platform": platform.platform()},
-        "draws": DRAWS,
-        "agreement_row_ms": {side: round(statistics.median(
-            r["agreement_row"] for r in runs[side]), 3) for side in ("before", "after")},
-        "cases": cases,
-    }, indent=1))
-    return 0
+    return harness.emit(
+        "determinant.oracles",
+        "ms per call of det_definition, det_laplace (column 1) and det_minorsum "
+        f"on {DRAWS} drawn matrices per case, and of the {ROW} check at seed 0 "
+        f"(agreement_row_ms); medians of {CHILDREN} alternating child processes "
+        f"x {REPS} runs.  Counts are summed over the {DRAWS} matrices",
+        draws=DRAWS,
+        agreement_row_ms={side: harness.median(runs[side], lambda r: r["agreement_row"], 3)
+                          for side in harness.SIDES},
+        cases=cases)
 
 
 if __name__ == "__main__":

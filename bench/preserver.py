@@ -4,25 +4,20 @@
 
 Times `is_preserver(identity, "exhaustive")` (every input is swept, the det
 table already built) and a cold fill of the det table, for each case, in
-fresh child processes, one pair per round, one child per source tree; the
-tree whose child runs first alternates from pair to pair.  Each of the
-CHILDREN children per tree runs every case REPS times and reports the
-median; the file holds the median over the children.  The counts (inputs
-swept, blocks, lane products per block) are read off the `--after` tree:
-they follow from `sweep_plan` and the block rule alone, so tests can gate
-on them.
+CHILDREN pairs of child processes (`harness`).  Each child runs every case
+REPS times and reports the median; the file holds the median over the
+children.  The counts (inputs swept, blocks, lane products per block) are
+read off the `--after` tree: they follow from `sweep_plan` and the block
+rule alone, so tests can gate on them.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 from time import perf_counter
+
+import harness
 
 CASES = ((3, 2, 3), (4, 2, 3), (3, 2, 5), (2, 2, 13), (4, 3, 2), (6, 3, 2), (3, 3, 3))
 REPS = 9  # runs of each case in one child
@@ -62,47 +57,24 @@ def counts(n: int, k: int, p: int) -> dict:
                                            for src, *_ in moves if src)}
 
 
-def sides(pair: int) -> tuple[str, str]:
-    """The two trees in the order pair number `pair` runs them: the tree
-    that goes first alternates from pair to pair."""
-    return ("before", "after") if pair % 2 == 0 else ("after", "before")
-
-
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", help="src directory of the old tree")
-    ap.add_argument("--after", help="src directory of the new tree")
-    ap.add_argument("--time", help=argparse.SUPPRESS)  # child mode: time the tree on sys.path
-    args = ap.parse_args()
-    if args.time:
-        print(json.dumps(time_tree()))
-        return 0
-    runs: dict[str, list] = {"before": [], "after": []}
-    for pair in range(CHILDREN):
-        for side in sides(pair):
-            env = dict(os.environ, PYTHONPATH=os.path.abspath(getattr(args, side)))
-            proc = subprocess.run([sys.executable, __file__, "--time", "1"],
-                                  env=env, capture_output=True, text=True, check=True)
-            runs[side].append(json.loads(proc.stdout))
-    sys.path.insert(0, os.path.abspath(args.after))
+    trees = harness.trees(__doc__, {"all": time_tree})
+    runs = harness.pairs(CHILDREN, lambda side: harness.child(trees[side], "all"))
+    sys.path.insert(0, trees["after"])
     cases = []
     for n, k, p in CASES:
         key = f"{n}x{k}/{p}"
         row = {"n": n, "k": k, "p": p, **counts(n, k, p)}
-        for side in ("before", "after"):
-            row[f"check_ms_{side}"] = round(statistics.median(r[key][0] for r in runs[side]), 3)
-            row[f"table_ms_{side}"] = round(statistics.median(r[key][1] for r in runs[side]), 3)
+        for side in harness.SIDES:
+            row[f"check_ms_{side}"] = harness.median(runs[side], lambda r: r[key][0], 3)
+            row[f"table_ms_{side}"] = harness.median(runs[side], lambda r: r[key][1], 3)
         cases.append(row)
-    print(json.dumps({
-        "layer": "preserver.exhaustive",
-        "what": "is_preserver(identity, 'exhaustive') with the det table built (check_ms), "
-                "and a cold fill of the det table (table_ms); medians of "
-                f"{CHILDREN} alternating child processes x {REPS} runs",
-        "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                    "platform": platform.platform()},
-        "cases": cases,
-    }, indent=1))
-    return 0
+    return harness.emit(
+        "preserver.exhaustive",
+        "is_preserver(identity, 'exhaustive') with the det table built (check_ms), "
+        f"and a cold fill of the det table (table_ms); medians of {CHILDREN} "
+        f"alternating child processes x {REPS} runs",
+        cases=cases)
 
 
 if __name__ == "__main__":

@@ -17,11 +17,23 @@ import sys
 from .errors import BudgetExceeded, CullisError, ResourceGuard
 
 
+def _budget_arg(text: str) -> int:
+    """A budget as `--budget` or CULLIS_BUDGET gives it: an int of at least
+    0.  A budget of 0 stays a budget: it refuses any call that does work."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"budget {text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be at least 0, got {value}")
+    return value
+
+
 def _budget(args) -> int | None:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("CULLIS_BUDGET")
-    return int(env) if env else None
+    return _budget_arg(env) if env else None
 
 
 def _read_json(path: str):
@@ -180,7 +192,10 @@ def _parse_shapes(text: str):
     shapes = []
     for part in text.split(","):
         n, _, k = part.strip().lower().partition("x")
-        shapes.append((int(n), int(k)))
+        try:
+            shapes.append((int(n), int(k)))
+        except ValueError:
+            raise ValueError(f"shape {part.strip()!r} is not of the form NxK, like 4x2") from None
     return tuple(shapes)
 
 
@@ -205,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = subs.add_parser("det", help="determinant of a matrix JSON file")
     p_det.add_argument("--input", required=True, help="matrix JSON path, or - for stdin")
     p_det.add_argument("--algo", choices=("auto", *_ROUTES), default="auto")
-    p_det.add_argument("--budget", type=int)
+    p_det.add_argument("--budget", type=_budget_arg)
     p_det.set_defaults(fn=_cmd_det)
 
     p_lam = subs.add_parser("lambda", help="coefficients of det(A + t*B)")
@@ -223,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p", type=int, help="reinterpret the map over GF(p)")
     pc.add_argument("--samples", type=int, default=200)
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--budget", type=int)
+    pc.add_argument("--budget", type=_budget_arg)
 
     pm2 = psubs.add_parser("make-two-sided")
     pm2.add_argument("--a", required=True)
@@ -247,13 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--k", type=int, required=True)
     pe.add_argument("--p", type=int, required=True)
-    pe.add_argument("--budget", type=int)
+    pe.add_argument("--budget", type=_budget_arg)
 
     pr = psubs.add_parser("radical")
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--k", type=int, required=True)
     pr.add_argument("--p", type=int, required=True)
-    pr.add_argument("--budget", type=int)
+    pr.add_argument("--budget", type=_budget_arg)
 
     p_pre.set_defaults(fn=_cmd_preserver)
 
@@ -274,7 +289,8 @@ def main(argv=None) -> int:
     except (BudgetExceeded, ResourceGuard) as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 3
-    except (CullisError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (CullisError, ValueError, KeyError, OSError, json.JSONDecodeError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

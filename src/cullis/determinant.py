@@ -20,9 +20,10 @@ runs whichever of two routes needs fewer multiplications, counted from
   alternating minor sum).  Every shape with n >= k + 2 takes the sweep.
   `det` is also the square determinant for the rest of the package.
 
-`_cheaper(n, k)` hands back the kernel and its exact count; each call, or
-each scan of one shape, checks that count once, before any work, and the
-kernels check nothing.  `det`, `det_int`, `det_product_rhs`, `lambda_coeffs`
+`_cheaper(n, k)` hands back the kernel and its exact count; each call
+checks that count once, before any work (a completion scan, that count times
+every kernel call it may make: `lambdapoly._scan_count`), and the kernels
+check nothing.  `det`, `det_int`, `det_product_rhs`, `lambda_coeffs`
 (on det(A + tB) packed into integers), the completion scans and the sign
 weights all take their kernel from it.  Every budget check is `_guard`,
 against the caller's budget or else a default below (`_guard_power` for p**e).

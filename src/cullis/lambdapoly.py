@@ -23,8 +23,9 @@ sign on its last column, read off a Laplace expansion along B's unit columns:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
-from math import perm
+from math import comb, perm
 
 from .determinant import _cheaper, _entry_weight, _guard, _guard_power, _require_tall
 from .errors import FieldMismatch, ShapeError, ShapeMismatch
@@ -105,11 +106,11 @@ def _first_basis_rows(cols: list[list[int]], n: int, m: int, p: int | None):
     any positions gives, by cofactor expansion along those columns, plus or
     minus exactly that determinant; repeated basis columns give zero.  The
     first nonzero completion in lexicographic order of basis assignments is
-    therefore R in increasing order; one count check serves every subset.
+    therefore R in increasing order.  Unchecked: callers check `_scan_count`
+    first.
     """
     rows = list(zip(*cols))
-    kernel, steps = _cheaper(n - m, len(cols))
-    _guard(steps, None)
+    kernel, _ = _cheaper(n - m, len(cols))
     for R in combinations(range(n), m):
         val = kernel([row for i, row in enumerate(rows) if i not in R], len(cols))
         if val % p if p else val:
@@ -141,6 +142,14 @@ def _raw_columns(X: RectMatrix) -> tuple[list[list[int]], int | None]:
     return [list(c) for c in zip(*rows)], X.field.p
 
 
+@lru_cache(maxsize=256)
+def _scan_count(n: int, k: int, c: int, d: int) -> int:
+    """Kernel steps the completion scan of d of c columns of an n x k matrix
+    may take: C(c, d) column subsets, C(n, k - d) row subsets R for each
+    (`_first_basis_rows`), and `_cheaper(n - k + d, d)`'s count per R."""
+    return comb(c, d) * comb(n, k - d) * _cheaper(n - k + d, d)[1]
+
+
 def _completion_scan(cols: list[list[int]], n: int, k: int, d: int, p: int | None):
     """(S, R): S the first d-subset of `cols`, raw columns of an n x k matrix,
     that some k - d basis columns complete to a nonzero det, and R their first
@@ -160,25 +169,31 @@ def max_deg_over_all_A(B: RectMatrix) -> int:
     The first d, from rank(B) down to 2, at which `_completion_scan` finds d
     columns of B that basis columns complete to a nonzero det (any more
     columns of B than its rank are dependent); else 1 when some column is
-    completable (`_radical_column`), else 0.
+    completable (`_radical_column`), else 0.  Every scan it may run is
+    counted before the first (ResourceGuard over the default budget).
     """
     _require_tall(B)
     cols, p = _raw_columns(B)
     top = eliminate([c[:] for c in cols], p)[0]
+    _guard(sum(_scan_count(B.n, B.k, B.k, d) for d in range(top, 1, -1)), None)
     d = next((d for d in range(top, 1, -1) if _completion_scan(cols, B.n, B.k, d, p)), 0)
     return d or int(not all(_radical_column(c, B.n, B.k, p) for c in cols))
 
 
 def deg_witness(B: RectMatrix, d: int) -> RectMatrix | None:
     """An A made of basis columns whose degree-d coefficient against B is
-    nonzero, or None when no A at all produces one."""
+    nonzero, or None when no A at all produces one.  The scan is counted
+    before it starts (ResourceGuard over the default budget)."""
     _require_tall(B)
     if not 2 <= d <= B.k:
         raise ShapeError(f"degree {d} outside 2..{B.k}")
     n, k = B.n, B.k
     cols, p = _raw_columns(B)
-    found = d <= eliminate([c[:] for c in cols], p)[0] and _completion_scan(cols, n, k, d, p)
-    if not found:  # none, or d dependent columns of B
+    if d > eliminate([c[:] for c in cols], p)[0]:  # d dependent columns of B
+        return None
+    _guard(_scan_count(n, k, k, d), None)
+    found = _completion_scan(cols, n, k, d, p)
+    if not found:
         return None
     S, R = found
     free = [j for j in range(k) if j not in S]
@@ -189,12 +204,14 @@ def all_completions_vanish(X: RectMatrix, k: int) -> bool:
     """True when det(X|A) = 0 for every n x (k-2) completion A.
 
     Decided exactly through multilinearity: only completions whose columns
-    are standard basis vectors need checking.
+    are standard basis vectors need checking.  The scan is counted before it
+    starts (ResourceGuard over the default budget).
     """
     if X.k != 2:
         raise ShapeError(f"expected two columns, got {X.k}")
     if k < 2 or k > X.n:
         raise ShapeError(f"target width {k} outside 2..{X.n}")
+    _guard(_scan_count(X.n, k, 2, 2), None)
     cols, p = _raw_columns(X)
     return _first_basis_rows(cols, X.n, k - 2, p) is None
 

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -130,6 +131,20 @@ def test_cli_budget_env_override(tmp_path):
     # an explicit flag beats the environment
     proc = run_cli("det", "--input", path, "--algo", "def", "--budget", "1000000")
     assert proc.returncode == 0
+
+
+def test_cli_negative_budget_is_bad_usage(tmp_path):
+    # a negative --budget or CULLIS_BUDGET is refused as usage; a budget of
+    # 0 is a budget, which refuses the work
+    path = write_matrix(tmp_path, "m.json", random_matrix(gf(5), 4, 1, random.Random(0)))
+    for budget, code in (("-5", 2), ("0", 3)):
+        env = dict(os.environ, CULLIS_BUDGET=budget)
+        for proc in (run_cli("det", "--input", path, "--budget", budget),
+                     subprocess.run([sys.executable, "-m", "cullis", "det", "--input", path],
+                                    capture_output=True, text=True, env=env)):
+            assert proc.returncode == code and proc.stdout == "", budget
+            if code == 2:
+                assert "budget must be at least 0, got -5" in proc.stderr
 
 
 def test_cli_lambda(tmp_path):
@@ -255,6 +270,11 @@ def test_cli_verify_paper_filter_selecting_nothing_exits_2():
         proc = run_cli("verify-paper", *args)
         assert proc.returncode == 2 and proc.stdout == "", args
         assert proc.stderr.startswith("error:"), args
+    # a malformed shape is named, with the form expected
+    for shape in ("4x", "x2"):
+        proc = run_cli("verify-paper", "--shapes", shape)
+        assert proc.returncode == 2 and proc.stdout == "", shape
+        assert f"shape {shape!r} is not of the form NxK, like 4x2" in proc.stderr
 
 
 # run in a fresh process: `import cullis`, which loads no submodule, then
@@ -278,108 +298,105 @@ print(json.dumps([code, sorted(m[len("cullis."):] for m in new if m.startswith("
                   sorted(m for m in new if m in watched)]))
 """
 
+FRONT = ("cli", "errors")
+DECODE = FRONT + ("fields", "record", "matrix", "jsonio")
+DET = DECODE + ("determinant",)
+MAPS = DET + ("preserver",)
+RATIONAL = ["decimal", "fractions", "numbers"]
+EVERY = tuple(m.name for m in pkgutil.iter_modules(cullis.__path__) if m.name != "__main__")
+# (id, argv, exit code, the submodules loaded, the watched modules loaded);
+# each *.json is a document in `table_documents`
+TABLE = [
+    ("help", ["--help"], 0, FRONT, []),
+    ("det", ["det", "--input", "x.json"], 0, DET, []),
+    ("det-qq", ["det", "--input", "xq.json"], 0, DET, RATIONAL),
+    *((f"det-{algo}", ["det", "--input", "x.json", "--algo", algo], 0,
+       DET + ("routes", "combinatorics"), []) for algo in ("def", "laplace", "minorsum")),
+    ("det-over-budget", ["det", "--input", "tall.json", "--budget", "1000"], 3, DET, []),
+    ("det-malformed", ["det", "--input", "broken.json"], 2, FRONT, []),
+    ("det-float-entry", ["det", "--input", "float.json"], 2, DECODE, []),
+    ("lambda", ["lambda", "--a", "x.json", "--b", "x.json"], 0, DET + ("lambdapoly",), []),
+    ("lambda-qq", ["lambda", "--a", "xq.json", "--b", "xq.json"], 0, DET + ("lambdapoly",),
+     RATIONAL),
+    ("check", ["preserver", "check", "--map", "v.json"], 1, MAPS + ("combinatorics",), []),
+    ("check-shift", ["preserver", "check", "--map", "t.json"], 0, MAPS + ("combinatorics",), []),
+    ("check-k2", ["preserver", "check", "--map", "c.json"], 0, MAPS + ("sympoly",), []),
+    ("check-exhaustive", ["preserver", "check", "--map", "w.json", "--method", "exhaustive"], 1,
+     MAPS + ("lanes",), []),
+    ("check-exhaustive-preserves", ["preserver", "check", "--map", "t.json", "--method",
+                                    "exhaustive"], 0, MAPS + ("lanes",), []),
+    ("check-random", ["preserver", "check", "--map", "v.json", "--method", "random",
+                      "--samples", "50"], 1, MAPS, []),
+    ("check-malformed", ["preserver", "check", "--map", "bad_map.json"], 2, DECODE, []),
+    ("factor", ["preserver", "factor", "--map", "v.json"], 0, MAPS, []),
+    ("make-two-sided", ["preserver", "make-two-sided", "--a", "a.json", "--b", "b.json"], 0,
+     MAPS, []),
+    ("make-s-shift", ["preserver", "make-s-shift", "--n", "4", "--k", "2", "--i", "2", "--j",
+                      "1", "--p", "5"], 0, MAPS, []),
+    ("make-s-shift-qq", ["preserver", "make-s-shift", "--n", "4", "--k", "2", "--i", "2",
+                         "--j", "1"], 0, MAPS, RATIONAL),
+    ("make-k2", ["preserver", "make-k2", "--n", "4", "--p", "3"], 0, MAPS, []),
+    *((name, ["preserver", "enumerate", "--n", "2", "--k", "1", "--p", p], 0,
+       FRONT + ("fields", "record", "matrix", "determinant", "preserver", "lanes"), [])
+      for name, p in (("enumerate", "3"), ("enumerate-gf2", "2"))),
+    ("radical", ["preserver", "radical", "--n", "4", "--k", "2", "--p", "3"], 0,
+     FRONT + ("fields", "record", "matrix", "determinant", "lambdapoly"), []),
+    ("verify-paper", ["verify-paper"], 0, EVERY, RATIONAL),
+]
 
-def test_verify_table_loads_only_for_verify_paper(tmp_path):
-    # the README's module table: each command loads exactly these
-    # submodules.  The verification table loads only for verify-paper, the
-    # oracle routes only for --algo def|laplace|minorsum, the polynomial
-    # expander only for symbolic checks of maps that do not factor, the
-    # lane kernel only for exhaustive checks and censuses, and the subset
-    # signs only for the routes and the sign weights.  A document that does
-    # not parse loads no module, one that does not decode no kernel.  The
-    # rationals' modules load only for a rational value, and no record
-    # loads `dataclasses` (which imports `inspect`).
+
+@pytest.fixture(scope="module")
+def table_documents(tmp_path_factory):
+    """A directory holding every document TABLE's commands read."""
+    where = tmp_path_factory.mktemp("table")
     F = gf(7)
-    X = write_matrix(tmp_path, "x.json", random_matrix(F, 4, 2, random.Random(3)))
-    XQ = write_matrix(tmp_path, "xq.json", random_matrix(RATIONALS, 4, 2, random.Random(3)))
-    T = write_map(tmp_path, "t.json", make_s_shift(3, 1, 2, 1, gf(3)))
     rng = random.Random(4)
     A, B = random_matrix(F, 4, 4, rng), random_matrix(F, 2, 2, rng)
-    V = write_map(tmp_path, "v.json", make_two_sided(A, B))
-    A, B = write_matrix(tmp_path, "a.json", A), write_matrix(tmp_path, "b.json", B)
-    broken = tmp_path / "broken.json"
-    broken.write_text('{"n": 2, "k": 1, "field": ')
-    undecodable = tmp_path / "float.json"
-    undecodable.write_text(bad_doc('{"type": "gfp", "p": 7}', "2.5"))
-    bad_map = tmp_path / "bad_map.json"
-    bad_map.write_text('{"n": 2, "k": 1, "field": {"type": "gfp", "p": 5}, "mat": [["1"]]}')
-    front = ("cli", "errors")
-    decode = front + ("fields", "record", "matrix", "jsonio")
-    det_modules = decode + ("determinant",)
-    maps = det_modules + ("preserver",)
-    every = [m.name for m in pkgutil.iter_modules(cullis.__path__) if m.name != "__main__"]
-    cases = [  # (argv, exit code, the submodules loaded, the watched modules loaded)
-        (["--help"], 0, front, []),
-        (["det", "--input", X], 0, det_modules, []),
-        (["det", "--input", XQ], 0, det_modules, ["decimal", "fractions", "numbers"]),
-        (["det", "--input", str(broken)], 2, front, []),
-        (["det", "--input", str(undecodable)], 2, decode, []),
-        (["lambda", "--a", X, "--b", X], 0, det_modules + ("lambdapoly",), []),
-        (["preserver", "check", "--map", T], 0, maps + ("combinatorics",), []),
-        (["preserver", "check", "--map", V], 1, maps + ("combinatorics",), []),
-        (["preserver", "check", "--map", T, "--method", "exhaustive"], 0, maps + ("lanes",), []),
-        (["preserver", "check", "--map", str(bad_map)], 2, decode, []),
-        (["preserver", "factor", "--map", V], 0, maps, []),
-        (["preserver", "make-two-sided", "--a", A, "--b", B], 0, maps, []),
-        (["preserver", "make-s-shift", "--n", "4", "--k", "2", "--i", "2", "--j", "1", "--p", "5"],
-         0, maps, []),
-        (["preserver", "make-k2", "--n", "4", "--p", "3"], 0, maps, []),
-        (["preserver", "enumerate", "--n", "2", "--k", "1", "--p", "3"], 0,
-         front + ("fields", "record", "matrix", "determinant", "preserver", "lanes"), []),
-        (["verify-paper"], 0, every, ["decimal", "fractions", "numbers"]),
-    ]
-    cases += [(["det", "--input", X, "--algo", algo], 0, det_modules + ("routes", "combinatorics"),
-               []) for algo in ("def", "laplace", "minorsum")]
-    for argv, code, modules, watched in cases:
-        proc = subprocess.run([sys.executable, "-c", LOADS, *argv], capture_output=True,
-                              text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [code, sorted(modules), watched], argv
+    for name, X in (("x", random_matrix(F, 4, 2, random.Random(3))),
+                    ("xq", random_matrix(RATIONALS, 4, 2, random.Random(3))),
+                    ("tall", random_matrix(gf(10007), 12, 6, random.Random(5))),
+                    ("a", A), ("b", B)):
+        write_matrix(where, f"{name}.json", X)
+    for name, T in (("t", make_s_shift(3, 1, 2, 1, gf(3))), ("v", make_two_sided(A, B)),
+                    ("w", make_s_shift(3, 2, 2, 1, gf(3))),
+                    ("c", make_k2_counterexample(4, gf(3)))):
+        write_map(where, f"{name}.json", T)
+    (where / "broken.json").write_text('{"n": 2, "k": 1, "field": ')
+    (where / "float.json").write_text(bad_doc('{"type": "gfp", "p": 7}', "2.5"))
+    (where / "bad_map.json").write_text(
+        '{"n": 2, "k": 1, "field": {"type": "gfp", "p": 5}, "mat": [["1"]]}')
+    return where
 
 
-def test_bench_startup_modules_are_recounted():
-    # BENCH_startup.json's times are for reading only; the exit code and the
-    # modules of each command in it are recounted for this tree
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "startup.py")
-    proc = subprocess.run([sys.executable, script, "--check"], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-def test_degree_machinery_loads_only_for_its_commands(tmp_path):
-    # no `preserver` command but `radical` loads the completion scan, and
-    # `radical` loads neither the maps, their JSON documents nor the lanes
-    A = write_matrix(tmp_path, "a.json", random_matrix(gf(7), 4, 4, random.Random(5)))
-    B = write_matrix(tmp_path, "b.json", random_matrix(gf(7), 2, 2, random.Random(6)))
-    T = write_map(tmp_path, "t.json", make_s_shift(3, 1, 2, 1, gf(3)))
-    C = write_map(tmp_path, "c.json", make_k2_counterexample(4, gf(3)))
-    rng = random.Random(4)
-    V = write_map(tmp_path, "v.json", make_two_sided(random_matrix(gf(7), 4, 4, rng),
-                                                     random_matrix(gf(7), 2, 2, rng)))
-    calls = [["check", "--map", V], ["check", "--map", C],
-             ["check", "--map", T, "--method", "exhaustive"], ["factor", "--map", V],
-             ["make-two-sided", "--a", A, "--b", B],
-             ["make-s-shift", "--n", "4", "--k", "2", "--i", "2", "--j", "1"],
-             ["make-k2", "--n", "4", "--p", "3"], ["enumerate", "--n", "2", "--k", "1", "--p", "2"]]
-    code = f"""
-import contextlib, io, sys
-from cullis import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in {calls!r}:
-        assert cli.main(["preserver", *argv]) in (0, 1), argv
-        assert "cullis.lambdapoly" not in sys.modules, argv
-"""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+@pytest.mark.parametrize("argv, code, modules, watched",
+                         [case[1:] for case in TABLE], ids=[case[0] for case in TABLE])
+def test_verify_table_loads_only_for_verify_paper(table_documents, argv, code, modules,
+                                                  watched):
+    # the README's module table, and the one pin of what each command loads:
+    # exactly these submodules.  The verification table loads only for
+    # verify-paper, the oracle routes only for --algo def|laplace|minorsum,
+    # the polynomial expander only for symbolic checks of maps that do not
+    # factor, the lane kernel only for exhaustive checks and censuses, the
+    # degree machinery only for lambda and radical, and the subset signs
+    # only for the routes and the sign weights; radical loads neither the
+    # maps, their JSON documents nor the lanes.  A document that does not parse
+    # loads no module, one that does not decode no kernel.  The rationals'
+    # modules load only for a rational value, and no record loads
+    # `dataclasses` (which imports `inspect`).
+    argv = [str(table_documents / a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", LOADS, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code = """
-import contextlib, io, sys
-from cullis import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["preserver", "radical", "--n", "4", "--k", "2", "--p", "3"]) == 0
-extra = [m for m in ("cullis.preserver", "cullis.jsonio", "cullis.lanes") if m in sys.modules]
-assert not extra and "cullis.lambdapoly" in sys.modules, extra
-"""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert json.loads(proc.stdout) == [code, sorted(modules), watched]
+
+
+@pytest.mark.parametrize("script", sorted(
+    p.name for p in (Path(__file__).parents[1] / "bench").glob("*.py") if p.name != "harness.py"))
+def test_bench_script_runs(script):
+    # each layer bench imports the shared harness and parses its arguments
+    path = Path(__file__).parents[1] / "bench" / script
+    proc = subprocess.run([sys.executable, str(path), "--help"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert "--before" in proc.stdout
 
 
 def test_cli_stdout_is_json_on_failure_paths(tmp_path):

@@ -203,9 +203,9 @@ def test_each_call_checks_one_count_and_each_scan_one_shape(monkeypatch):
     assert count(lambda_coeffs, X, random_matrix(F, 12, 6, rng)) == 2
     # det(b), then one check for all 15 column subsets of the 6x4 shape
     assert count(check_sign_condition, identity(G, 6), identity(G, 4)) == 2
-    # 35 row subsets of one 4x2 shape
+    # 35 row subsets of one 4x2 shape, counted together before the first
     rank_one = RectMatrix.from_rows(G, [[i, 2 * i] for i in range(7)])
-    assert count(all_completions_vanish, rank_one, 5) == 1
+    assert count(all_completions_vanish, rank_one, 5) == 1 and gates == [35 * sweep_count(4, 2)]
 
 
 # -- the defining routes' work --------------------------------------------------------

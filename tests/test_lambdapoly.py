@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -181,6 +182,29 @@ def test_degree_scans_start_at_rank(monkeypatch):
     assert max_deg_over_all_A(zeros(F, 4, 3)) == 0 and scanned == []
     assert all(deg_witness(B, d) is None for d in range(2, 6)) and scanned == []
     assert deg_witness(low_degree_rank_two_matrix(F, 6), 2) is None and scanned == [2]
+
+
+def test_completion_scans_refuse_before_any_kernel_call():
+    # each scan counts every kernel call it may make before the first: the
+    # rank-one 30x2 at k = 16 has C(30, 14) ~ 1.45e8 row subsets, and B's
+    # C(16, 2) column pairs as many each
+    F = gf(10007)
+    X = mat([[i, 2 * i] for i in range(30)], F)
+    B = mat([[1, i] + [0] * 14 for i in range(30)], F)
+
+    def expire(signum, frame):
+        raise TimeoutError("a scan ran past 10 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        for call, args in ((all_completions_vanish, (X, 16)), (max_deg_over_all_A, (B,)),
+                           (deg_witness, (B, 2))):
+            with pytest.raises(ResourceGuard, match="exceed budget 10000000"):
+                call(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def first_basis_rows_by_dets(cols, n, m, p):
