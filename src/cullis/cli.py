@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 a checked property is false (the payload carries the
 witness), 2 usage or data error, 3 resource budget exceeded.  Results are a
-single JSON document on stdout; diagnostics go to stderr.  The environment
-variable CULLIS_BUDGET overrides the default search and operation budgets.
+single JSON document on stdout, written by `main` alone from the payload a
+command's handler returns; diagnostics go to stderr.  The environment
+variable CULLIS_BUDGET overrides the default search and operation budgets;
+each preserver subcommand reads it before any other work.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ def _read_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
 def _read_matrix(path: str):
     """The matrix document at path: read first, then `jsonio` is loaded to
     decode it, and no kernel yet, so a malformed document costs neither."""
@@ -71,7 +69,7 @@ def _read_map(path: str):
 _ROUTES = {"def": "det_definition", "laplace": "det_laplace", "minorsum": "det_minorsum"}
 
 
-def _cmd_det(args) -> int:
+def _cmd_det(args):
     X = _read_matrix(args.input)
     budget = _budget(args)
     if args.algo == "auto":
@@ -82,20 +80,18 @@ def _cmd_det(args) -> int:
         algo = getattr(routes, _ROUTES[args.algo])
     from . import jsonio
 
-    _emit({"det": jsonio.scalar_to_str(algo(X, budget=budget))})
-    return 0
+    return {"det": jsonio.scalar_to_str(algo(X, budget=budget))}, True
 
 
-def _cmd_lambda(args) -> int:
+def _cmd_lambda(args):
     A = _read_matrix(args.a)
     B = _read_matrix(args.b)
     from . import jsonio
     from .lambdapoly import lambda_coeffs
 
     poly = lambda_coeffs(A, B, _budget(args))
-    _emit({"coeffs": [jsonio.scalar_to_str(c) for c in poly.coeffs],
-           "degree": poly.degree()})
-    return 0
+    return {"coeffs": [jsonio.scalar_to_str(c) for c in poly.coeffs],
+            "degree": poly.degree()}, True
 
 
 def _field_from_args(args):
@@ -114,78 +110,80 @@ def _guard_map_entries(n: int, k: int, budget: int | None) -> None:
            "map entries")
 
 
-def _cmd_preserver(args) -> int:
+def _cmd_radical(args):  # the radical in closed form: no map, no JSON document
     budget = _budget(args)
-    sub = args.preserver_cmd
-    if sub == "radical":  # the radical in closed form: no map, no JSON document
-        from .lambdapoly import radical_enumerate
-        from .matrix import ones
+    from .lambdapoly import radical_enumerate
+    from .matrix import ones
 
-        members = radical_enumerate(args.n, args.k, args.p, budget)
-        J = ones(_field_from_args(args), args.n, args.k)
-        _emit({"size": len(members), "contains_ones": any(w == J for w in members)})
-        return 0
-    if sub == "check":
-        T = _read_map(args.map)
-        from . import jsonio
-        from .preserver import is_preserver
+    members = radical_enumerate(args.n, args.k, args.p, budget)
+    J = ones(_field_from_args(args), args.n, args.k)
+    return {"size": len(members), "contains_ones": any(w == J for w in members)}, True
 
-        if args.p is not None and T.field is not _field_from_args(args):
-            T = jsonio.coerce_map_to_prime(T, args.p)
-        report = is_preserver(T, method=args.method, budget=budget,
-                              samples=args.samples, seed=args.seed)
-        payload = {"verdict": report.verdict, "method": report.method}
-        if report.witness is not None:
-            payload["witness"] = jsonio.matrix_to_dict(report.witness)
-        if report.samples is not None:
-            payload["samples"] = report.samples
-            payload["seed"] = report.seed
-        _emit(payload)
-        return 1 if report.verdict == "violates" else 0
-    if sub == "make-two-sided":
-        A = _read_matrix(args.a)
-        B = _read_matrix(args.b)
-        from . import jsonio
-        from .preserver import _check_factors, make_two_sided
 
-        _guard_map_entries(*_check_factors(A, B), budget)
-        _emit(jsonio.map_to_dict(make_two_sided(A, B)))
-        return 0
-    if sub == "make-s-shift":
-        _guard_map_entries(args.n, args.k, budget)
-        from . import jsonio
-        from .preserver import make_s_shift
+def _cmd_check(args):
+    budget = _budget(args)
+    T = _read_map(args.map)
+    from . import jsonio
+    from .preserver import is_preserver
 
-        _emit(jsonio.map_to_dict(make_s_shift(args.n, args.k, args.i, args.j,
-                                              _field_from_args(args))))
-        return 0
-    if sub == "make-k2":
-        _guard_map_entries(args.n, 2, budget)
-        from . import jsonio
-        from .preserver import make_k2_counterexample
+    if args.p is not None and T.field is not _field_from_args(args):
+        T = jsonio.coerce_map_to_prime(T, args.p)
+    report = is_preserver(T, method=args.method, budget=budget,
+                          samples=args.samples, seed=args.seed)
+    payload = {"verdict": report.verdict, "method": report.method}
+    if report.witness is not None:
+        payload["witness"] = jsonio.matrix_to_dict(report.witness)
+    if report.samples is not None:
+        payload.update(samples=report.samples, seed=report.seed)
+    return payload, report.verdict != "violates"
 
-        _emit(jsonio.map_to_dict(make_k2_counterexample(args.n, _field_from_args(args))))
-        return 0
-    if sub == "factor":
-        T = _read_map(args.map)
-        from . import jsonio
-        from .preserver import factor_two_sided
 
-        fact = factor_two_sided(T)
-        if fact is None:
-            _emit({"factorable": False})
-            return 1
-        A, B = fact
-        _emit({"factorable": True, "A": jsonio.matrix_to_dict(A),
-               "B": jsonio.matrix_to_dict(B)})
-        return 0
-    if sub == "enumerate":
-        from .preserver import enumerate_preservers
+def _cmd_make_two_sided(args):
+    budget = _budget(args)
+    A = _read_matrix(args.a)
+    B = _read_matrix(args.b)
+    from . import jsonio
+    from .preserver import _check_factors, make_two_sided
 
-        census = enumerate_preservers(args.n, args.k, args.p, budget)
-        _emit({"count": census.count})
-        return 0
-    raise CullisError(f"unknown preserver subcommand {sub!r}")
+    _guard_map_entries(*_check_factors(A, B), budget)
+    return jsonio.map_to_dict(make_two_sided(A, B)), True
+
+
+def _cmd_make_s_shift(args):
+    _guard_map_entries(args.n, args.k, _budget(args))
+    from . import jsonio
+    from .preserver import make_s_shift
+
+    T = make_s_shift(args.n, args.k, args.i, args.j, _field_from_args(args))
+    return jsonio.map_to_dict(T), True
+
+
+def _cmd_make_k2(args):
+    _guard_map_entries(args.n, 2, _budget(args))
+    from . import jsonio
+    from .preserver import make_k2_counterexample
+
+    return jsonio.map_to_dict(make_k2_counterexample(args.n, _field_from_args(args))), True
+
+
+def _cmd_factor(args):
+    _budget(args)  # factor takes no budget, but refuses a malformed one
+    T = _read_map(args.map)
+    from . import jsonio
+    from .preserver import factor_two_sided
+
+    fact = factor_two_sided(T)
+    if fact is None:
+        return {"factorable": False}, False
+    A, B = map(jsonio.matrix_to_dict, fact)
+    return {"factorable": True, "A": A, "B": B}, True
+
+
+def _cmd_enumerate(args):
+    budget = _budget(args)
+    from .preserver import enumerate_preservers
+
+    return {"count": enumerate_preservers(args.n, args.k, args.p, budget).count}, True
 
 
 def _parse_shapes(text: str):
@@ -199,15 +197,14 @@ def _parse_shapes(text: str):
     return tuple(shapes)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .verify import run_verification
 
     # an empty filter is malformed, not absent
     shapes = _parse_shapes(args.shapes) if args.shapes is not None else None
     primes = tuple(int(p) for p in args.p.split(",")) if args.p is not None else None
     report = run_verification(shapes=shapes, primes=primes, seed=args.seed)
-    _emit(report)
-    return 0 if report["all_pass"] else 1
+    return report, report["all_pass"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,10 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--samples", type=int, default=200)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--budget", type=_budget_arg)
+    pc.set_defaults(fn=_cmd_check)
 
     pm2 = psubs.add_parser("make-two-sided")
     pm2.add_argument("--a", required=True)
     pm2.add_argument("--b", required=True)
+    pm2.set_defaults(fn=_cmd_make_two_sided)
 
     pms = psubs.add_parser("make-s-shift")
     pms.add_argument("--n", type=int, required=True)
@@ -250,27 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     pms.add_argument("--i", type=int, required=True)
     pms.add_argument("--j", type=int, required=True)
     pms.add_argument("--p", type=int, help="prime modulus; rationals when absent")
+    pms.set_defaults(fn=_cmd_make_s_shift)
 
     pmk = psubs.add_parser("make-k2")
     pmk.add_argument("--n", type=int, required=True)
     pmk.add_argument("--p", type=int, help="prime modulus; rationals when absent")
+    pmk.set_defaults(fn=_cmd_make_k2)
 
     pf = psubs.add_parser("factor")
     pf.add_argument("--map", required=True)
+    pf.set_defaults(fn=_cmd_factor)
 
-    pe = psubs.add_parser("enumerate")
-    pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--k", type=int, required=True)
-    pe.add_argument("--p", type=int, required=True)
-    pe.add_argument("--budget", type=_budget_arg)
-
-    pr = psubs.add_parser("radical")
-    pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--k", type=int, required=True)
-    pr.add_argument("--p", type=int, required=True)
-    pr.add_argument("--budget", type=_budget_arg)
-
-    p_pre.set_defaults(fn=_cmd_preserver)
+    for name, fn in (("enumerate", _cmd_enumerate), ("radical", _cmd_radical)):
+        pe = psubs.add_parser(name)
+        for option in ("--n", "--k", "--p"):
+            pe.add_argument(option, type=int, required=True)
+        pe.add_argument("--budget", type=_budget_arg)
+        pe.set_defaults(fn=fn)
 
     p_ver = subs.add_parser("verify-paper", help="run the identity verification table")
     p_ver.add_argument("--shapes", help="comma list like 4x2,5x3")
@@ -282,18 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:  # the one write to stdout, inside the try: a failed write exits 2
+        payload, holds = args.fn(args)
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        return 0 if holds else 1
     except (BudgetExceeded, ResourceGuard) as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 3
-    except (CullisError, ValueError, KeyError, OSError, json.JSONDecodeError,
-            argparse.ArgumentTypeError) as exc:
+    except (CullisError, ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,6 +9,8 @@ per modulus, so two fields are equal exactly when they are the same object.
 `fractions` is imported only where a rational value is handled: in the
 rationals' branches below, and through `rational` for every other module, so
 a command over GF(p) loads none of `fractions`, `decimal` or `numbers`.
+`_value_to_str` is the one exact writer of raw values, for the JSON documents
+and for scalar and matrix text past the interpreter's int-to-str digit limit.
 """
 
 from __future__ import annotations
@@ -194,6 +196,24 @@ def _check_exponent(text: str):
         raise ValueError(f"decimal exponent in {text[:40]!r} exceeds {MAX_EXPONENT}")
 
 
+def _int_str(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        from decimal import Decimal
+
+        return str(Decimal(v))
+
+
+def _value_to_str(v) -> str:
+    """The exact decimal text of a raw value, "num/den" for a non-integer
+    fraction, whatever the interpreter's int-to-str digit limit."""
+    if isinstance(v, int):
+        return _int_str(v)
+    num = _int_str(v.numerator)
+    return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
+
+
 def gf(p: int) -> FieldSpec:
     """The prime field GF(p), the one object for modulus p."""
     return FieldSpec("prime", p)
@@ -219,26 +239,19 @@ class Scalar:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         return self.field.element(other)
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def _make(self, value) -> "Scalar":
+        """value, reduced mod p over GF(p), as a scalar of self's field."""
         f = self.field
-        if f.kind == "prime":
-            return Scalar((self.value + other.value) % f.p, f)
-        return Scalar(self.value + other.value, f)
+        return Scalar(value % f.p if f.p else value, f)
+
+    def __add__(self, other):
+        return self._make(self.value + self._coerce(other).value)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        f = self.field
-        if f.kind == "prime":
-            return Scalar((self.value - other.value) % f.p, f)
-        return Scalar(self.value - other.value, f)
+        return self._make(self.value - self._coerce(other).value)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        f = self.field
-        if f.kind == "prime":
-            return Scalar(self.value * other.value % f.p, f)
-        return Scalar(self.value * other.value, f)
+        return self._make(self.value * self._coerce(other).value)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -247,18 +260,13 @@ class Scalar:
         return self._coerce(other) - self
 
     def __neg__(self):
-        f = self.field
-        if f.kind == "prime":
-            return Scalar(-self.value % f.p, f)
-        return Scalar(-self.value, f)
+        return self._make(-self.value)
 
     def inverse(self) -> "Scalar":
         if not self.value:
             raise ZeroInverse(f"zero has no inverse in {self.field}")
-        f = self.field
-        if f.kind == "prime":
-            return Scalar(pow(self.value, -1, f.p), f)
-        return Scalar(1 / self.value, f)
+        p = self.field.p
+        return Scalar(pow(self.value, -1, p) if p else 1 / self.value, self.field)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -281,10 +289,13 @@ class Scalar:
         return hash((self.field.kind, self.field.p, self.value))
 
     def __str__(self):
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            return _value_to_str(self.value)
 
     def __repr__(self):
-        return f"{self.value} in {self.field!r}"
+        return f"{self} in {self.field!r}"
 
     def __reduce__(self):
         return Scalar, (self.value, self.field)

@@ -16,7 +16,7 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import CullisError
-from .fields import FieldSpec, RATIONALS, Scalar, gf
+from .fields import FieldSpec, RATIONALS, Scalar, _value_to_str, gf
 from .matrix import RectMatrix, _check_shape
 
 if TYPE_CHECKING:  # matrix commands do not load the map module
@@ -41,26 +41,12 @@ def field_from_dict(d) -> FieldSpec:
     if not isinstance(d, dict) or "type" not in d:
         raise ValueError(f"bad field descriptor {d!r}")
     if d["type"] == "gfp":
+        if "p" not in d:
+            raise ValueError('field type "gfp" needs a modulus "p"')
         return gf(int(_checked(d["p"], "p")))
     if d["type"] == "rational":
         return RATIONALS
     raise ValueError(f"unknown field type {d['type']!r}")
-
-
-def _int_str(v: int) -> str:
-    try:
-        return str(v)
-    except ValueError:  # past the interpreter's int-to-str digit limit
-        from decimal import Decimal
-
-        return str(Decimal(v))
-
-
-def _value_to_str(v) -> str:
-    if isinstance(v, int):
-        return _int_str(v)
-    num = _int_str(v.numerator)
-    return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
 
 
 def scalar_to_str(s: Scalar) -> str:

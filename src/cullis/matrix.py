@@ -12,6 +12,8 @@ it from raw values with the trusted constructor `RectMatrix._of`.  A
 `Scalar` is built only at the API boundary: by those accessors (and
 `columns` and `vec`), by `from_raw` and `FieldSpec.element` for a scalar
 result or argument, by `Scalar`'s own arithmetic, and in `verify`'s checks.
+A matrix's `repr` writes its values with `fields._value_to_str`, the exact
+writer the JSON documents use, so it prints values of any size.
 
 All public indices are 1-based.  Row and column selections follow the
 keep/drop convention: `submatrix_keep` retains the listed indices in
@@ -42,7 +44,7 @@ from .errors import (
     ShapeError,
     ShapeMismatch,
 )
-from .fields import FieldSpec, Scalar, rational
+from .fields import FieldSpec, Scalar, _value_to_str, rational
 from .record import Record, set_field
 
 
@@ -197,22 +199,12 @@ class RectMatrix(Record):
         k = self.k
         return self._like(c * x if idx % k == j - 1 else x for idx, x in enumerate(self.values))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RectMatrix)
-            and self.field is other.field
-            and (self.n, self.k) == (other.n, other.k)
-            and self.values == other.values
-        )
-
     def __hash__(self):
         return hash((self.n, self.k, self.values))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(str(v) for v in self.values[i * self.k:(i + 1) * self.k])
-            for i in range(self.n)
-        )
+        text = list(map(_value_to_str, self.values))
+        body = "; ".join(" ".join(text[i:i + self.k]) for i in range(0, len(text), self.k))
         return f"RectMatrix({self.n}x{self.k} over {self.field!r}: {body})"
 
     def __reduce__(self):

@@ -481,6 +481,20 @@ def test_cli_prints_a_det_past_the_int_to_str_digit_limit():
     assert json.loads(out)["det"] == "1" + "0" * 6000
 
 
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_failed_write_to_stdout_exits_2(tmp_path):
+    # main writes the document inside its try, so a closed pipe is an error, not a traceback
+    path = write_matrix(tmp_path, "x.json", RectMatrix.from_rows(gf(5), [[1, 2], [3, 4]]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_BrokenPipe()), contextlib.redirect_stderr(err):
+        code = cli.main(["det", "--input", path])
+    assert code == 2 and err.getvalue().startswith("error:"), err.getvalue()
+
+
 def test_cli_det_budget_weighs_entry_size():
     # 20x20 diagonal, 8,300 digits per entry: 4,940 elimination steps, each
     # charged ceil(27,572 / 64) ** 2, far past the default budget

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cullis import FieldMismatch, FieldSpec, RATIONALS, ZeroInverse, gf, jsonio
+from cullis import FieldMismatch, FieldSpec, RATIONALS, RectMatrix, ZeroInverse, gf, jsonio
 from cullis.fields import MAX_EXPONENT, is_prime
 
 
@@ -117,6 +117,27 @@ def test_scalar_string_forms():
     assert str(gf(11).element(13)) == "2"
     assert str(RATIONALS.element(Fraction(-4, 6))) == "-2/3"
     assert str(RATIONALS.element(3)) == "3"
+
+
+def test_scalar_and_matrix_text_past_the_int_to_str_digit_limit():
+    # str and repr fall back to the exact writer of the JSON documents
+    big = "1" + "0" * 5000
+    x = RATIONALS.element(10 ** 5000)
+    assert str(x) == big and repr(x) == big + " in QQ"
+    half = RATIONALS.element(Fraction(10 ** 5000 + 1, 2))
+    assert str(half) == big[:-1] + "1/2"
+    X = RectMatrix.from_rows(RATIONALS, [[10 ** 5000], ["1/3"]])
+    assert repr(X) == f"RectMatrix(2x1 over QQ: {big}; 1/3)"
+    assert jsonio.matrix_to_dict(X)["entries"] == [[big], ["1/3"]]
+
+
+def test_field_descriptors_are_refused_with_value_error():
+    for d in ({"type": "gfp"}, {"type": "gfp", "p": 4}, {"type": "gfp", "p": "x"},
+              {"type": "gfp", "p": 5.0}, {"type": "real"}, {"p": 5}, ["gfp", 5]):
+        with pytest.raises(ValueError):
+            jsonio.field_from_dict(d)
+    with pytest.raises(ValueError, match='needs a modulus "p"'):
+        jsonio.field_from_dict({"type": "gfp"})
 
 
 # -- the one-pass decoder against FieldSpec.element ---------------------------------
