@@ -278,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:  # the one write to stdout, inside the try: a failed write exits 2
+    try:  # the one write to stdout and its flush, inside the try: a failed one exits 2
         payload, holds = args.fn(args)
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        sys.stdout.flush()
         return 0 if holds else 1
     except (BudgetExceeded, ResourceGuard) as exc:
         print(f"budget: {exc}", file=sys.stderr)

@@ -116,18 +116,19 @@ def map_from_dict(d) -> LinearMapNK:
 
 
 def coerce_map_to_prime(T: LinearMapNK, p: int) -> LinearMapNK:
-    """Reinterpret a map's entries in GF(p); fractions reduce via modular
-    inverse of the denominator."""
+    """Reinterpret a rational map's entries in GF(p); fractions reduce via
+    modular inverse of the denominator.  A map over another prime field is
+    refused: its residues reduced mod p are a different map."""
     from .preserver import LinearMapNK
 
     field = gf(p)
     if T.field.kind == "prime":
-        values = [v % p for v in T.mat.values]
-    else:
-        values = []
-        for v in T.mat.values:
-            if not v.denominator % p:
-                raise CullisError(f"denominator of {_value_to_str(v)} vanishes mod {p}")
-            values.append(v.numerator * pow(v.denominator, -1, p) % p)
+        raise CullisError(f"map is over GF({T.field.p}), not GF({p}); "
+                          "only a rational map is reinterpreted over another field")
+    values = []
+    for v in T.mat.values:
+        if not v.denominator % p:
+            raise CullisError(f"denominator of {_value_to_str(v)} vanishes mod {p}")
+        values.append(v.numerator * pow(v.denominator, -1, p) % p)
     nk = T.n * T.k
     return LinearMapNK(T.n, T.k, RectMatrix._of(field, nk, nk, tuple(values)))

@@ -26,14 +26,12 @@ import cullis.combinatorics as comb_mod
 import random
 
 
-def run_cli(*args, stdin=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "cullis", *args],
-        capture_output=True,
-        text=True,
-        input=stdin,
-    )
-    return proc
+def run_cli(*args, stdin=None, env=None, stdout=subprocess.PIPE):
+    """`python -m cullis` on args with env's variables set, and with the
+    interpreter's default buffering (no PYTHONUNBUFFERED), as users run it."""
+    child = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "cullis", *args], input=stdin, text=True,
+                          stdout=stdout, stderr=subprocess.PIPE, env={**child, **(env or {})})
 
 
 def write_matrix(tmp_path, name, X):
@@ -118,18 +116,13 @@ def test_cli_det_budget_counts_the_chosen_route(tmp_path):
 
 
 def test_cli_budget_env_override(tmp_path):
-    import os
-
     X = random_matrix(gf(5), 6, 3, random.Random(2))
     path = write_matrix(tmp_path, "m.json", X)
-    env = dict(os.environ, CULLIS_BUDGET="5")
-    proc = subprocess.run(
-        [sys.executable, "-m", "cullis", "det", "--input", path, "--algo", "def"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_cli("det", "--input", path, "--algo", "def", env={"CULLIS_BUDGET": "5"})
     assert proc.returncode == 3
     # an explicit flag beats the environment
-    proc = run_cli("det", "--input", path, "--algo", "def", "--budget", "1000000")
+    proc = run_cli("det", "--input", path, "--algo", "def", "--budget", "1000000",
+                   env={"CULLIS_BUDGET": "5"})
     assert proc.returncode == 0
 
 
@@ -138,10 +131,8 @@ def test_cli_negative_budget_is_bad_usage(tmp_path):
     # 0 is a budget, which refuses the work
     path = write_matrix(tmp_path, "m.json", random_matrix(gf(5), 4, 1, random.Random(0)))
     for budget, code in (("-5", 2), ("0", 3)):
-        env = dict(os.environ, CULLIS_BUDGET=budget)
         for proc in (run_cli("det", "--input", path, "--budget", budget),
-                     subprocess.run([sys.executable, "-m", "cullis", "det", "--input", path],
-                                    capture_output=True, text=True, env=env)):
+                     run_cli("det", "--input", path, env={"CULLIS_BUDGET": budget})):
             assert proc.returncode == code and proc.stdout == "", budget
             if code == 2:
                 assert "budget must be at least 0, got -5" in proc.stderr
@@ -245,6 +236,20 @@ def test_cli_check_violates_carries_witness(tmp_path):
     assert payload["verdict"] == "violates"
     W = jsonio.matrix_from_dict(payload["witness"])
     assert (T.apply(W)).field == F  # witness parses back into the field
+
+
+def test_cli_check_p_keeps_a_prime_map_in_its_field(tmp_path):
+    # reducing GF(3) residues mod 2 is no ring map (the entry -1 = 2 becomes 0),
+    # so --p 2 is refused, where it reported a false `violates`
+    proc = run_cli("preserver", "make-s-shift", "--n", "3", "--k", "1", "--i", "2", "--j", "1",
+                   "--p", "3")
+    path = tmp_path / "m.json"
+    path.write_text(proc.stdout)
+    proc = run_cli("preserver", "check", "--map", str(path))
+    assert proc.returncode == 0 and json.loads(proc.stdout)["verdict"] == "preserves"
+    proc = run_cli("preserver", "check", "--map", str(path), "--p", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "GF(3)" in proc.stderr and "GF(2)" in proc.stderr, proc.stderr
 
 
 def test_cli_verify_paper_deterministic():
@@ -389,6 +394,45 @@ def test_verify_table_loads_only_for_verify_paper(table_documents, argv, code, m
     assert json.loads(proc.stdout) == [code, sorted(modules), watched]
 
 
+# a child that registers an atexit handler, then runs `python -m cullis` on its argv
+EXIT_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("atexit ran"))
+runpy.run_module("cullis", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["det", "--input", "x.json"], 0),
+    (["preserver", "check", "--map", "v.json"], 1),
+    (["det", "--input", "broken.json"], 2),
+    (["det", "--algo", "gauss"], 2),
+    (["det", "--input", "x.json", "--budget", "0"], 3),
+    (["--help"], 0),
+], ids=["det", "violates", "malformed", "usage", "over-budget", "help"])
+def test_cli_exits_without_interpreter_teardown(table_documents, argv, code):
+    # every exit, argparse's too, leaves by os._exit once the output is
+    # flushed: the exit code is kept and no atexit handler runs
+    argv = [str(table_documents / a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], capture_output=True,
+                          text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "atexit ran" not in proc.stderr
+    assert proc.stdout.endswith("\n") if code in (0, 1) else proc.stdout == ""
+
+
+@pytest.mark.parametrize("fd, argv", [(1, ["--help"]), (2, ["det", "--input", "x.json"])],
+                         ids=["stdout", "stderr"])
+def test_cli_exit_code_stands_with_a_stream_closed(table_documents, fd, argv):
+    # with descriptor 1 or 2 closed, sys.stdout or sys.stderr is None and
+    # there is nothing to flush on it (argparse then writes --help to stderr)
+    argv = [str(table_documents / a) if a.endswith(".json") else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "cullis", *argv], capture_output=True,
+                          text=True, preexec_fn=lambda: os.close(fd))
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stderr if fd == 1 else proc.stdout).startswith(("usage: cullis", '{"det"'))
+
+
 @pytest.mark.parametrize("script", sorted(
     p.name for p in (Path(__file__).parents[1] / "bench").glob("*.py") if p.name != "harness.py"))
 def test_bench_script_runs(script):
@@ -495,6 +539,17 @@ def test_cli_failed_write_to_stdout_exits_2(tmp_path):
     assert code == 2 and err.getvalue().startswith("error:"), err.getvalue()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_failed_flush_to_stdout_exits_2(tmp_path):
+    # block-buffered stdout reaches the device only when flushed, after the
+    # write: main's flush and the help text's flush both fail inside a check
+    path = write_matrix(tmp_path, "x.json", RectMatrix.from_rows(gf(5), [[1, 2], [3, 4]]))
+    for argv in (["det", "--input", path], ["--help"]):
+        with open("/dev/full", "w") as full:
+            proc = run_cli(*argv, stdout=full)
+        assert proc.returncode == 2 and proc.stderr.startswith("error:"), (argv, proc.stderr)
+
+
 def test_cli_det_budget_weighs_entry_size():
     # 20x20 diagonal, 8,300 digits per entry: 4,940 elimination steps, each
     # charged ceil(27,572 / 64) ** 2, far past the default budget
@@ -536,15 +591,11 @@ def test_cli_deep_nesting_exits_2():
 
 
 def test_cli_lambda_budget_env(tmp_path):
-    import os
-
     rng = random.Random(6)
     pa = write_matrix(tmp_path, "a.json", random_matrix(gf(7), 8, 5, rng))
     pb = write_matrix(tmp_path, "b.json", random_matrix(gf(7), 8, 5, rng))
-    env = dict(os.environ, CULLIS_BUDGET="5")
     for cmd in (["det", "--input", pa], ["lambda", "--a", pa, "--b", pb]):
-        proc = subprocess.run([sys.executable, "-m", "cullis", *cmd],
-                              capture_output=True, text=True, env=env)
+        proc = run_cli(*cmd, env={"CULLIS_BUDGET": "5"})
         assert proc.returncode == 3, cmd
         assert proc.stdout == ""
     assert run_cli("lambda", "--a", pa, "--b", pb).returncode == 0
@@ -739,6 +790,7 @@ _SMALL_MAPS = st.sampled_from([
     json.dumps(jsonio.map_to_dict(make_s_shift(2, 1, 1, 1, RATIONALS))),
     json.dumps(jsonio.map_to_dict(make_s_shift(2, 2, 2, 1, gf(5)))),
     json.dumps(jsonio.map_to_dict(make_s_shift(3, 1, 2, 1, gf(7)))),
+    json.dumps(jsonio.map_to_dict(make_s_shift(3, 1, 2, 1, gf(3)))),
     '{"n": 1, "k": 1, "field": {"type": "rational"}, "mat": [["2"]]}',
 ])
 
@@ -747,7 +799,11 @@ _SMALL_MAPS = st.sampled_from([
 @given(doc=_SMALL_MAPS, p=st.one_of(_PRIMES, _NON_PRIMES, _JUNK_ARGS), budget=_BUDGETS)
 def test_fuzz_exhaustive_check_arguments(doc, p, budget):
     argv = ["preserver", "check", "--map", "t.json", "--method", "exhaustive", "--p", p]
-    assert_contract(*run_in_process(argv + budget, {"t.json": doc}))
+    code, out = run_in_process(argv + budget, {"t.json": doc})
+    assert_contract(code, out)
+    field = json.loads(doc)["field"]
+    if field["type"] == "gfp" and code != 2:  # --p keeps a prime map in its own field
+        assert int(p) == field["p"]
 
 
 @settings(max_examples=60)
