@@ -7,7 +7,9 @@ workload makes, on small documents written to a temporary directory), the
 file holds its exit code on the `--after` tree and the median wall time of
 `python -m cullis` over ROUNDS pairs of processes per tree (`harness`), with
 PYTHONDONTWRITEBYTECODE=1 and no `__pycache__` in either tree, so every
-process compiles what it loads, as a fresh checkout does.  The times are for
+process compiles what it loads, as a fresh checkout does.  The `script-*`
+rows make the same calls through the `cullis` script instead, as pip's
+wrapper runs the entry point that each tree's `../pyproject.toml` names.  The times are for
 reading only.  Which modules each command loads is pinned by
 tests/test_cli.py::test_verify_table_loads_only_for_verify_paper.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -54,6 +57,8 @@ COMMANDS = (
     ("enumerate", ["preserver", "enumerate", "--n", "2", "--k", "1", "--p", "3"]),
     ("radical", ["preserver", "radical", "--n", "3", "--k", "2", "--p", "3"]),
     ("verify-paper", ["verify-paper"]),
+    ("script-help", ["--help"]),
+    ("script-det", ["det", "--input", "gf.json"]),
 )
 
 
@@ -89,12 +94,23 @@ def write_documents(src: Path, where: Path) -> None:
     (where / "broken.json").write_text('{"n": 2, "k": 1, "field": ', encoding="utf-8")
 
 
-def timed(tree: Path, argv: list[str], where: Path) -> tuple[float, int]:
-    """Wall seconds and exit code of one `python -m cullis` process on tree."""
+def entry(tree: Path, name: str) -> list[str]:
+    """The interpreter arguments that start command `name` on tree: `-m
+    cullis`, or for a `script-*` row the `cullis` entry point named in
+    tree's ../pyproject.toml, called as pip's wrapper calls it."""
+    if not name.startswith("script-"):
+        return ["-m", "cullis"]
+    module, fn = re.search(r'^cullis\s*=\s*"([\w.]+):(\w+)"\s*$',
+                           (tree.parent / "pyproject.toml").read_text(), re.M).groups()
+    return ["-c", f"import sys; from {module} import {fn}; sys.exit({fn}())"]
+
+
+def timed(tree: Path, name: str, argv: list[str], where: Path) -> tuple[float, int]:
+    """Wall seconds and exit code of one process running command `name` on tree."""
     env = dict(os.environ, PYTHONPATH=str(tree), PYTHONDONTWRITEBYTECODE="1")
     env.pop("CULLIS_BUDGET", None)
     t0 = perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "cullis", *argv], cwd=where, env=env,
+    proc = subprocess.run([sys.executable, *entry(tree, name), *argv], cwd=where, env=env,
                           capture_output=True)
     return perf_counter() - t0, proc.returncode
 
@@ -110,7 +126,7 @@ def main() -> int:
         where = Path(tmp)
         write_documents(trees["after"], where)
         for name, argv in COMMANDS:
-            runs = harness.pairs(ROUNDS, lambda side: timed(trees[side], argv, where))
+            runs = harness.pairs(ROUNDS, lambda side: timed(trees[side], name, argv, where))
             row = {"name": name, "argv": argv, "exit": runs["after"][0][1]}
             for side in harness.SIDES:
                 row[f"ms_{side}"] = harness.median(runs[side], lambda r: r[0] * 1e3, 1)
@@ -118,8 +134,8 @@ def main() -> int:
     return harness.emit(
         "cli.startup",
         "per cli-batch command: its exit code, and the median wall ms of `python -m "
-        f"cullis` over {ROUNDS} alternating pairs of processes per tree, "
-        "PYTHONDONTWRITEBYTECODE=1, no __pycache__",
+        f"cullis` (script-*: the `cullis` script, as pip's wrapper runs it) over {ROUNDS} "
+        "alternating pairs of processes per tree, PYTHONDONTWRITEBYTECODE=1, no __pycache__",
         commands=rows)
 
 

@@ -5,7 +5,8 @@ witness), 2 usage or data error, 3 resource budget exceeded.  Results are a
 single JSON document on stdout, written by `main` alone from the payload a
 command's handler returns; diagnostics go to stderr.  The environment
 variable CULLIS_BUDGET overrides the default search and operation budgets;
-each preserver subcommand reads it before any other work.
+`main` reads the budget once, before any command's work.  `python -m cullis`
+and the `cullis` script both end through `run`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ def _budget_arg(text: str) -> int:
 
 
 def _budget(args) -> int | None:
+    """The budget of a parsed command: its `--budget`, else CULLIS_BUDGET,
+    else None for the defaults."""
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("CULLIS_BUDGET")
@@ -71,7 +74,6 @@ _ROUTES = {"def": "det_definition", "laplace": "det_laplace", "minorsum": "det_m
 
 def _cmd_det(args):
     X = _read_matrix(args.input)
-    budget = _budget(args)
     if args.algo == "auto":
         from .determinant import det as algo
     else:
@@ -80,7 +82,7 @@ def _cmd_det(args):
         algo = getattr(routes, _ROUTES[args.algo])
     from . import jsonio
 
-    return {"det": jsonio.scalar_to_str(algo(X, budget=budget))}, True
+    return {"det": jsonio.scalar_to_str(algo(X, budget=args.budget))}, True
 
 
 def _cmd_lambda(args):
@@ -89,7 +91,7 @@ def _cmd_lambda(args):
     from . import jsonio
     from .lambdapoly import lambda_coeffs
 
-    poly = lambda_coeffs(A, B, _budget(args))
+    poly = lambda_coeffs(A, B, args.budget)
     return {"coeffs": [jsonio.scalar_to_str(c) for c in poly.coeffs],
             "degree": poly.degree()}, True
 
@@ -111,24 +113,22 @@ def _guard_map_entries(n: int, k: int, budget: int | None) -> None:
 
 
 def _cmd_radical(args):  # the radical in closed form: no map, no JSON document
-    budget = _budget(args)
     from .lambdapoly import radical_enumerate
     from .matrix import ones
 
-    members = radical_enumerate(args.n, args.k, args.p, budget)
+    members = radical_enumerate(args.n, args.k, args.p, args.budget)
     J = ones(_field_from_args(args), args.n, args.k)
     return {"size": len(members), "contains_ones": any(w == J for w in members)}, True
 
 
 def _cmd_check(args):
-    budget = _budget(args)
     T = _read_map(args.map)
     from . import jsonio
     from .preserver import is_preserver
 
     if args.p is not None and T.field is not _field_from_args(args):
         T = jsonio.coerce_map_to_prime(T, args.p)
-    report = is_preserver(T, method=args.method, budget=budget,
+    report = is_preserver(T, method=args.method, budget=args.budget,
                           samples=args.samples, seed=args.seed)
     payload = {"verdict": report.verdict, "method": report.method}
     if report.witness is not None:
@@ -139,18 +139,17 @@ def _cmd_check(args):
 
 
 def _cmd_make_two_sided(args):
-    budget = _budget(args)
     A = _read_matrix(args.a)
     B = _read_matrix(args.b)
     from . import jsonio
     from .preserver import _check_factors, make_two_sided
 
-    _guard_map_entries(*_check_factors(A, B), budget)
+    _guard_map_entries(*_check_factors(A, B), args.budget)
     return jsonio.map_to_dict(make_two_sided(A, B)), True
 
 
 def _cmd_make_s_shift(args):
-    _guard_map_entries(args.n, args.k, _budget(args))
+    _guard_map_entries(args.n, args.k, args.budget)
     from . import jsonio
     from .preserver import make_s_shift
 
@@ -159,7 +158,7 @@ def _cmd_make_s_shift(args):
 
 
 def _cmd_make_k2(args):
-    _guard_map_entries(args.n, 2, _budget(args))
+    _guard_map_entries(args.n, 2, args.budget)
     from . import jsonio
     from .preserver import make_k2_counterexample
 
@@ -167,7 +166,6 @@ def _cmd_make_k2(args):
 
 
 def _cmd_factor(args):
-    _budget(args)  # factor takes no budget, but refuses a malformed one
     T = _read_map(args.map)
     from . import jsonio
     from .preserver import factor_two_sided
@@ -180,10 +178,9 @@ def _cmd_factor(args):
 
 
 def _cmd_enumerate(args):
-    budget = _budget(args)
     from .preserver import enumerate_preservers
 
-    return {"count": enumerate_preservers(args.n, args.k, args.p, budget).count}, True
+    return {"count": enumerate_preservers(args.n, args.k, args.p, args.budget).count}, True
 
 
 def _parse_shapes(text: str):
@@ -276,16 +273,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(line: str) -> None:
+    """Write one diagnostic line to stderr.  As argparse does with its own
+    messages, a line that stderr cannot take (closed, a full device) is
+    dropped, so the exit code stands."""
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:  # the one write to stdout and its flush, inside the try: a failed one exits 2
+    """Run the command argv names (sys.argv[1:] when None) and return its
+    exit code, argparse's for `--help` and usage errors too: main raises no
+    SystemExit."""
+    try:  # the one write to stdout and its flushes, inside the try: a failed one exits 2
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has printed --help or a usage error
+            if sys.stdout is not None:  # None when descriptor 1 is closed
+                sys.stdout.flush()
+            return exc.code
+        args.budget = _budget(args)
         payload, holds = args.fn(args)
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         sys.stdout.flush()
         return 0 if holds else 1
     except (BudgetExceeded, ResourceGuard) as exc:
-        print(f"budget: {exc}", file=sys.stderr)
+        _say(f"budget: {exc}")
         return 3
     except (CullisError, ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
+
+
+def run() -> None:
+    """The entry point of `python -m cullis` and of the `cullis` script: end
+    the process with main's exit code through `os._exit`, once main has
+    flushed its output.  That skips the interpreter's teardown, which would
+    only free the modules the call loaded, and so also `atexit` handlers; a
+    tool that needs those calls `main` in process."""
+    os._exit(main())

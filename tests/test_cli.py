@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -293,10 +294,7 @@ bare = [m for m in sys.modules if m.startswith("cullis.")]
 assert not bare, f"import cullis loaded {bare}"
 from cullis import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    try:
-        code = cli.main(sys.argv[1:])
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(sys.argv[1:])
 new = set(sys.modules) - before
 watched = ("dataclasses", "decimal", "fractions", "inspect", "numbers")
 print(json.dumps([code, sorted(m[len("cullis."):] for m in new if m.startswith("cullis.")),
@@ -394,31 +392,78 @@ def test_verify_table_loads_only_for_verify_paper(table_documents, argv, code, m
     assert json.loads(proc.stdout) == [code, sorted(modules), watched]
 
 
-# a child that registers an atexit handler, then runs `python -m cullis` on its argv
-EXIT_PROBE = """
-import atexit, runpy, sys
-atexit.register(lambda: sys.stderr.write("atexit ran"))
-runpy.run_module("cullis", run_name="__main__")
-"""
+# the `cullis` script's entry point, as pyproject.toml names it (no tomllib on 3.10)
+SCRIPT = re.search(r'^cullis\s*=\s*"([\w.]+):(\w+)"\s*$',
+                   (Path(__file__).parents[1] / "pyproject.toml").read_text(), re.M).groups()
+# a child that registers an atexit handler, then runs its argv through an
+# entry: `python -m cullis`, or the `cullis` script as pip's wrapper runs it
+ENTRIES = {
+    "module": "runpy.run_module('cullis', run_name='__main__')",
+    "script": "from %s import %s as entry; sys.exit(entry())" % SCRIPT,
+}
+EXIT_PROBE = "import atexit, runpy, sys\natexit.register(lambda: sys.stderr.write('atexit ran'))\n"
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["det", "--input", "x.json"], 0),
-    (["preserver", "check", "--map", "v.json"], 1),
-    (["det", "--input", "broken.json"], 2),
-    (["det", "--algo", "gauss"], 2),
-    (["det", "--input", "x.json", "--budget", "0"], 3),
-    (["--help"], 0),
-], ids=["det", "violates", "malformed", "usage", "over-budget", "help"])
-def test_cli_exits_without_interpreter_teardown(table_documents, argv, code):
-    # every exit, argparse's too, leaves by os._exit once the output is
-    # flushed: the exit code is kept and no atexit handler runs
-    argv = [str(table_documents / a) if a.endswith(".json") else a for a in argv]
-    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], capture_output=True,
-                          text=True)
+def run_entry(entry, argv, where, **streams):
+    """The exit probe of entry on argv, each *.json in argv a document in
+    where, with the interpreter's default buffering (no PYTHONUNBUFFERED);
+    streams are subprocess.run's stdout, stderr and preexec_fn."""
+    argv = [str(where / a) if a.endswith(".json") else a for a in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, "-c", EXIT_PROBE + ENTRIES[entry], *argv],
+                          text=True, env=env, **streams)
+
+
+EXITS = [
+    ("det", ["det", "--input", "x.json"], 0),
+    ("violates", ["preserver", "check", "--map", "v.json"], 1),
+    ("malformed", ["det", "--input", "broken.json"], 2),
+    ("usage", ["det", "--algo", "gauss"], 2),
+    ("over-budget", ["det", "--input", "x.json", "--budget", "0"], 3),
+    ("help", ["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("entry, argv, code",
+                         [(entry, argv, code) for entry in ENTRIES for _, argv, code in EXITS],
+                         ids=[name + ("" if entry == "module" else f"-{entry}")
+                              for entry in ENTRIES for name, _, _ in EXITS])
+def test_cli_exits_without_interpreter_teardown(table_documents, entry, argv, code):
+    # both entries end in cli.run: every exit, argparse's too, leaves by
+    # os._exit once the output is flushed, with the exit code main returned,
+    # and no atexit handler runs
+    proc = run_entry(entry, argv, table_documents)
     assert proc.returncode == code, proc.stderr
     assert "atexit ran" not in proc.stderr
     assert proc.stdout.endswith("\n") if code in (0, 1) else proc.stdout == ""
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_cli_payload_that_stdout_cannot_take_exits_2(table_documents, entry):
+    # on a full device the flush fails inside main's try, and no teardown
+    # flushes it again (which gave the script exit 120); with descriptor 1
+    # closed sys.stdout is None, which main refuses rather than a traceback
+    argv = ["det", "--input", "x.json"]
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = run_entry(entry, argv, table_documents, stdout=full)
+        assert proc.returncode == 2 and proc.stderr.startswith("error:"), proc.stderr
+        assert "atexit ran" not in proc.stderr
+    proc = run_entry(entry, argv, table_documents, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2 and proc.stderr == "error: stdout is closed\n", proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_cli_error_line_stderr_cannot_take_keeps_the_code(table_documents, entry):
+    # the error and budget lines are dropped, as argparse drops its own
+    # messages, and the exit code stands
+    for argv, code in ((["det", "--input", "broken.json"], 2),
+                       (["det", "--input", "x.json", "--budget", "0"], 3)):
+        with open("/dev/full", "w") as full:
+            proc = run_entry(entry, argv, table_documents, stderr=full)
+        assert proc.returncode == code and proc.stdout == "", argv
 
 
 @pytest.mark.parametrize("fd, argv", [(1, ["--help"]), (2, ["det", "--input", "x.json"])],
@@ -426,11 +471,31 @@ def test_cli_exits_without_interpreter_teardown(table_documents, argv, code):
 def test_cli_exit_code_stands_with_a_stream_closed(table_documents, fd, argv):
     # with descriptor 1 or 2 closed, sys.stdout or sys.stderr is None and
     # there is nothing to flush on it (argparse then writes --help to stderr)
-    argv = [str(table_documents / a) if a.endswith(".json") else a for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "cullis", *argv], capture_output=True,
-                          text=True, preexec_fn=lambda: os.close(fd))
+    proc = run_entry("module", argv, table_documents, preexec_fn=lambda: os.close(fd))
     assert proc.returncode == 0, proc.stderr
     assert (proc.stderr if fd == 1 else proc.stdout).startswith(("usage: cullis", '{"det"'))
+
+
+def test_cli_main_returns_argparse_codes(capsys):
+    # main returns every exit code, argparse's too, and raises no SystemExit
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cullis")
+    assert cli.main(["det"]) == 2
+    assert "the following arguments are required: --input" in capsys.readouterr().err
+
+
+def test_cli_reads_the_budget_once_before_any_work(tmp_path, capsys):
+    # every command reads --budget, else CULLIS_BUDGET, before its handler
+    # runs: verify-paper, which takes no budget, refuses a malformed one, and
+    # a malformed budget is reported before a malformed document is read
+    assert run_with_env_budget(["verify-paper", "--shapes", "3x2", "--p", "2"], "x") == (2, "")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"n": 2, "k": 1, "field": ')
+    with mock.patch.dict(os.environ, {"CULLIS_BUDGET": "-5"}):
+        assert cli.main(["det", "--input", str(broken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be at least 0, got -5\n"
 
 
 @pytest.mark.parametrize("script", sorted(
@@ -708,8 +773,7 @@ _BUDGET = st.sampled_from([[], ["--budget", "0"], ["--budget", "10"], ["--budget
 
 def run_in_process(argv, files):
     """cli.main on argv with the named files written to a fresh directory;
-    returns the exit code and stdout.  argparse refusing the vector exits
-    through SystemExit, which gives the code."""
+    returns the exit code and stdout."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
@@ -717,10 +781,7 @@ def run_in_process(argv, files):
         argv = [os.path.join(tmp, a) if a in files else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = cli.main(argv)
     return code, out.getvalue()
 
 
