@@ -17,7 +17,7 @@ import os
 import sys
 
 # each command imports the modules it runs, so start-up pays for no others
-from .errors import BudgetExceeded, CullisError, ResourceGuard
+from .errors import BudgetExceeded, CullisError
 
 
 def _budget_arg(text: str) -> int:
@@ -108,8 +108,7 @@ def _guard_map_entries(n: int, k: int, budget: int | None) -> None:
     the constructor to refuse."""
     from .determinant import DEFAULT_SEARCH_BUDGET, _guard
 
-    _guard((max(n, 0) * max(k, 0)) ** 2, budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded,
-           "map entries")
+    _guard((max(n, 0) * max(k, 0)) ** 2, budget, DEFAULT_SEARCH_BUDGET, "map entries")
 
 
 def _cmd_radical(args):  # the radical in closed form: no map, no JSON document
@@ -302,7 +301,7 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         sys.stdout.flush()
         return 0 if holds else 1
-    except (BudgetExceeded, ResourceGuard) as exc:
+    except BudgetExceeded as exc:
         _say(f"budget: {exc}")
         return 3
     except (CullisError, ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:

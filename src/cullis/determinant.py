@@ -25,8 +25,9 @@ checks that count once, before any work (a completion scan, that count times
 every kernel call it may make: `lambdapoly._scan_count`), and the kernels
 check nothing.  `det`, `det_int`, `det_product_rhs`, `lambda_coeffs`
 (on det(A + tB) packed into integers), the completion scans and the sign
-weights all take their kernel from it.  Every budget check is `_guard`,
-against the caller's budget or else a default below (`_guard_power` for p**e).
+weights all take their kernel from it.  Every budget check is `_guard(cost,
+budget, default, what)`, against the caller's budget or else a default below
+(`_guard_power` for p**e), raising BudgetExceeded before the work it counts.
 
 The sweep's cached plan (`sweep_plan`) is walked, with coefficients of its
 own, by `sympoly` (sparse polynomials) and `lanes` (the exhaustive tables).
@@ -38,8 +39,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import (BudgetExceeded, FieldMismatch, IndexOutOfRange, ResourceGuard, ShapeError,
-                     ShapeMismatch)
+from .errors import BudgetExceeded, FieldMismatch, IndexOutOfRange, ShapeError, ShapeMismatch
 from .fields import Scalar
 from .matrix import RectMatrix, eliminate, from_raw, raw_rows, submatrix_keep
 
@@ -58,12 +58,11 @@ def _require_tall(X: RectMatrix):
 
 
 def _guard(cost: int, budget: int | None, default: int = DEFAULT_OP_BUDGET,
-           error: type[Exception] = ResourceGuard, what: str = "elementary steps") -> int:
-    """The limit, budget or else default; raises error when cost exceeds it."""
+           what: str = "elementary steps") -> None:
+    """Raises BudgetExceeded when cost exceeds budget, or else default."""
     limit = default if budget is None else budget
     if cost > limit:
-        raise error(f"{cost} {what} exceed budget {limit}")
-    return limit
+        raise BudgetExceeded(f"{cost} {what} exceed budget {limit}")
 
 
 def _guard_power(p: int, e: int, budget: int | None, what: str) -> None:
@@ -73,7 +72,7 @@ def _guard_power(p: int, e: int, budget: int | None, what: str) -> None:
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if (p.bit_length() - 1) * e > limit.bit_length():
         raise BudgetExceeded(f"{p}**{e} {what} exceed budget {limit}")
-    _guard(p ** e, budget, DEFAULT_SEARCH_BUDGET, BudgetExceeded, what)
+    _guard(p ** e, budget, DEFAULT_SEARCH_BUDGET, what)
 
 
 # -- the row sweep ---------------------------------------------------------------
@@ -162,7 +161,7 @@ def _cheaper(n: int, k: int):
 
 def det_int(rows, k: int, budget: int | None = None) -> int:
     """Exact rectangular determinant of integer rows by `_cheaper`'s kernel,
-    refused (ResourceGuard) before any work when its count exceeds budget."""
+    refused (BudgetExceeded) before any work when its count exceeds budget."""
     kernel, steps = _cheaper(len(rows), k)
     _guard(steps, budget)
     return kernel(rows, k)

@@ -33,12 +33,12 @@ class ZeroInverse(CullisError):
     """Attempted to invert the zero element."""
 
 
-class ResourceGuard(CullisError):
-    """An operation-count estimate exceeded the configured budget."""
-
-
 class BudgetExceeded(CullisError):
-    """An exhaustive search space exceeded the configured budget."""
+    """A count made before any work exceeded the budget: the one over-budget
+    error, raised by `determinant._guard(cost, budget, default, what)`."""
+
+
+ResourceGuard = BudgetExceeded  # the same class, importable under its older name
 
 
 class ParityError(CullisError):

@@ -271,6 +271,9 @@ class Scalar:
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
     def __bool__(self):
         return bool(self.value)
 

@@ -170,7 +170,7 @@ def max_deg_over_all_A(B: RectMatrix) -> int:
     columns of B that basis columns complete to a nonzero det (any more
     columns of B than its rank are dependent); else 1 when some column is
     completable (`_radical_column`), else 0.  Every scan it may run is
-    counted before the first (ResourceGuard over the default budget).
+    counted before the first (BudgetExceeded over the default budget).
     """
     _require_tall(B)
     cols, p = _raw_columns(B)
@@ -183,7 +183,7 @@ def max_deg_over_all_A(B: RectMatrix) -> int:
 def deg_witness(B: RectMatrix, d: int) -> RectMatrix | None:
     """An A made of basis columns whose degree-d coefficient against B is
     nonzero, or None when no A at all produces one.  The scan is counted
-    before it starts (ResourceGuard over the default budget)."""
+    before it starts (BudgetExceeded over the default budget)."""
     _require_tall(B)
     if not 2 <= d <= B.k:
         raise ShapeError(f"degree {d} outside 2..{B.k}")
@@ -205,7 +205,7 @@ def all_completions_vanish(X: RectMatrix, k: int) -> bool:
 
     Decided exactly through multilinearity: only completions whose columns
     are standard basis vectors need checking.  The scan is counted before it
-    starts (ResourceGuard over the default budget).
+    starts (BudgetExceeded over the default budget).
     """
     if X.k != 2:
         raise ShapeError(f"expected two columns, got {X.k}")

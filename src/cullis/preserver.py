@@ -44,7 +44,6 @@ from math import lcm, perm
 from .determinant import (DEFAULT_TERM_GUARD, _cheaper, _guard, _guard_power, _require_tall, det,
                           det_int, semicyclic_shift)
 from .errors import (
-    BudgetExceeded,
     FieldMismatch,
     ParityError,
     ShapeError,
@@ -359,7 +358,7 @@ def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverRepor
     split = _kronecker(*_cleared(T.mat.values, p), n, k, p)
     if split is None:
         return _sweep_report(T, budget)
-    _guard(perm(n, k), budget, DEFAULT_TERM_GUARD, BudgetExceeded, f"terms of D at {n}x{k}")
+    _guard(perm(n, k), budget, DEFAULT_TERM_GUARD, f"terms of D at {n}x{k}")
     a, b, c = split
     d = next((d for d, w in _sign_weights(a, b, c ** k, k, p) if w), None)
     if d is None:

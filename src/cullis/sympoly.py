@@ -17,9 +17,9 @@ does not factor: a two-sided map is decided from its sign weights in
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .determinant import DEFAULT_TERM_GUARD, _guard, sweep_count, sweep_plan
-from .errors import BudgetExceeded
 
 
 Monomial = tuple[tuple[int, int], ...]
@@ -42,17 +42,30 @@ def _sweep(mat_rows: list[list[int]], n: int, k: int, p: int | None,
     polynomials.  A monomial is packed into one integer, the exponent of
     variable v in bits [v*b, (v+1)*b) with 2**b > k, so that multiplying by
     a variable is an integer addition.  Row j*n + i of M gives entry (i, j)
-    of M X.
+    of M X.  Its products are bounded and checked before the first is made.
     """
     # a plan with more moves than allowed products is not built
-    limit = _guard(sweep_count(n, k), guard, DEFAULT_TERM_GUARD, BudgetExceeded,
-                   f"sweep-plan moves at {n}x{k}")
+    _guard(sweep_count(n, k), guard, DEFAULT_TERM_GUARD, f"sweep-plan moves at {n}x{k}")
     b = k.bit_length()
     # forms[i][j]: entry (i, j) of M X as (packed variable, coefficient) pairs
     forms = [[[(1 << (v * b), c) for v, c in enumerate(mat_rows[j * n + i]) if c]
               for j in range(k)] for i in range(n)]
+    # the products, bounded before the first: the sweep only merges and drops
+    # terms, so d used columns hold at most the terms sent there, one product
+    # each, and the degree-d monomials in the variables sent there (`seen`)
+    terms, seen = [0] * (1 << k), [0] * (1 << k)
+    terms[0] = 1
+    for row, moves in zip(forms, sweep_plan(n, k)):
+        sizes = [(len(form), sum(var for var, _ in form)) for form in row]
+        for src, dst, col, _ in moves:
+            if terms[src] and sizes[col][0]:
+                size, mask = sizes[col]
+                d = src.bit_count()
+                live = min(terms[src], comb(seen[src].bit_count() + d - 1, d)) if d else 1
+                terms[dst] += live * size
+                seen[dst] |= seen[src] | mask
+    _guard(sum(terms) - 1, guard, DEFAULT_TERM_GUARD, f"symbolic products at {n}x{k}")
 
-    cost = 0
     val: list[dict | None] = [None] * (1 << k)
     val[0] = {0: 1}
     for row, moves in zip(forms, sweep_plan(n, k)):
@@ -61,9 +74,6 @@ def _sweep(mat_rows: list[list[int]], n: int, k: int, p: int | None,
             sub, form = val[src], row[col]
             if not sub or not form:
                 continue
-            cost += len(sub) * len(form)
-            if cost > limit:
-                raise BudgetExceeded(f"symbolic expansion beyond {limit} products")
             acc = val[dst]
             if acc is None:
                 acc = val[dst] = {}

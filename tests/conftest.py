@@ -19,7 +19,8 @@ settings.register_profile(
 # radical's closed form per column against the determinant scan, `det`
 # against the defining routes, the sweep against elimination, `lambda_coeffs`
 # against column substitution, and the defining routes and their integer
-# `det_square` against the oracles, for CI on every Python:
+# `det_square` against the oracles, and the symbolic sweep's product bound
+# against a reference count, for CI on every Python:
 #   pytest --hypothesis-profile exhaustive tests/test_exhaustive.py::test_exhaustive_equals_brute_force_on_drawn_maps
 #   pytest --hypothesis-profile exhaustive tests/test_lambdapoly.py::test_one_column_scan_equals_determinants
 #   pytest --hypothesis-profile exhaustive tests/test_kernel.py::test_det_equals_every_defining_route_and_the_oracle
@@ -27,6 +28,7 @@ settings.register_profile(
 #   ::test_lambda_coeffs_equals_column_substitution_and_evaluation)
 #   pytest --hypothesis-profile exhaustive tests/test_determinant.py::test_det_square_equals_the_leibniz_sum
 #   (and ::test_each_route_equals_the_oracle_with_the_fields_value_type)
+#   pytest --hypothesis-profile exhaustive tests/test_sympoly.py::test_product_bound_is_at_least_the_products_made
 settings.register_profile(
     "exhaustive",
     max_examples=500,

@@ -55,3 +55,37 @@ def oracle_rank(rows, p=None):
                 if oracle_square_det(minor, p):
                     return r
     return 0
+
+
+def oracle_sweep_products(rows, n, k, p=None):
+    """Products the row sweep of det(M X) makes, M given by its n*k integer
+    rows, row j*n + i giving entry (i, j) of M X as a form in the
+    column-major entries of X.  Row i (0-based) goes into each unused column
+    c of every set S of used columns that the rows after it can still fill,
+    with sign (-1)**(#{d in S: d > c} + i - |S|), multiplying each term held
+    at S by each term of the form; after each row the coefficients are taken
+    mod p (when given) and zero ones dropped.  The sweep's last set holds
+    det(M X), returned with the count."""
+    forms = [[{v: c for v, c in enumerate(rows[j * n + i]) if c} for j in range(k)]
+             for i in range(n)]
+    held = {frozenset(): {(): 1}}
+    count = 0
+    for i in range(n):
+        grown = {used: dict(poly) for used, poly in held.items()}
+        for used, poly in held.items():
+            if not poly or k - len(used) - 1 > n - i - 1:  # nothing held, or unfillable
+                continue
+            for c in range(k):
+                form = forms[i][c]
+                if c in used or not form:
+                    continue
+                count += len(poly) * len(form)
+                sign = (-1) ** (sum(1 for d in used if d > c) + i - len(used))
+                out = grown.setdefault(used | {c}, {})
+                for mono, a in poly.items():
+                    for v, b in form.items():
+                        key = tuple(sorted(mono + (v,)))
+                        out[key] = out.get(key, 0) + sign * a * b
+        held = {used: {mono: a % p if p else a for mono, a in poly.items() if (a % p if p else a)}
+                for used, poly in grown.items()}
+    return count, held.get(frozenset(range(k)), {})

@@ -19,11 +19,14 @@ from cullis import (
     LinearMapNK,
     PreserverReport,
     RectMatrix,
+    ZeroInverse,
     enumerate_preservers,
     gf,
     identity,
     is_preserver,
     make_two_sided,
+    submatrix_drop,
+    vec,
 )
 
 
@@ -135,3 +138,29 @@ def test_report_defaults_and_field_order():
     assert not bare.preserves and PreserverReport("preserves", "exhaustive").preserves
     with pytest.raises(TypeError):
         PreserverReport("preserves")
+
+
+@pytest.mark.parametrize("F", [gf(5), RATIONALS], ids=str)
+def test_scalar_and_matrix_api_against_raw_values(F):
+    # each method against the same arithmetic on the raw values: residues
+    # mod 5 over GF(5), Fractions over QQ
+    def raw(v):
+        return v % F.p if F.p else Fraction(v)
+
+    s, zero = F.element(3), F.zero
+    assert (1 - s).value == raw(1 - 3) and (s - 1).value == raw(3 - 1)
+    assert (s / 2).value == raw(3 * (pow(2, -1, 5) if F.p else Fraction(1, 2)))
+    assert (2 / s).value == raw(2 * (pow(3, -1, 5) if F.p else Fraction(1, 3)))
+    assert (1 / s) * s == F.one and (s / s) == F.one
+    for divide in (lambda: s / 0, lambda: 1 / zero, lambda: zero / zero):
+        with pytest.raises(ZeroInverse):
+            divide()
+    assert bool(s) and not bool(zero) and zero.is_zero and not s.is_zero
+    values = [[1, 2, 3], [4, 0, 6]]
+    X = RectMatrix.from_rows(F, values)
+    assert [e.value for e in X.entries] == [raw(v) for row in values for v in row]
+    assert all(e.field is F for e in X.entries)
+    assert (-X).values == tuple(raw(-v) for row in values for v in row)
+    assert [e.value for e in vec(X)] == [raw(v) for col in zip(*values) for v in col]
+    assert submatrix_drop(X, [2], [1]).values == (raw(2), raw(3))
+    assert submatrix_drop(X, [], [2]) == RectMatrix.from_rows(F, [[1, 3], [4, 6]])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cullis import (
     RATIONALS,
+    BudgetExceeded,
     RectMatrix,
     ResourceGuard,
     ShapeError,
@@ -27,7 +28,7 @@ from cullis import (
     semicyclic_shift,
     zeros,
 )
-from cullis.determinant import _cheaper
+from cullis.determinant import _cheaper, _guard
 from cullis.routes import det_square
 from oracles import oracle_det, oracle_square_det
 
@@ -68,6 +69,14 @@ def test_dispatcher_examples():
     assert det(zeros(Q, 4, 2)).value == 0
     assert det(basis_selector(Q, 4, [2, 4])).value == -1  # subset sign of {2,4}
     assert det(basis_selector(Q, 4, [1, 2])).value == 1
+
+
+def test_one_error_means_over_budget():
+    # the older name stays importable, and `_guard` raises the one class
+    assert ResourceGuard is BudgetExceeded
+    with pytest.raises(BudgetExceeded, match="^10 map entries exceed budget 9$"):
+        _guard(10, 9, 100, "map entries")
+    _guard(10, None, 10, "map entries")
 
 
 def test_shape_guard():

@@ -262,6 +262,36 @@ def test_deg_witness():
         deg_witness(B, 1)
 
 
+@pytest.mark.parametrize("field", [gf(3), gf(5), Q], ids=str)
+@pytest.mark.parametrize("n, k", [(6, 4), (7, 5)])
+def test_deg_witness_exists_exactly_up_to_the_max_degree(field, n, k):
+    # rank-one, rank-two and random B: a witness at d exactly when d is at
+    # most the maximal degree, and its degree-d coefficient is nonzero
+    rng = random.Random(n * k)
+    pool = [rank_le1(field, n, k, rng) for _ in range(3)]
+    pool += [rank_le1(field, n, k, rng) + rank_le1(field, n, k, rng) for _ in range(3)]
+    pool += [random_matrix(field, n, k, rng) for _ in range(3)]
+    for B in pool:
+        top = max_deg_over_all_A(B)
+        for d in range(2, k + 1):
+            A = deg_witness(B, d)
+            assert (A is None) == (d > top)
+            if A is not None:
+                assert lambda_coeffs(A, B).coeffs[d].value
+
+
+def test_deg_witness_is_pinned_on_one_matrix():
+    # the first columns of B that basis columns complete, {1, 2} at d = 2 and
+    # {1, 2, 3} at d = 3, completed by the first rows that do
+    F = gf(5)
+    B = mat([[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4], [2, 0, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]],
+            F)
+    assert max_deg_over_all_A(B) == 3
+    assert deg_witness(B, 2) == basis_matrix(F, 6, 4, 1, 3) + basis_matrix(F, 6, 4, 2, 4)
+    assert deg_witness(B, 3) == basis_matrix(F, 6, 4, 1, 4)
+    assert deg_witness(B, 4) is None
+
+
 # -- completion constructors ----------------------------------------------------
 
 

@@ -1,14 +1,19 @@
 import random
+import signal
 from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cullis import BudgetExceeded, LinearMapNK, RATIONALS, det, gf, random_matrix, vec
+from cullis import (BudgetExceeded, LinearMapNK, RATIONALS, det, gf, is_preserver, make_s_shift,
+                    random_matrix, vec)
+from cullis import sympoly
 from cullis.determinant import sweep_count, sweep_plan
 from cullis.preserver import _cleared
 from cullis.sympoly import det_change, fold, nonzero_point
-from oracles import oracle_subset_sign
+from oracles import oracle_subset_sign, oracle_sweep_products
 
 
 def eval_poly(poly, point, field):
@@ -127,6 +132,92 @@ def test_expansion_guard_refuses():
     with pytest.raises(BudgetExceeded):
         det_change(big, 13, 10, 1, 5, guard=sweep_count(13, 10) - 1)
     assert sweep_plan.cache_info().misses == before
+
+
+def checked_bound(rows, n, k, p):
+    """The product bound `_sweep` checks before its first product, read at
+    its `_guard` call, and what the sweep returns."""
+    checked = {}
+
+    def spy(cost, budget, default, what):
+        checked[what] = cost
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sympoly, "_guard", spy)
+        swept = sympoly._sweep(rows, n, k, p, None)
+    return checked[f"symbolic products at {n}x{k}"], swept
+
+
+def unpacked(swept, k):
+    """`_sweep`'s packed monomials as sorted tuples of variables, one per power."""
+    b, out = k.bit_length(), {}
+    for key, c in swept.items():
+        mono, v = [], 0
+        while key:
+            mono += [v] * (key & ((1 << b) - 1))
+            key >>= b
+            v += 1
+        out[tuple(mono)] = c
+    return out
+
+
+@st.composite
+def sweep_maps(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(n, 4 if n < 5 else 3)))
+    p = draw(st.sampled_from([2, 3, 10007, None]))
+    nk = n * k
+    # sparse draws keep most entries zero, dense ones draw every entry; forms
+    # in a few variables of X hold many terms per variable, where the bound
+    # leans on the variables it has seen
+    density = draw(st.sampled_from([0.15, 0.4, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    support = set(rng.sample(range(nk), draw(st.sampled_from([nk, min(nk, 3), min(nk, 4)]))))
+    entries = st.integers(-9, 9) if p is None else st.integers(0, p - 1)
+    rows = [[draw(entries) if v in support and rng.random() < density else 0 for v in range(nk)]
+            for _ in range(nk)]
+    return rows, n, k, p
+
+
+@given(case=sweep_maps())
+def test_product_bound_is_at_least_the_products_made(case):
+    # the bound checked before the sweep against a reference count of the
+    # products it makes, on sparse and dense maps; the reference sweep's
+    # polynomial is det(M X), as `_sweep`'s is
+    rows, n, k, p = case
+    bound, swept = checked_bound(rows, n, k, p)
+    count, poly = oracle_sweep_products(rows, n, k, p)
+    assert bound >= count
+    assert unpacked(swept, k) == poly
+
+
+def test_product_bound_is_exact_on_composed_s_shifts():
+    rng = random.Random(38)
+    for F in (gf(3), gf(5), gf(7), RATIONALS):
+        for n, k in ((4, 2), (5, 3), (6, 4)):
+            T = make_s_shift(n, k, 1 + rng.randrange(n), 1 + rng.randrange(k), F)
+            for _ in range(2):
+                T = T.compose(make_s_shift(n, k, 1 + rng.randrange(n), 1 + rng.randrange(k), F))
+            rows, _ = raw_rows(T)
+            assert checked_bound(rows, n, k, F.p)[0] == oracle_sweep_products(rows, n, k, F.p)[0]
+
+
+def test_dense_map_is_refused_before_the_sweep():
+    # a dense 7x6 map over GF(7) bounds to about 1e9 products, past the
+    # default 2e8: refused within 1 s, before its first product
+    T = LinearMapNK(7, 6, random_matrix(gf(7), 42, 42, random.Random(38)))
+
+    def expire(signum, frame):
+        raise TimeoutError("the symbolic check ran past 1 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        with pytest.raises(BudgetExceeded, match="symbolic products at 7x6 exceed budget"):
+            is_preserver(T, "symbolic")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_fold_reduces_by_x_to_the_p():
