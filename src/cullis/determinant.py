@@ -15,19 +15,21 @@ runs whichever of two routes needs fewer multiplications, counted from
 * the row sweep (`sweep`), O(n k 2^k), for tall shapes: rows 1..n are placed
   in order, with one signed partial sum per set of used columns;
 * `_elim`, the fraction-free (Bareiss) elimination `matrix.eliminate` that
-  `rank` also runs, exact on the integers and only for n = k and n = k + 1:
-  on X, or on det[X | 1] (Laplace along the ones column gives exactly the
-  alternating minor sum).  Every shape with n >= k + 2 takes the sweep.
+  `rank` also runs, only for n = k and n = k + 1: on X, or on det[X | 1]
+  (Laplace along the ones column gives exactly the alternating minor sum).
+  It runs on residues mod p over GF(p), else exactly on the integers.
+  Every shape with n >= k + 2 takes the sweep.
   `det` is also the square determinant for the rest of the package.
 
 `_cheaper(n, k)` hands back the kernel and its exact count; each call
-checks that count once, before any work (a completion scan, that count times
-every kernel call it may make: `lambdapoly._scan_count`), and the kernels
-check nothing.  `det`, `det_int`, `det_product_rhs`, `lambda_coeffs`
-(on det(A + tB) packed into integers), the completion scans and the sign
-weights all take their kernel from it.  Every budget check is `_guard(cost,
-budget, default, what)`, against the caller's budget or else a default below
-(`_guard_power` for p**e), raising BudgetExceeded before the work it counts.
+checks the count of every kernel call it may make once, before any work (a
+completion scan: `lambdapoly._scan_count`; the sign weights: det(B)'s and
+C(n, k) n x k counts), and the kernels check nothing.  `det`,
+`det_product_rhs`, `lambda_coeffs` (on det(A + tB) packed into integers),
+the completion scans and the sign weights all take their kernel from it.
+Every budget check is `_guard(cost, budget, default, what)`, against the
+caller's budget or else a default below (`_guard_power` for p**e), raising
+BudgetExceeded before the work it counts.
 
 The sweep's cached plan (`sweep_plan`) is walked, with coefficients of its
 own, by `sympoly` (sparse polynomials) and `lanes` (the exhaustive tables).
@@ -44,8 +46,7 @@ from .fields import Scalar
 from .matrix import RectMatrix, eliminate, from_raw, raw_rows, submatrix_keep
 
 DEFAULT_OP_BUDGET = 10_000_000
-# products a symbolic expansion may make (`sympoly`), and the terms of D that
-# the sign weights of a two-sided map stand for (`preserver`)
+# products a symbolic expansion may make (`sympoly`)
 DEFAULT_TERM_GUARD = 200_000_000
 # inputs, maps or matrices an exhaustive search may visit (`preserver`,
 # `lambdapoly.radical_enumerate`), and the entries a map constructor writes
@@ -112,10 +113,10 @@ def sweep_plan(n: int, k: int) -> tuple[tuple[tuple[int, int, int, int], ...], .
     return tuple(plan)
 
 
-def sweep(rows, k: int) -> int:
+def sweep(rows, k: int, p: int | None = None) -> int:
     """Rectangular determinant of an integer matrix (a sequence of n rows of
-    k ints) by the row sweep, exactly.  Unchecked: callers check its count,
-    `sweep_count(n, k)`, through `det_int` or `_cheaper` first."""
+    k ints) by the row sweep, exactly, and reduced mod p given p.  Unchecked:
+    callers check its count, `sweep_count(n, k)`, through `_cheaper` first."""
     n = len(rows)
     val = [0] * (1 << k)
     val[0] = 1
@@ -129,18 +130,22 @@ def sweep(rows, k: int) -> int:
                         val[dst] -= v * x
                     else:
                         val[dst] += v * x
-    return val[-1]
+    return val[-1] % p if p else val[-1]
 
 
 # -- elimination -----------------------------------------------------------------
 
 
-def _elim(rows, k: int) -> int:
+def _elim(rows, k: int, p: int | None = None) -> int:
     """Rectangular determinant of an integer matrix with n <= k + 1 rows by
-    exact (Bareiss) elimination on X, or on [X | 1] at n = k + 1; unchecked."""
+    (Bareiss) elimination on X, or on [X | 1] at n = k + 1; unchecked.  Exact
+    on integers; given p, on residues mod p (`eliminate`'s d / s, with one
+    inverse), so no entry grows past p."""
     n = len(rows)
-    r, d = eliminate([list(row) + [1] * (n - k) for row in rows])
-    return d if r == n else 0
+    r, d, s = eliminate([list(row) + [1] * (n - k) for row in rows], p)
+    if r < n:
+        return 0
+    return d * pow(s, -1, p) % p if p else d
 
 
 def elim_count(n: int) -> int:
@@ -157,14 +162,6 @@ def _cheaper(n: int, k: int):
     if n <= k + 1 and elim_count(n) < sweep_steps:
         return _elim, elim_count(n)
     return sweep, sweep_steps
-
-
-def det_int(rows, k: int, budget: int | None = None) -> int:
-    """Exact rectangular determinant of integer rows by `_cheaper`'s kernel,
-    refused (BudgetExceeded) before any work when its count exceeds budget."""
-    kernel, steps = _cheaper(len(rows), k)
-    _guard(steps, budget)
-    return kernel(rows, k)
 
 
 def _entry_weight(rows, p: int | None) -> int:
@@ -189,12 +186,14 @@ def det(X: RectMatrix, budget: int | None = None) -> Scalar:
     _guard(steps, budget)  # refuse before converting anything
     (rows,), scale = raw_rows(X)
     _guard(steps * _entry_weight(rows, X.field.p), budget, what="entry-weighted steps")
-    return from_raw(X.field, kernel(rows, X.k), scale)
+    return from_raw(X.field, kernel(rows, X.k, X.field.p), scale)
 
 
 def det_product_rhs(X: RectMatrix, Y: RectMatrix, budget: int | None = None) -> Scalar:
     """Expansion of det(X @ Y) as sum over column l-subsets d of X of the raw
-    values det(X restricted to columns d) * det(rows d of Y)."""
+    values det(X restricted to columns d) * det(rows d of Y); all C(k, l)
+    pairs are counted first, as `det` counts one, at X's or Y's larger
+    `_entry_weight`, which bounds every minor's."""
     if X.field != Y.field:
         raise FieldMismatch(f"{X.field!r} vs {Y.field!r}")
     n, k, l = X.n, X.k, Y.k
@@ -202,7 +201,11 @@ def det_product_rhs(X: RectMatrix, Y: RectMatrix, budget: int | None = None) -> 
         raise ShapeMismatch(f"{n}x{k} times {Y.n}x{l}")
     if not (1 <= l <= k <= n):
         raise ShapeError(f"need 1 <= {l} <= {k} <= {n}")
-    _guard(comb(k, l) * (_cheaper(n, l)[1] + _cheaper(l, l)[1]), budget)  # every minor's det
+    steps = comb(k, l) * (_cheaper(n, l)[1] + _cheaper(l, l)[1])
+    _guard(steps, budget)  # refuse before converting anything
+    p = X.field.p
+    weight = _entry_weight((), p) if p else max(_entry_weight(raw_rows(M)[0][0], p) for M in (X, Y))
+    _guard(steps * weight, budget, what="entry-weighted steps")
     total = 0
     all_rows = range(1, n + 1)
     for d in combinations(range(1, k + 1), l):

@@ -24,8 +24,9 @@ position (j-1)*n + i of the flat vector.
 `raw_rows` turns matrices into plain integer rows once (residues over GF(p),
 column-cleared integers over QQ) and `from_raw` turns a raw result back into
 a scalar.  `eliminate` is fraction-free (Bareiss) elimination on such rows,
-exact over the integers (the determinant `det` takes near the square, and
-the rank over QQ) and reduced mod p for the rank over GF(p).
+exact over the integers (the rank over QQ, and the determinant near the
+square over QQ and on packed rows) and reduced mod p over GF(p), where it
+gives the rank and, from its row multipliers, the determinant.
 """
 
 from __future__ import annotations
@@ -381,14 +382,17 @@ def from_raw(field: FieldSpec, value: int, scale: int) -> Scalar:
     return Scalar(rational(value, scale), field)
 
 
-def eliminate(m: list[list[int]], p: int | None = None) -> tuple[int, int]:
+def eliminate(m: list[list[int]], p: int | None = None) -> tuple[int, int, int]:
     """Fraction-free (Bareiss) elimination of the integer rows m, in place,
-    skipping columns without a pivot.  Returns the rank and the signed last
-    pivot, which is the determinant of a square m of full rank.  Given a
-    prime p the rows must be residues; each step is then reduced mod p with
-    no exact division, which keeps the rank but not the determinant."""
+    skipping columns without a pivot.  Returns the rank and d, s with
+    det(m) = d / s for a square m of full rank: over the integers the signed
+    last pivot and 1.  Given a prime p the rows must be residues, and each
+    step is reduced mod p with no exact division: a row with entry f under
+    the pivot pc becomes pc * row - f * pivot row, which multiplies det(m)
+    by pc, so d is the signed product of the pivots and s that of these
+    multipliers, both mod p.  No inverse is taken, so the rank costs none."""
     nr, nc = len(m), len(m[0])
-    sign, prev, r = 1, 1, 0
+    sign, prev, r, s = 1, 1, 0, 1
     for c in range(nc):
         piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
@@ -407,11 +411,12 @@ def eliminate(m: list[list[int]], p: int | None = None) -> tuple[int, int]:
             elif f:
                 for j in range(c + 1, nc):
                     row[j] = (row[j] * pc - f * top[j]) % p
-        prev = pc
+                s = s * pc % p
+        prev = prev * pc % p if p else pc
         r += 1
         if r == nr:
             break
-    return r, sign * prev
+    return r, sign * prev, s
 
 
 def rank(A: RectMatrix) -> int:

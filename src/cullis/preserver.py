@@ -12,7 +12,7 @@ B^T (x) A.  `make_two_sided` writes it entry by entry; `_kronecker` decides
 on raw values whether a matrix is one, by the rank-one test on its blocks,
 and gives integer factors.  `factor_two_sided` reads A and B off them, and
 the symbolic check of such a map needs no polynomial: with
-w_d = det(B) det(A[:, d]) - sgn(d) (`_sign_weights`), Cauchy-Binet gives
+w_d = det(B) det(A[:, d]) - sgn(d) (`_first_failure`), Cauchy-Binet gives
 D = det(AXB) - det(X) = sum_d w_d det(X_d), so the weights decide it and
 the first nonzero one gives the witness.  Any other map takes the row sweep
 (`_sweep_report`).  Both routes work on integers: a map over QQ is cleared
@@ -39,10 +39,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import lcm, perm
+from math import comb, lcm
 
-from .determinant import (DEFAULT_TERM_GUARD, _cheaper, _guard, _guard_power, _require_tall, det,
-                          det_int, semicyclic_shift)
+from .determinant import (_cheaper, _entry_weight, _guard, _guard_power, _require_tall, det,
+                          semicyclic_shift)
 from .errors import (
     FieldMismatch,
     ParityError,
@@ -183,39 +183,40 @@ def _rows(flat: list, width: int) -> list[list]:
     return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
-def _sign_weights(a: list[list[int]], b: list[list[int]], q: int, k: int, p: int | None):
-    """(d, q * w_d), q * w_d = det(b) * det(a[:, d]) - sgn(d) * q, for the
-    column k-subsets d of the n x n integer rows a, in lexicographic order,
-    lazily (one n x k determinant per subset, one count check for all);
-    residues over GF(p), integers over QQ (p None).  For X -> A X B with
-    A = a and det(B) = det(b) / q, every w_d is 0 exactly when the map
-    preserves det, and D = sum_d w_d det(X_d).  q is a nonzero integer, also
-    mod p, so q * w_d is zero exactly when w_d is; no inverse of q is needed."""
+def _first_failure(a: list, b: list, q: int, k: int, p: int | None, budget: int | None):
+    """The first column k-subset d of the n x n integer rows a, in
+    lexicographic order, with q * w_d = det(b) * det(a[:, d]) - sgn(d) * q
+    nonzero (residues over GF(p), integers over QQ), or None.  For
+    X -> A X B with A = a and det(B) = det(b) / q, D = sum_d w_d det(X_d),
+    so None means the map preserves det; q is nonzero, also mod p, so no
+    inverse of it is needed.  One count, det(b)'s steps plus C(n, k) times
+    `_cheaper(n, k)`'s, is checked against budget before any determinant."""
     from . import combinatorics as comb_mod  # the subset signs: no other map command loads them
 
-    db = det_int(b, k)
-    if p:
-        db %= p
+    n = len(a)
+    kernel, steps = _cheaper(n, k)
+    kernel_b, steps_b = _cheaper(k, k)
+    _guard(steps_b + comb(n, k) * steps, budget)
+    db = kernel_b(b, k, p)
     cols = list(zip(*a))
-    kernel, steps = _cheaper(len(a), k)
-    if db:
-        _guard(steps, None)
-    for d in combinations(range(1, len(a) + 1), k):
-        x = kernel(list(zip(*(cols[c - 1] for c in d))), k) if db else 0
-        w = db * x - comb_mod.sgn_of_subset(d) * q
-        yield d, (w % p if p else w)
+    for d in combinations(range(1, n + 1), k):
+        w = db * kernel(list(zip(*(cols[c - 1] for c in d))), k, p) - comb_mod.sgn_of_subset(d) * q
+        if w % p if p else w:
+            return d
+    return None
 
 
 def check_sign_condition(A: RectMatrix, B: RectMatrix) -> bool:
     """True when det(columns d of A) * det(B) equals the sign of d for every
-    column k-subset d; equivalent to X -> A @ X @ B preserving det."""
+    column k-subset d; equivalent to X -> A @ X @ B preserving det.  Its
+    determinants are counted against DEFAULT_OP_BUDGET first (`_first_failure`)."""
     n, k = _check_factors(A, B)
     if k > n:
         raise ShapeError(f"inner size {k} exceeds outer size {n}")
     p = A.field.p
     a, sa = _cleared(A.values, p)
     b, sb = _cleared(B.values, p)
-    return not any(w for _, w in _sign_weights(_rows(a, n), _rows(b, k), (sa * sb) ** k, k, p))
+    return _first_failure(_rows(a, n), _rows(b, k), (sa * sb) ** k, k, p, None) is None
 
 
 def _kronecker(m: list[int], s: int, n: int, k: int, p: int | None):
@@ -343,24 +344,20 @@ def _sweep_report(T: LinearMapNK, budget: int | None) -> PreserverReport:
 
 
 def _is_preserver_symbolic(T: LinearMapNK, budget: int | None) -> PreserverReport:
-    """T preserves exactly when D = det(T(X)) - det(X) is zero.
-
-    A Kronecker product (`_kronecker`) is decided by its sign weights, after
-    a budget check on the perm(n, k) terms of D = sum_d w_d det(X_d): D is
-    zero exactly when every w_d is.  Otherwise the witness is the unit
-    pattern of the first d with w_d != 0 (`basis_selector`); there every
-    other minor X_d' has a zero row, so D = w_d.  It is also the point
-    `sympoly.nonzero_point` picks on D: the diagonal of that d is D's lowest
-    monomial, and the only term on its variables.  Any other map takes the
-    row sweep (`_sweep_report`), so `sympoly` is loaded only for a map that
-    does not factor."""
+    """T preserves exactly when D = det(T(X)) - det(X) is zero.  A Kronecker
+    product (`_kronecker`) is decided by its sign weights (`_first_failure`),
+    and its witness is the unit pattern of the first d with w_d != 0
+    (`basis_selector`): there every other minor X_d' has a zero row, so
+    D = w_d, and it is the point `sympoly.nonzero_point` picks on D, whose
+    lowest monomial is that d's diagonal, the only term on its variables.
+    Any other map takes the row sweep (`_sweep_report`), so `sympoly` is
+    loaded only for a map that does not factor."""
     n, k, p = T.n, T.k, T.field.p
     split = _kronecker(*_cleared(T.mat.values, p), n, k, p)
     if split is None:
         return _sweep_report(T, budget)
-    _guard(perm(n, k), budget, DEFAULT_TERM_GUARD, f"terms of D at {n}x{k}")
     a, b, c = split
-    d = next((d for d, w in _sign_weights(a, b, c ** k, k, p) if w), None)
+    d = _first_failure(a, b, c ** k, k, p, budget)
     if d is None:
         return PreserverReport("preserves", "symbolic")
     return PreserverReport("violates", "symbolic", basis_selector(T.field, n, d))
@@ -384,12 +381,16 @@ def is_preserver(
     nk * (p + 1) + 2**k lanes of a block.
     `symbolic` decides D = det(T(X)) - det(X), reduced by x**p = x over
     GF(p), and is exact over every field, small ones included: from the sign
-    weights for a two-sided map, else from D expanded by the row sweep.  A
+    weights for a two-sided map (det(B)'s steps plus C(n, k) n x k
+    determinants' steps, counted against the operation budget first), else
+    from D expanded by the row sweep (its products and det(X)'s, counted
+    against the symbolic budget first, `sympoly.det_change`).  A
     violation carries a witness where D is nonzero, and neither verdict
     depends on `seed`.  `random` draws `samples` matrices from `seed` and
     can only return `violates` or `inconclusive`; samples below 1 raise
-    ValueError, and the two `det` calls per sample are counted against the
-    operation budget before the first draw, and each runs under it.
+    ValueError.  Its two `det` calls per sample are counted against the
+    operation budget before the first draw, as `det` counts one: steps, then
+    steps times an entry weight no draw exceeds; each runs under that budget.
     """
     _require_tall(T)
     if method == "exhaustive":
@@ -399,7 +400,14 @@ def is_preserver(
     if method == "random":
         if samples < 1:
             raise ValueError(f"{samples} samples: need at least one")
-        _guard(2 * samples * _cheaper(T.n, T.k)[1], budget)  # two dets per sample
+        steps = 2 * samples * _cheaper(T.n, T.k)[1]  # two dets per sample
+        _guard(steps, budget)
+        p, top = T.field.p, 0
+        if not p:  # a draw (`FieldSpec.random_value`) clears below 9 * lcm(1..9),
+            # and its image below that times the largest row sum of |s T|
+            m, _ = _cleared(T.mat.values, p)
+            top = 22680 * max(map(sum, _rows([abs(x) for x in m], T.n * T.k)))
+        _guard(steps * _entry_weight([[top]], p), budget, what="entry-weighted steps")
         from random import Random
 
         rng = Random(seed)

@@ -17,7 +17,7 @@ does not factor: a two-sided map is decided from its sign weights in
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
 from .determinant import DEFAULT_TERM_GUARD, _guard, sweep_count, sweep_plan
 
@@ -28,13 +28,16 @@ Poly = dict[Monomial, int]
 
 @lru_cache(maxsize=16)
 def _identity_sweep(n: int, k: int, p: int | None) -> dict[int, int]:
-    """`_sweep` of the identity map; cached, so callers must not modify it."""
+    """`_sweep` of the identity map, under its own exact count, which its
+    bound never exceeds: `det_change` checks that count against the caller's
+    guard first.  Cached, so callers must not modify it."""
     nk = n * k
-    return _sweep([[int(r == c) for c in range(nk)] for r in range(nk)], n, k, p, None)
+    rows = [[int(r == c) for c in range(nk)] for r in range(nk)]
+    return _sweep(rows, n, k, p, _identity_products(n, k))
 
 
 def _sweep(mat_rows: list[list[int]], n: int, k: int, p: int | None,
-           guard: int | None) -> dict[int, int]:
+           guard: int | None, owed: int = 0) -> dict[int, int]:
     """det(M X) with packed monomials, for M given by integer rows: integer
     coefficients, residues over GF(p).
 
@@ -42,7 +45,8 @@ def _sweep(mat_rows: list[list[int]], n: int, k: int, p: int | None,
     polynomials.  A monomial is packed into one integer, the exponent of
     variable v in bits [v*b, (v+1)*b) with 2**b > k, so that multiplying by
     a variable is an integer addition.  Row j*n + i of M gives entry (i, j)
-    of M X.  Its products are bounded and checked before the first is made.
+    of M X.  Its products, plus the `owed` ones its caller makes besides,
+    are bounded and checked before the first is made.
     """
     # a plan with more moves than allowed products is not built
     _guard(sweep_count(n, k), guard, DEFAULT_TERM_GUARD, f"sweep-plan moves at {n}x{k}")
@@ -64,7 +68,7 @@ def _sweep(mat_rows: list[list[int]], n: int, k: int, p: int | None,
                 live = min(terms[src], comb(seen[src].bit_count() + d - 1, d)) if d else 1
                 terms[dst] += live * size
                 seen[dst] |= seen[src] | mask
-    _guard(sum(terms) - 1, guard, DEFAULT_TERM_GUARD, f"symbolic products at {n}x{k}")
+    _guard(sum(terms) - 1 + owed, guard, DEFAULT_TERM_GUARD, f"symbolic products at {n}x{k}")
 
     val: list[dict | None] = [None] * (1 << k)
     val[0] = {0: 1}
@@ -90,12 +94,21 @@ def _sweep(mat_rows: list[list[int]], n: int, k: int, p: int | None,
     return val[-1] or {}
 
 
+def _identity_products(n: int, k: int) -> int:
+    """`_sweep`'s products on the identity map: a row-r move from u used
+    columns meets one term per injection of them into the earlier rows."""
+    return sum(comb(k, u) * (k - u) * perm(r - 1, u) for r in range(1, n + 1)
+               for u in range(max(0, k - 1 - (n - r)), min(r, k)))
+
+
 def det_change(mat_rows: list[list[int]], n: int, k: int, s: int, p: int | None,
                guard: int | None = None) -> Poly:
     """s**k * (det(T(X)) - det(X)), folded (`fold`), for T given by the
     integer rows of M = s T (`_sweep`).  det(X) is taken off in packed form,
-    so terms that cancel are never unpacked."""
-    diff = _sweep(mat_rows, n, k, p, guard)
+    so terms that cancel are never unpacked.  One check against the guard
+    (default DEFAULT_TERM_GUARD), before the first product, covers both
+    halves: det(M X)'s bound and det(X)'s count, cached or not."""
+    diff = _sweep(mat_rows, n, k, p, guard, _identity_products(n, k))
     sk = s ** k
     for key, c in _identity_sweep(n, k, p).items():
         diff[key] = diff.get(key, 0) - c * sk

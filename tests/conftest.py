@@ -17,7 +17,8 @@ settings.register_profile(
 )
 # the exhaustive check against brute force on many drawn maps, the
 # radical's closed form per column against the determinant scan, `det`
-# against the defining routes, the sweep against elimination, `lambda_coeffs`
+# against the defining routes, the sweep against elimination, elimination
+# on residues against exact elimination, `lambda_coeffs`
 # against column substitution, and the defining routes and their integer
 # `det_square` against the oracles, and the symbolic sweep's product bound
 # against a reference count, for CI on every Python:
@@ -25,6 +26,7 @@ settings.register_profile(
 #   pytest --hypothesis-profile exhaustive tests/test_lambdapoly.py::test_one_column_scan_equals_determinants
 #   pytest --hypothesis-profile exhaustive tests/test_kernel.py::test_det_equals_every_defining_route_and_the_oracle
 #   (and ::test_sweep_and_elimination_agree_on_integers,
+#   ::test_residue_elimination_equals_exact_elimination,
 #   ::test_lambda_coeffs_equals_column_substitution_and_evaluation)
 #   pytest --hypothesis-profile exhaustive tests/test_determinant.py::test_det_square_equals_the_leibniz_sum
 #   (and ::test_each_route_equals_the_oracle_with_the_fields_value_type)

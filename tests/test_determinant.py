@@ -28,8 +28,10 @@ from cullis import (
     semicyclic_shift,
     zeros,
 )
+from cullis import determinant
 from cullis.determinant import _cheaper, _guard
 from cullis.routes import det_square
+from alarms import within
 from oracles import oracle_det, oracle_square_det
 
 Q = RATIONALS
@@ -187,6 +189,30 @@ def test_product_expansion_counts_every_minor_before_the_first():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, before)
+
+
+def test_product_expansion_weighs_its_count_before_the_first_minor(monkeypatch):
+    # 18 steps per pair of minors, 3 pairs, each step on 127-bit residues
+    # (weight 2**2): 216, refused before any minor when the budget is below
+    # it, though 54 covers the unweighted steps
+    rng = random.Random(17)
+    F = gf(2**127 - 1)
+    X, Y = random_matrix(F, 5, 3, rng), random_matrix(F, 3, 2, rng)
+    steps = comb(3, 2) * (_cheaper(5, 2)[1] + _cheaper(2, 2)[1])
+    assert (steps, 4 * steps) == (54, 216)
+    # over QQ the weight is read off X's and Y's cleared entries: 131 bits
+    # in X, so 3**2
+    big = RectMatrix.from_rows(RATIONALS, [[Fraction(2**130 + 3 * i + j, 7) for j in range(3)]
+                                           for i in range(5)])
+    small = random_matrix(RATIONALS, 3, 2, rng)
+    for left, right, whole in ((X, Y, 216), (big, small, 9 * steps)):
+        with monkeypatch.context() as m:
+            m.setattr(determinant, "det", lambda *args: pytest.fail("a minor ran first"))
+            for budget in (steps, whole - 1):
+                refusal = f"^{whole} entry-weighted steps exceed budget {budget}$"
+                with within(1), pytest.raises(ResourceGuard, match=refusal):
+                    det_product_rhs(left, right, budget=budget)
+        assert det_product_rhs(left, right, budget=whole) == det(left @ right)
 
 
 def test_right_multiplication_scaling():

@@ -49,7 +49,6 @@ from cullis import determinant, fields, lambdapoly, preserver, routes, sympoly
 from cullis.determinant import (
     _cheaper,
     _elim,
-    det_int,
     elim_count,
     sweep,
     sweep_count,
@@ -111,6 +110,33 @@ def test_sweep_and_elimination_agree_on_integers(shape, rng):
     assert sweep(rows, k) == want
     if n <= k + 1:
         assert _elim(rows, k) == want
+
+
+@st.composite
+def near_square_residues(draw):
+    """Residue rows of a k x k or (k + 1) x k shape up to 10x9 over GF(2),
+    GF(3) or GF(2**127 - 1), sometimes with a repeated row or a zero column."""
+    p = draw(st.sampled_from([2, 3, 2**127 - 1]))
+    k = draw(st.integers(1, 9))
+    n = draw(st.sampled_from([k, k + 1]))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = list(rows[0])
+    if draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        for r in rows:
+            r[j] = 0
+    return rows, k, p
+
+
+@given(near_square_residues())
+def test_residue_elimination_equals_exact_elimination(case):
+    # over GF(p) `_elim` eliminates on residues and divides the product of
+    # the pivots by that of the row multipliers once: it equals exact
+    # elimination reduced mod p and the sweep, singular shapes included
+    rows, k, p = case
+    assert _elim(rows, k, p) == _elim(rows, k) % p == sweep(rows, k, p)
 
 
 class Counted(int):
@@ -199,10 +225,11 @@ def test_each_call_checks_one_count_and_each_scan_one_shape(monkeypatch):
     X = random_matrix(F, 12, 6, rng)
     # det: the count before `raw_rows`, then the entry-weighted count
     assert count(det, X) == 2 and gates == [1344, 1344]
-    assert count(det_int, raw(X), 6) == 1
     assert count(lambda_coeffs, X, random_matrix(F, 12, 6, rng)) == 2
-    # det(b), then one check for all 15 column subsets of the 6x4 shape
-    assert count(check_sign_condition, identity(G, 6), identity(G, 4)) == 2
+    # one check for det(b) and all 15 column subsets of the 6x4 shape:
+    # elimination's 28 steps at 4x4, then 15 sweeps of 96
+    assert count(check_sign_condition, identity(G, 6), identity(G, 4)) == 1
+    assert gates == [28 + 15 * 96] == [_cheaper(4, 4)[1] + comb(6, 4) * _cheaper(6, 4)[1]]
     # 35 row subsets of one 4x2 shape, counted together before the first
     rank_one = RectMatrix.from_rows(G, [[i, 2 * i] for i in range(7)])
     assert count(all_completions_vanish, rank_one, 5) == 1 and gates == [35 * sweep_count(4, 2)]
@@ -325,6 +352,27 @@ def test_bench_oracle_counts_are_recounted(monkeypatch):
             for name, route in ROUTES.items()}
 
 
+def test_bench_kernel_counts_are_recounted(monkeypatch):
+    # BENCH_kernels.json's times are for reading only; its counts follow from
+    # the shape: the route with fewer multiplications (elimination only for
+    # n <= k + 1) and its steps, and for the sign condition the one count
+    # its gate reads on identity factors
+    bench = json.loads((Path(__file__).parents[1] / "BENCH_kernels.json").read_text())
+    assert len(bench["cases"]) == 62
+    gates = []
+    monkeypatch.setattr(preserver, "_guard", lambda cost, *rest, **kw: gates.append(cost))
+    for case in bench["cases"]:
+        n, k = case["n"], case["k"]
+        elim = n <= k + 1 and elim_count(n) < sweep_count(n, k)
+        assert case["route"] == ("_elim" if elim else "sweep")
+        assert case["steps"] == (elim_count(n) if elim else sweep_count(n, k))
+        if case["call"] == "check_sign_condition":
+            gates.clear()
+            check_sign_condition(identity(gf(10007), n), identity(gf(10007), k))
+            assert gates == [case["sign_weight_steps"]]
+            assert case["sign_weight_steps"] == elim_count(k) + comb(n, k) * case["steps"]
+
+
 # -- det(A + tB) ---------------------------------------------------------------------
 
 
@@ -382,9 +430,9 @@ def test_lambda_coeffs_takes_dets_kernel_and_count(monkeypatch, shape, kernel):
     def spying(n, k):
         chosen, steps = _cheaper(n, k)
 
-        def run(rows, width):
+        def run(rows, width, p=None):
             ran.append((chosen, steps))
-            return chosen(rows, width)
+            return chosen(rows, width, p)
 
         return run, steps
 

@@ -28,7 +28,7 @@ from cullis import (
     zeros,
 )
 from cullis import lambdapoly
-from cullis.determinant import _cheaper, det_int, sweep_count
+from cullis.determinant import _cheaper, sweep, sweep_count
 from cullis.lambdapoly import diffdiff_rhs, diffsum_rhs, plainsum_rhs
 
 Q = RATIONALS
@@ -208,12 +208,12 @@ def test_completion_scans_refuse_before_any_kernel_call():
 
 
 def first_basis_rows_by_dets(cols, n, m, p):
-    """The completion scan by determinants: `det_int` of the rows outside
-    each m-subset R, in lexicographic order."""
+    """The completion scan by determinants: the exact row sweep of the rows
+    outside each m-subset R, in lexicographic order."""
     rows = list(zip(*cols))
     for R in combinations(range(n), m):
         gone = set(R)
-        val = det_int([rows[i] for i in range(n) if i not in gone], len(cols))
+        val = sweep([rows[i] for i in range(n) if i not in gone], len(cols))
         if val % p if p else val:
             return R
     return None
@@ -238,7 +238,7 @@ def one_column_scans(draw):
 
 @given(case=one_column_scans())
 def test_one_column_scan_equals_determinants(case):
-    # the closed form against a det_int of every complement, over p <= n,
+    # the closed form against the row sweep of every complement, over p <= n,
     # QQ (p = None), negative and big entries, constant columns and columns
     # of zero alternating sum
     column, n, k, p = case

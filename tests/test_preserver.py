@@ -1,7 +1,7 @@
 import json
 import random
 from itertools import combinations, permutations, product
-from math import perm
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -43,6 +43,7 @@ from cullis import (
 from cullis import preserver
 from cullis.determinant import _cheaper
 from cullis.preserver import _cleared, _kronecker, _sweep_report
+from alarms import within
 from oracles import oracle_det
 
 Q = RATIONALS
@@ -168,6 +169,23 @@ def test_random_check_runs_each_det_under_the_callers_budget(monkeypatch):
     assert budgets == [b] * 6
 
 
+def test_random_check_weighs_its_count_before_the_first_draw(monkeypatch):
+    # two dets of 12 steps at 4x2 on 127-bit residues (weight 2**2): 96 for
+    # one sample, refused before any draw below it, though 24 covers the
+    # unweighted steps.  Over QQ the weight bounds every draw's image: a row
+    # sum of 2**200 clears below 2**215, so 4**2
+    wide = LinearMapNK(4, 2, identity(Q, 8).scale(2**200))
+    for T, whole, verdict in ((make_s_shift(4, 2, 2, 1, gf(2**127 - 1)), 96, "inconclusive"),
+                              (wide, 2 * 12 * 16, "violates")):
+        with monkeypatch.context() as m:
+            m.setattr(preserver, "random_matrix", lambda *args: pytest.fail("drew first"))
+            for budget in (2 * _cheaper(4, 2)[1], whole - 1):
+                refusal = f"^{whole} entry-weighted steps exceed budget {budget}$"
+                with within(1), pytest.raises(BudgetExceeded, match=refusal):
+                    is_preserver(T, "random", budget=budget, samples=1)
+        assert is_preserver(T, "random", budget=whole, samples=1).verdict == verdict
+
+
 def test_symbolic_small_field_fallback():
     # over GF(2) formal coefficients can differ while values agree; folding
     # by x**2 = x must still settle the question exactly, also for k > p
@@ -290,11 +308,39 @@ def test_two_sided_maps_of_tall_narrow_shapes():
 
 
 def test_closed_form_budget_counts_its_terms():
-    # C(n, k) * k! = perm(n, k) terms, refused before any weight is drawn
+    # det(B)'s steps and C(n, k) n x k determinants' steps, refused before
+    # any weight is drawn
     T = make_two_sided(identity(gf(5), 5).scale(2), identity(gf(5), 3))
-    with pytest.raises(BudgetExceeded):
-        is_preserver(T, "symbolic", budget=perm(5, 3) - 1)
-    assert is_preserver(T, "symbolic", budget=perm(5, 3)).verdict == "violates"
+    whole = _cheaper(3, 3)[1] + comb(5, 3) * _cheaper(5, 3)[1]
+    with pytest.raises(BudgetExceeded, match=f"^{whole} elementary steps"):
+        is_preserver(T, "symbolic", budget=whole - 1)
+    assert is_preserver(T, "symbolic", budget=whole).verdict == "violates"
+
+
+def test_sign_condition_counts_every_weight_before_the_first():
+    # det(B)'s steps plus C(n, k) determinants' steps, against the default
+    # 10**7: about 1.2 * 10**6 at 12x6 is answered, 1.19 * 10**8 at 16x8 is
+    # refused before any determinant
+    G = gf(5)
+    whole = _cheaper(8, 8)[1] + comb(16, 8) * _cheaper(16, 8)[1]
+    with within(1), pytest.raises(
+            BudgetExceeded, match=f"^{whole} elementary steps exceed budget 10000000$"):
+        check_sign_condition(identity(G, 16), identity(G, 8))
+    with within(20):
+        assert check_sign_condition(identity(G, 12), identity(G, 6))
+
+
+def test_symbolic_check_of_the_identity_counts_its_weights():
+    # X -> X factors, so its C(40, 4) = 91390 weights at 40x4 decide it:
+    # refused at once by default and one step below the count, answered at it
+    T = LinearMapNK.identity_map(gf(5), 40, 4)
+    whole = _cheaper(4, 4)[1] + comb(40, 4) * _cheaper(40, 4)[1]
+    for budget, limit in ((None, 10**7), (whole - 1, whole - 1)):
+        with within(1), pytest.raises(
+                BudgetExceeded, match=f"^{whole} elementary steps exceed budget {limit}$"):
+            is_preserver(T, "symbolic", budget=budget)
+    with within(60):
+        assert is_preserver(T, "symbolic", budget=whole).preserves
 
 
 # -- shift maps ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ from cullis import sympoly
 from cullis.determinant import sweep_count, sweep_plan
 from cullis.preserver import _cleared
 from cullis.sympoly import det_change, fold, nonzero_point
+from alarms import within
 from oracles import oracle_subset_sign, oracle_sweep_products
 
 
@@ -218,6 +219,25 @@ def test_dense_map_is_refused_before_the_sweep():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+def test_det_change_counts_det_x_against_the_callers_guard():
+    # the zero map's det(M X) makes no product, but det(X) makes 48 at 4x3,
+    # whether or not it is cached: guards from the plan's 24 moves to 47 are
+    # refused, 48 answers with the 24 terms of -det(X)
+    zero = [[0] * 12 for _ in range(12)]
+    assert (sweep_count(4, 3), sympoly._identity_products(4, 3)) == (24, 48)
+    for _ in range(2):
+        for guard in (24, 47):
+            with within(1), pytest.raises(
+                    BudgetExceeded, match=f"^48 symbolic products at 4x3 exceed budget {guard}$"):
+                det_change(zero, 4, 3, 1, 5, guard)
+        assert len(det_change(zero, 4, 3, 1, 5, 48)) == 24
+    # the count is det(X)'s products, as a reference sweep makes them
+    for n, k in ((3, 1), (4, 2), (5, 3), (5, 5)):
+        nk = n * k
+        rows = [[int(r == c) for c in range(nk)] for r in range(nk)]
+        assert sympoly._identity_products(n, k) == oracle_sweep_products(rows, n, k, 5)[0]
 
 
 def test_fold_reduces_by_x_to_the_p():
